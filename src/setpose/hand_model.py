@@ -56,12 +56,6 @@ class SkeletonTopology:
                 seen.add(node)
                 node = parent[node]
 
-    def parent_index(self) -> np.ndarray:
-        idx = np.empty(N_JOINTS - 1, dtype=np.intp)
-        for p, c in self.edges:
-            idx[c - 1] = p
-        return idx
-
 
 # Joint layout: 0 = wrist; fingers are four-joint chains attached to the
 # wrist, ordered thumb (1-4), index (5-8), middle (9-12), ring (13-16),

@@ -51,12 +51,6 @@ class Assignment:
         if len(set(cols)) != len(cols):
             raise InconsistentAssignment(f"columns not distinct: {cols}")
 
-    def col_for_row(self, row: int) -> int:
-        for r, c in self.pairs:
-            if r == row:
-                return c
-        raise KeyError(row)
-
 
 def _solve_min_cost(costs: np.ndarray) -> tuple[np.ndarray, float]:
     rows, cols = linear_sum_assignment(costs)

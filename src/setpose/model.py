@@ -122,25 +122,11 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class QueryPrediction:
-    class_logits: np.ndarray  # (3,)
-    joints_norm: np.ndarray   # (63,) in [0, 1]
-
-
-@dataclass(frozen=True)
 class DetectionSet:
     """Per-image model output; tensors keep the training graph alive."""
 
     class_logits: Tensor  # (n_queries, 3)
     joints_norm: Tensor   # (n_queries, 63)
-
-    @property
-    def n_queries(self) -> int:
-        return self.class_logits.shape[0]
-
-    def query(self, i: int) -> QueryPrediction:
-        return QueryPrediction(class_logits=self.class_logits.data[i].copy(),
-                               joints_norm=self.joints_norm.data[i].copy())
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ from .tensor import (
     concatenate,
     forward_backward,
     log_softmax,
+    no_grad,
     softmax,
     stack,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "max_relative_error",
     "mlp2",
     "multi_head_attention",
+    "no_grad",
     "numeric_gradient",
     "save_checkpoint",
     "softmax",

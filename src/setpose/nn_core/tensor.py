@@ -6,6 +6,13 @@ Gradients are exact partial derivatives (up to float rounding) - there is
 no approximation anywhere, which is what the finite-difference checks in
 the test-suite pin down.
 
+A closure captures its operands and plain ndarrays, never the Tensor it is
+stored on, so graphs are acyclic and reference counting frees each one as
+soon as its last Tensor is dropped. Inside `with no_grad():` (a process-
+global flag, so threads started in the block see it) op results get no
+parents and no closure: no graph is built and values are bitwise the same.
+Leaves made with requires_grad=True, such as parameters, keep the flag.
+
 Broadcasting in binary ops is supported; gradients are summed back down to
 each operand's shape. matmul follows numpy semantics for stacked matrices
 (leading batch dimensions), with batch-broadcast gradients reduced the
@@ -14,9 +21,25 @@ same way.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
-from ..errors import KeyMismatch, NonFiniteLoss
+from ..errors import KeyMismatch, NonFinite, NonFiniteLoss
+
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Build no autodiff graph inside the block; restores the flag on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -35,7 +58,8 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad or (
+            _grad_enabled and any(p.requires_grad for p in _parents))
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
 
@@ -158,9 +182,10 @@ class Tensor:
     # -- elementwise nonlinearities -----------------------------------------
 
     def exp(self):
-        out = Tensor(np.exp(self.data), _parents=(self,))
+        y = np.exp(self.data)
+        out = Tensor(y, _parents=(self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accum(g * out.data)
+            out._backward = lambda g: self._accum(g * y)
         return out
 
     def log(self):
@@ -170,9 +195,10 @@ class Tensor:
         return out
 
     def sqrt(self):
-        out = Tensor(np.sqrt(self.data), _parents=(self,))
+        y = np.sqrt(self.data)
+        out = Tensor(y, _parents=(self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accum(g * 0.5 / out.data)
+            out._backward = lambda g: self._accum(g * 0.5 / y)
         return out
 
     def abs(self):
@@ -189,7 +215,7 @@ class Tensor:
                      np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
         out = Tensor(y, _parents=(self,))
         if out.requires_grad:
-            out._backward = lambda g: self._accum(g * out.data * (1.0 - out.data))
+            out._backward = lambda g: self._accum(g * y * (1.0 - y))
         return out
 
     def relu(self):
@@ -305,12 +331,6 @@ class ParamStore:
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return sorted(self._params)
 
@@ -340,7 +360,9 @@ def forward_backward(graph_fn, params: ParamStore, *inputs) -> tuple[float, Grad
 
     graph_fn(params, *inputs) must build the computation with Tensor ops
     and return a scalar Tensor. Parameters never touched by the graph get
-    zero gradients (their true partials).
+    zero gradients (their true partials). A non-finite loss raises
+    NonFiniteLoss; a non-finite gradient raises NonFinite naming the first
+    such parameter in sorted-name order.
     """
     params.zero_grad()
     loss = graph_fn(params, *inputs)
@@ -351,6 +373,9 @@ def forward_backward(graph_fn, params: ParamStore, *inputs) -> tuple[float, Grad
         name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
         for name, t in params.items()
     }
+    for name, g in grads.items():
+        if not np.isfinite(g).all():
+            raise NonFinite(f"gradient of {name!r} is not finite")
     return float(loss.data), grads
 
 

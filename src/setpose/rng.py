@@ -104,7 +104,3 @@ class PortableRng:
         for i in range(len(items) - 1, 0, -1):
             j = self.next_u64() % (i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def spawn(self, index: int) -> "PortableRng":
-        """Child generator on an independent stream."""
-        return PortableRng(derive_seed(self.next_u64(), index))

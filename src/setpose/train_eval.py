@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import GenConfig, SceneSample, augment, generate_dataset
-from .errors import ConfigError, MissingScaleStats, NonFiniteLoss
+from .errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, mpjpe, uvd_to_xyz
 from .hand_model import DEFAULT_TOPOLOGY, ScaleStats, SkeletonTopology, compute_mean_scale, rescale_depth
 from .matching import build_cost_matrix, class_index, hungarian, set_loss
@@ -43,6 +43,7 @@ from .nn_core import (
     adamw_step,
     forward_backward,
     init_optim_state,
+    no_grad,
     save_checkpoint,
 )
 from .rng import PortableRng, derive_seed
@@ -61,7 +62,6 @@ class TrainConfig:
     lam_l1: float = 5.0
     w_noobj: float = 0.1
     seed: int = 0
-    deterministic: bool = True  # this implementation is deterministic throughout
 
     def __post_init__(self):
         if not (0 < self.lr_drop_epoch < self.total_epochs):
@@ -83,7 +83,7 @@ class TrainConfig:
         return {k: getattr(self, k) for k in (
             "lr_transformer", "lr_backbone", "weight_decay", "batch_size",
             "total_epochs", "lr_drop_epoch", "lr_drop_factor", "lam_cls",
-            "lam_l1", "w_noobj", "seed", "deterministic")}
+            "lam_l1", "w_noobj", "seed")}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -144,7 +144,8 @@ def train(
 
     With a validation split the returned parameters are the best epoch's
     (lowest mean of the per-side validation MPJPEs); otherwise the final
-    ones. Epoch checkpoints land in checkpoint_dir when given.
+    ones. Epoch checkpoints land in checkpoint_dir when given, plus a
+    "best" one recording the epoch its parameters come from.
     """
     if not train_samples:
         raise ConfigError("training set is empty")
@@ -153,7 +154,7 @@ def train(
     rng = PortableRng(train_cfg.seed, stream=0x7472)
     log = TrainLog()
     step = 0
-    best = (math.inf, None)
+    best = (math.inf, None, train_cfg.total_epochs - 1)
     n = len(train_samples)
     for epoch in range(train_cfg.total_epochs):
         lr_t, lr_b = train_cfg.lr_at(epoch)
@@ -194,6 +195,8 @@ def train(
                 loss, grads = forward_backward(loss_fn, params)
             except NonFiniteLoss as e:
                 raise NonFiniteLoss(f"non-finite loss at step {step}", step=step) from e
+            except NonFinite as e:
+                raise NonFinite(f"{e} at step {step}") from e
             adamw_step(params, grads, state,
                        lr=lambda name: lr_b if is_backbone_param(name) else lr_t,
                        weight_decay=train_cfg.weight_decay)
@@ -209,7 +212,7 @@ def train(
                 val_mpjpe_right=_none_if_nan(report.mpjpe_right)))
             score = report.mean_mpjpe()
             if score < best[0]:
-                best = (score, params.copy())
+                best = (score, params.copy(), epoch)
         else:
             log.epochs.append(EpochRecord(epoch=epoch, val_mpjpe_left=None,
                                           val_mpjpe_right=None))
@@ -224,7 +227,7 @@ def train(
         save_checkpoint(Path(checkpoint_dir) / "best", final,
                         optimizer_step=state.t,
                         extra={"model_config": model_cfg.to_dict(),
-                               "epoch": train_cfg.total_epochs - 1})
+                               "epoch": best[2]})
     return final, log
 
 
@@ -305,11 +308,8 @@ def predict(
     threads: int = 1,
     batch_size: int = 32,
 ) -> list[SidePrediction]:
-    """Decode both sides for every sample (pure per-chunk work)."""
-    if not samples:
-        return []
-    cam = samples[0].camera
-
+    """Decode both sides for every sample (pure per-chunk work), each with
+    its own camera. Runs under no_grad(), so no autodiff graph is built."""
     def run_chunk(lo: int) -> list[SidePrediction]:
         chunk = samples[lo:lo + batch_size]
         images = np.stack([s.image for s in chunk]).astype(np.float64)
@@ -317,7 +317,7 @@ def predict(
         out = []
         for b, sample in enumerate(chunk):
             det = batch.sample(b)
-            decoded = decode_predictions(det, model_cfg, cam)
+            decoded = decode_predictions(det, model_cfg, sample.camera)
             argmax_class = np.argmax(det.class_logits.data, axis=1)
             for side in HandSide:
                 dec = decoded[side]
@@ -329,11 +329,12 @@ def predict(
         return out
 
     offsets = list(range(0, len(samples), batch_size))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_chunk, offsets))
-    else:
-        chunks = [run_chunk(lo) for lo in offsets]
+    with no_grad():  # process-global, so the pool's threads see it too
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                chunks = list(pool.map(run_chunk, offsets))
+        else:
+            chunks = [run_chunk(lo) for lo in offsets]
     return [p for chunk in chunks for p in chunk]  # index order: deterministic
 
 
@@ -345,7 +346,8 @@ def score_predictions(
     pooled: bool = False,
     topo: SkeletonTopology = DEFAULT_TOPOLOGY,
 ) -> EvalReport:
-    """Per-frame global MPJPE against the GT sides actually present.
+    """Per-frame global MPJPE against the GT sides actually present, each
+    frame unprojected (and rescaled) with its own camera.
 
     Per-side means are exact (fsum) means of the per-frame records.
     Classification accuracy counts (frame, side) pairs whose
@@ -355,7 +357,6 @@ def score_predictions(
         raise MissingScaleStats("rescaling requested without scale statistics")
     if not samples:
         raise ConfigError("evaluation set is empty")
-    cam = samples[0].camera
     by_key = {(p.index, p.side): p for p in preds}
     records = []
     errors = {HandSide.LEFT: [], HandSide.RIGHT: []}
@@ -373,6 +374,7 @@ def score_predictions(
             if hand.xyz is None:
                 raise ConfigError(f"frame {i} lacks xyz ground truth")
             uvd = pred.uvd
+            cam = sample.camera
             if rescale:
                 uvd = rescale_depth(uvd, cam, scale_stats.mean_for(side, pooled), topo)
             err = mpjpe(uvd_to_xyz(uvd, cam), hand.xyz)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,14 @@ from setpose.model import (
     patch_tokens,
     position_encoding,
 )
-from setpose.nn_core import ParamStore, Tensor, forward_backward, max_relative_error, numeric_gradient
+from setpose.nn_core import (
+    ParamStore,
+    Tensor,
+    forward_backward,
+    max_relative_error,
+    no_grad,
+    numeric_gradient,
+)
 from setpose.rng import PortableRng
 
 TINY = ModelConfig(image_size=(32, 32), patch_size=8, embed_dim=16, n_heads=2,
@@ -316,3 +325,46 @@ def test_set_loss_through_forward_gradcheck_sampled():
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric))
             worst = max(worst, err)
     assert worst < 1e-3, f"worst sampled rel err {worst}"
+
+
+# -- graph lifetime and no-grad inference ----------------------------------------
+
+def test_forward_and_backward_leave_no_cyclic_garbage():
+    """Graphs are acyclic, so reference counting alone frees them."""
+    params = build_model(TINY, seed=12)
+    rng = PortableRng(101)
+    imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
+    gts = [(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))]
+    assignment = Assignment(pairs=((0, 1),), total_cost=0.0)
+
+    def loss_fn(ps: ParamStore) -> Tensor:
+        det = forward_batch(ps, imgs, TINY).sample(0)
+        return set_loss(det.class_logits, det.joints_norm, gts, assignment).total
+
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        det = forward_batch(params, imgs, TINY)
+        del det
+        assert gc.collect() == 0
+        forward_backward(loss_fn, params)
+        assert gc.collect() == 0
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def test_no_grad_forward_is_bitwise_equal_and_builds_no_graph():
+    params = build_model(TINY, seed=13)
+    rng = PortableRng(102)
+    imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
+    with_graph = forward_batch(params, imgs, TINY)
+    with no_grad():
+        without = forward_batch(params, imgs, TINY)
+    assert with_graph.class_logits.requires_grad
+    for a, b in ((with_graph.class_logits, without.class_logits),
+                 (with_graph.joints_norm, without.joints_norm)):
+        assert a.data.tobytes() == b.data.tobytes()
+        assert not b.requires_grad
+        assert b._parents == () and b._backward is None

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from setpose.errors import FormatError, KeyMismatch, NonFiniteLoss, ShapeError
+from setpose.errors import FormatError, KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
 from setpose.nn_core import (
     OptimState,
     ParamStore,
@@ -22,6 +22,7 @@ from setpose.nn_core import (
     max_relative_error,
     mlp2,
     multi_head_attention,
+    no_grad,
     numeric_gradient,
     save_checkpoint,
     softmax,
@@ -69,6 +70,53 @@ def test_non_finite_loss_raises():
     p.add("x", np.array(0.0))
     with pytest.raises(NonFiniteLoss):
         forward_backward(lambda ps: ps["x"].log(), p)  # log(0) = -inf
+
+
+def test_non_finite_gradient_names_first_parameter():
+    p = ParamStore()
+    p.add("a", np.array(2.0))
+    p.add("b", np.array(0.0))
+    p.add("c", np.array(0.0))
+    before = {name: t.data.copy() for name, t in p.items()}
+    # finite loss, but d sqrt(x)/dx = inf at x = 0 for both b and c
+    graph = lambda ps: ps["a"] * ps["a"] + ps["b"].sqrt() + ps["c"].sqrt()
+    with np.errstate(divide="ignore"), pytest.raises(NonFinite, match="'b'"):
+        forward_backward(graph, p)
+    assert all(np.array_equal(t.data, before[name]) for name, t in p.items())
+
+
+# -- no-grad mode ------------------------------------------------------------------
+
+def test_no_grad_ops_build_no_graph():
+    p = ParamStore()
+    w = p.add("w", np.array([1.5, -2.0]))
+    with no_grad():
+        y = (w * w).exp().sum()
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    assert y.data == np.exp(2.25) + np.exp(4.0)
+    assert (w * w).requires_grad  # the flag is back on after the block
+
+
+def test_no_grad_restores_flag_after_exception_and_nests():
+    p = ParamStore()
+    w = p.add("w", np.array(3.0))
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("inside")
+    assert (w * w).requires_grad
+    with no_grad():
+        with no_grad():
+            pass
+        assert not (w * w).requires_grad
+
+
+def test_params_added_under_no_grad_still_require_grad():
+    with no_grad():
+        p = ParamStore()
+        w = p.add("w", np.array([1.0, 2.0]))
+        assert w.requires_grad
+    loss, grads = forward_backward(lambda ps: (ps["w"] * ps["w"]).sum(), p)
+    assert loss == 5.0 and np.array_equal(grads["w"], [2.0, 4.0])
 
 
 # -- per-layer finite-difference checks ----------------------------------------
