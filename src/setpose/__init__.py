@@ -23,7 +23,7 @@ from .hand_model import (
     hand_scale,
     rescale_depth,
 )
-from .matching import Assignment, LossBreakdown, hungarian, match_cost, set_loss
+from .matching import Assignment, LossBreakdown, hungarian, set_loss
 from .rng import PortableRng, derive_seed
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "hand_scale",
     "hflip_uvd",
     "hungarian",
-    "match_cost",
     "mpjpe",
     "rescale_depth",
     "set_loss",

@@ -1,21 +1,25 @@
 """Bipartite matching between ground-truth hands and queries, plus the
-set-prediction loss.
+set-prediction loss, both over a whole batch.
 
 Class-index convention used everywhere (logit column order):
     0 = left hand, 1 = right hand, 2 = no-hand
 
-Matching minimizes, over injective gt->query maps, the per-pair cost
+A training step makes one build_cost_matrix call on the batch's
+predictions, class_logits (B, n_queries, 3) and joints_norm
+(B, n_queries, 63): one softmax for the batch, then for every image b the
+(n_gts_b, n_queries) matrix of per-pair costs
 
     cost(gt, q) = lam_cls * (-p_q(gt side)) + lam_l1 * mean|joints_q - joints_gt|
 
-with probabilities (not log-probabilities) on the class term, while the
-training loss uses cross-entropy on the same logits - the usual
-set-prediction asymmetry, kept deliberately.
+hungarian then solves each image's matrix on its own (minimizing over
+injective gt->query maps), and one set_loss call turns the B assignments
+into the batch loss. The class term uses probabilities (not
+log-probabilities), while the training loss uses cross-entropy on the same
+logits - the usual set-prediction asymmetry, kept deliberately.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +27,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .errors import InconsistentAssignment, NonFinite, ShapeError
 from .geometry import HandSide
-from .nn_core.tensor import Tensor, concatenate, log_softmax, stack
+from .nn_core.tensor import Tensor, log_softmax
 
 CLASS_LEFT = 0
 CLASS_RIGHT = 1
@@ -113,38 +117,43 @@ def hungarian(costs: np.ndarray) -> Assignment:
                       total_cost=total)
 
 
-def match_cost(
-    gt_side: HandSide,
-    gt_joints_norm: np.ndarray,
-    pred_class_logits: np.ndarray,
-    pred_joints_norm: np.ndarray,
-    lam_cls: float = 1.0,
-    lam_l1: float = 5.0,
-) -> float:
-    """Match cost of one (ground truth, query) pair; see module docstring."""
-    logits = np.asarray(pred_class_logits, dtype=np.float64)
-    shifted = logits - logits.max()
-    probs = np.exp(shifted) / np.exp(shifted).sum()
-    l1 = float(np.mean(np.abs(np.asarray(pred_joints_norm, dtype=np.float64)
-                              - np.asarray(gt_joints_norm, dtype=np.float64))))
-    return lam_cls * (-float(probs[class_index(gt_side)])) + lam_l1 * l1
+def class_probabilities(class_logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last (class) axis of numpy logits."""
+    shifted = class_logits - class_logits.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _flatten_gts(gts: list[list[tuple[HandSide, np.ndarray]]], n_values: int):
+    """Every image's ground truths in one list, in image then row order:
+    (image index, class column, (n_gts, n_values) normalized joints)."""
+    image = np.array([b for b, g in enumerate(gts) for _ in g], dtype=np.intp)
+    cls = np.array([class_index(side) for g in gts for side, _ in g], dtype=np.intp)
+    joints = np.array([np.asarray(j, dtype=np.float64) for g in gts for _, j in g],
+                      dtype=np.float64).reshape(len(image), n_values)
+    return image, cls, joints
 
 
 def build_cost_matrix(
     class_logits: np.ndarray,
     joints_norm: np.ndarray,
-    gts: list[tuple[HandSide, np.ndarray]],
+    gts: list[list[tuple[HandSide, np.ndarray]]],
     lam_cls: float = 1.0,
     lam_l1: float = 5.0,
-) -> np.ndarray:
-    """(n_gts, n_queries) matrix of match costs."""
-    n_queries = class_logits.shape[0]
-    out = np.empty((len(gts), n_queries), dtype=np.float64)
-    for g, (side, gt_joints) in enumerate(gts):
-        for q in range(n_queries):
-            out[g, q] = match_cost(side, gt_joints, class_logits[q],
-                                   joints_norm[q], lam_cls, lam_l1)
-    return out
+) -> list[np.ndarray]:
+    """Per image b, the (len(gts[b]), n_queries) matrix of match costs.
+
+    class_logits is (B, n_queries, 3), joints_norm (B, n_queries, 63) and
+    gts[b] the (side, 63 normalized values) list of image b.
+    """
+    n_images = class_logits.shape[0]
+    if len(gts) != n_images:
+        raise ShapeError(f"{len(gts)} ground-truth lists for {n_images} images")
+    image, cls, gt_joints = _flatten_gts(gts, joints_norm.shape[-1])
+    p_side = class_probabilities(class_logits)[image, :, cls]  # (n_gts, n_queries)
+    l1 = np.abs(joints_norm[image] - gt_joints[:, None, :]).mean(axis=-1)
+    costs = lam_cls * -p_side + lam_l1 * l1
+    return np.split(costs, np.cumsum([len(g) for g in gts])[:-1])
 
 
 @dataclass(frozen=True)
@@ -154,28 +163,20 @@ class LossBreakdown:
     cls_loss: Tensor
     l1_loss: Tensor
     total: Tensor
-    lam_cls: float
-    lam_l1: float
-    w_noobj: float
-
-    def values(self) -> dict[str, float]:
-        return {
-            "cls_loss": self.cls_loss.item(),
-            "l1_loss": self.l1_loss.item(),
-            "total": self.total.item(),
-        }
 
 
 def set_loss(
     class_logits: Tensor,
     joints_norm: Tensor,
-    gts: list[tuple[HandSide, np.ndarray]],
-    assignment: Assignment,
+    gts: list[list[tuple[HandSide, np.ndarray]]],
+    assignments: list[Assignment],
     lam_cls: float = 1.0,
     lam_l1: float = 5.0,
     w_noobj: float = 0.1,
 ) -> LossBreakdown:
-    """Set-prediction loss for one image.
+    """Set-prediction loss of a batch: the mean over images of each
+    image's terms, with class_logits (B, n_queries, 3), joints_norm
+    (B, n_queries, 63) and gts[b], assignments[b] for image b.
 
     Classification: cross-entropy over every query, target = matched hand
     side for matched queries and no-hand for the rest; terms are combined
@@ -186,34 +187,45 @@ def set_loss(
     normalized joint values, averaged over matched queries; zero when
     nothing is matched.
     """
-    n_queries = class_logits.shape[0]
-    if class_logits.shape != (n_queries, N_CLASSES):
-        raise ShapeError(f"class_logits must be ({n_queries}, {N_CLASSES})")
-    pairs = dict(assignment.pairs)
-    if sorted(pairs) != list(range(len(gts))):
+    if len(class_logits.shape) != 3 or class_logits.shape[-1] != N_CLASSES:
+        raise ShapeError(f"class_logits must be (B, n_queries, {N_CLASSES}), "
+                         f"got {class_logits.shape}")
+    n_images, n_queries = class_logits.shape[:2]
+    if len(gts) != n_images or len(assignments) != n_images:
         raise InconsistentAssignment(
-            f"assignment rows {sorted(pairs)} != ground truths 0..{len(gts) - 1}")
-    if any(not 0 <= c < n_queries for c in pairs.values()):
+            f"{len(gts)} ground-truth lists and {len(assignments)} assignments "
+            f"for {n_images} images")
+    # every ground truth is matched, so query[k] is the one matched to the
+    # k-th flattened ground truth
+    query = []
+    for b, (g, assignment) in enumerate(zip(gts, assignments)):
+        pairs = sorted(assignment.pairs)
+        rows = [r for r, _ in pairs]
+        if rows != list(range(len(g))):
+            raise InconsistentAssignment(
+                f"image {b}: assignment rows {rows} != ground truths 0..{len(g) - 1}")
+        query += [c for _, c in pairs]
+    query = np.array(query, dtype=np.intp)
+    if np.any((query < 0) | (query >= n_queries)):
         raise InconsistentAssignment("assignment column out of range")
+    n_gts = np.array([len(g) for g in gts])
+    image, cls, gt_joints = _flatten_gts(gts, joints_norm.shape[-1])
 
-    targets = np.full(n_queries, CLASS_NO_HAND, dtype=np.intp)
-    weights = np.full(n_queries, w_noobj, dtype=np.float64)
-    for row, col in pairs.items():
-        targets[col] = class_index(gts[row][0])
-        weights[col] = 1.0
+    targets = np.full((n_images, n_queries), CLASS_NO_HAND, dtype=np.intp)
+    weights = np.full((n_images, n_queries), w_noobj, dtype=np.float64)
+    targets[image, query] = cls
+    weights[image, query] = 1.0
 
     log_probs = log_softmax(class_logits, axis=-1)
-    picked = log_probs[np.arange(n_queries), targets]  # (n_queries,)
-    cls_loss = (picked * (-weights)).sum() / float(weights.sum())
+    picked = log_probs[np.arange(n_images)[:, None], np.arange(n_queries), targets]
+    cls_per_image = (picked * (-weights)).sum(axis=1) / weights.sum(axis=1)
+    cls_loss = cls_per_image.sum() * (1.0 / n_images)
 
-    if pairs:
-        rows = sorted(pairs)
-        matched = stack([joints_norm[pairs[r]] for r in rows], axis=0)
-        gt_mat = np.stack([np.asarray(gts[r][1], dtype=np.float64) for r in rows])
-        l1_loss = (matched - gt_mat).abs().mean()
-    else:
-        l1_loss = Tensor(0.0)
+    # every matched value weighs 1 / (63 * its image's matched queries), so
+    # each image contributes its mean and an image without hands adds 0
+    per_value = 1.0 / (n_gts[image] * float(joints_norm.shape[-1]))
+    residual = (joints_norm[image, query] - gt_joints).abs()
+    l1_loss = (residual * per_value[:, None]).sum() * (1.0 / n_images)
 
     total = cls_loss * lam_cls + l1_loss * lam_l1
-    return LossBreakdown(cls_loss=cls_loss, l1_loss=l1_loss, total=total,
-                         lam_cls=lam_cls, lam_l1=lam_l1, w_noobj=w_noobj)
+    return LossBreakdown(cls_loss=cls_loss, l1_loss=l1_loss, total=total)

@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, WRIST
-from .matching import class_index
+from .matching import class_index, class_probabilities
 from .nn_core.layers import glorot_uniform, layer_norm, linear, mlp2, multi_head_attention
 from .nn_core.tensor import ParamStore, Tensor
 from .rng import PortableRng
@@ -122,20 +122,11 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class DetectionSet:
-    """Per-image model output; tensors keep the training graph alive."""
-
-    class_logits: Tensor  # (n_queries, 3)
-    joints_norm: Tensor   # (n_queries, 63)
-
-
-@dataclass(frozen=True)
 class BatchDetections:
+    """Model output; the tensors keep the training graph alive."""
+
     class_logits: Tensor  # (B, n_queries, 3)
     joints_norm: Tensor   # (B, n_queries, 63)
-
-    def sample(self, b: int) -> DetectionSet:
-        return DetectionSet(self.class_logits[b], self.joints_norm[b])
 
 
 # -- parameters ------------------------------------------------------------------
@@ -229,6 +220,8 @@ def position_encoding(config: ModelConfig) -> np.ndarray:
 
 def patch_tokens(images: np.ndarray, config: ModelConfig) -> np.ndarray:
     """(B, H, W, 3) -> (B, n_tokens, patch_size^2 * 3), row-major patches."""
+    if images.ndim != 4:
+        raise ShapeError(f"expected (B, H, W, 3) images, got {images.shape}")
     b, h, w, c = images.shape
     if (h, w) != config.image_size or c != 3:
         raise ShapeError(f"expected (B, {config.image_size[0]}, "
@@ -302,20 +295,7 @@ def forward_batch(params: ParamStore, images: np.ndarray,
     return forward_from_tokens(params, tokens, position_encoding(config), config)
 
 
-def forward(params: ParamStore, image: np.ndarray, config: ModelConfig) -> DetectionSet:
-    """Single image (H, W, 3) in [0, 1] -> DetectionSet."""
-    if image.ndim != 3:
-        raise ShapeError(f"expected (H, W, 3) image, got {image.shape}")
-    return forward_batch(params, image[None], config).sample(0)
-
-
 # -- decoding ------------------------------------------------------------------
-
-def _softmax_np(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
 
 def decode_depth(d_norm: np.ndarray, config: ModelConfig) -> np.ndarray:
     """Normalized depth channels (21,) -> millimeters per the config mode."""
@@ -357,22 +337,24 @@ class DecodedHand:
 
 
 def decode_predictions(
-    det: DetectionSet,
+    class_logits: np.ndarray,
+    joints_norm: np.ndarray,
     config: ModelConfig,
     cam: CameraIntrinsics,
 ) -> dict[HandSide, DecodedHand]:
-    """Per side, the maximum-probability query un-normalized to UVD.
+    """Per side, the maximum-probability query of one image's
+    class_logits (n_queries, 3) and joints_norm (n_queries, 63),
+    un-normalized to UVD.
 
     A prediction is always produced for both sides (the metric needs a
     pose per present hand); confidence reports the side's probability at
     the selected query. Ties pick the lowest query index.
     """
-    probs = _softmax_np(det.class_logits.data)
-    joints = det.joints_norm.data
+    probs = class_probabilities(class_logits)
     out = {}
     for side in HandSide:
         q = int(np.argmax(probs[:, class_index(side)]))
-        vals = joints[q].reshape(N_JOINTS, 3)
+        vals = joints_norm[q].reshape(N_JOINTS, 3)
         uvd = np.empty((N_JOINTS, 3))
         uvd[:, 0] = vals[:, 0] * cam.width
         uvd[:, 1] = vals[:, 1] * cam.height

@@ -3,10 +3,11 @@
 Training follows the two-group AdamW schedule: backbone parameters (the
 patch embedding) at lr_backbone, everything else at lr_transformer, both
 divided by lr_drop_factor from lr_drop_epoch onward. Supervision happens
-in normalized UVD space: per sample the ground-truth hands are matched to
-queries by the Hungarian assignment on the match cost, and the set loss
-is averaged over the batch. Matching is recomputed every step and carries
-no gradient.
+in normalized UVD space. Each step runs the batch forward, builds the
+match costs of the whole batch in one build_cost_matrix call, solves each
+image's matrix with hungarian, and makes one set_loss call, which
+averages the per-image losses over the batch. Matching is recomputed
+every step and carries no gradient.
 
 Evaluation decodes a pose per side (per-side argmax query - a prediction
 is always produced for a present hand), optionally rescales depths toward
@@ -171,25 +172,14 @@ def train(
 
             def loss_fn(ps: ParamStore):
                 det = forward_batch(ps, images, model_cfg)
-                total = None
-                cls_sum = 0.0
-                l1_sum = 0.0
-                for b in range(len(batch)):
-                    logits_b = det.class_logits[b]
-                    joints_b = det.joints_norm[b]
-                    costs = build_cost_matrix(logits_b.data, joints_b.data,
-                                              gts[b], train_cfg.lam_cls,
-                                              train_cfg.lam_l1)
-                    assignment = hungarian(costs)
-                    lb = set_loss(logits_b, joints_b, gts[b], assignment,
-                                  train_cfg.lam_cls, train_cfg.lam_l1,
-                                  train_cfg.w_noobj)
-                    cls_sum += lb.cls_loss.item()
-                    l1_sum += lb.l1_loss.item()
-                    total = lb.total if total is None else total + lb.total
-                parts["cls"] = cls_sum / len(batch)
-                parts["l1"] = l1_sum / len(batch)
-                return total * (1.0 / len(batch))
+                costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data,
+                                          gts, train_cfg.lam_cls, train_cfg.lam_l1)
+                lb = set_loss(det.class_logits, det.joints_norm, gts,
+                              [hungarian(c) for c in costs], train_cfg.lam_cls,
+                              train_cfg.lam_l1, train_cfg.w_noobj)
+                parts["cls"] = lb.cls_loss.item()
+                parts["l1"] = lb.l1_loss.item()
+                return lb.total
 
             try:
                 loss, grads = forward_backward(loss_fn, params)
@@ -316,9 +306,10 @@ def predict(
         batch = forward_batch(params, images, model_cfg)
         out = []
         for b, sample in enumerate(chunk):
-            det = batch.sample(b)
-            decoded = decode_predictions(det, model_cfg, sample.camera)
-            argmax_class = np.argmax(det.class_logits.data, axis=1)
+            logits = batch.class_logits.data[b]
+            decoded = decode_predictions(logits, batch.joints_norm.data[b],
+                                         model_cfg, sample.camera)
+            argmax_class = np.argmax(logits, axis=1)
             for side in HandSide:
                 dec = decoded[side]
                 out.append(SidePrediction(

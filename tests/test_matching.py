@@ -13,7 +13,6 @@ from setpose.matching import (
     build_cost_matrix,
     class_index,
     hungarian,
-    match_cost,
     set_loss,
 )
 from setpose.nn_core.tensor import Tensor
@@ -119,7 +118,17 @@ def test_assignment_rejects_duplicate_columns():
         Assignment(pairs=((0, 1), (1, 1)), total_cost=0.0)
 
 
-# -- match_cost ------------------------------------------------------------------
+# -- build_cost_matrix -------------------------------------------------------------
+
+def match_cost(side: HandSide, gt: np.ndarray, logits: np.ndarray,
+               pred_joints: np.ndarray, lam_cls: float, lam_l1: float) -> float:
+    """The cost of one (ground truth, query) pair, as a batch of one image
+    with one query and one ground truth."""
+    costs = build_cost_matrix(logits[None, None], pred_joints[None, None],
+                              [[(side, gt)]], lam_cls=lam_cls, lam_l1=lam_l1)
+    assert len(costs) == 1 and costs[0].shape == (1, 1)
+    return costs[0][0, 0]
+
 
 def test_match_cost_perfect_prediction():
     gt = np.full(63, 0.5)
@@ -143,13 +152,32 @@ def test_match_cost_hand_evaluated():
     assert abs(cost) < 1e-12
 
 
+def test_cost_matrix_of_a_ragged_batch_matches_a_per_pair_loop():
+    rng = PortableRng(56)
+    logits, joints = (t.data for t in make_preds(rng, 4, n_images=3))
+    gts = [make_gts(rng, [HandSide.RIGHT, HandSide.LEFT]), [], make_gts(rng, [HandSide.LEFT])]
+    costs = build_cost_matrix(logits, joints, gts, lam_cls=0.5, lam_l1=3.0)
+    assert [c.shape for c in costs] == [(2, 4), (0, 4), (1, 4)]
+    for b, image_gts in enumerate(gts):
+        for g, (side, gt) in enumerate(image_gts):
+            for q in range(4):
+                # same arithmetic one pair at a time, so equal to the last bit
+                z = logits[b, q] - logits[b, q].max()
+                p = np.exp(z) / np.exp(z).sum()
+                expected = 0.5 * -p[class_index(side)] + 3.0 * np.abs(joints[b, q] - gt).mean()
+                assert costs[b][g, q] == expected
+    with pytest.raises(ShapeError):
+        build_cost_matrix(logits, joints, gts[:2])
+
+
 # -- set_loss ------------------------------------------------------------------
 
-def make_preds(rng: PortableRng, n_queries: int) -> tuple[Tensor, Tensor]:
-    logits = Tensor(np.array(rng.uniform_list(n_queries * 3, -2, 2)).reshape(n_queries, 3),
-                    requires_grad=True)
-    joints = Tensor(np.array(rng.uniform_list(n_queries * 63, 0, 1)).reshape(n_queries, 63),
-                    requires_grad=True)
+def make_preds(rng: PortableRng, n_queries: int, n_images: int = 1) -> tuple[Tensor, Tensor]:
+    shape = (n_images, n_queries)
+    logits = Tensor(np.array(rng.uniform_list(n_images * n_queries * 3, -2, 2)).reshape(
+        *shape, 3), requires_grad=True)
+    joints = Tensor(np.array(rng.uniform_list(n_images * n_queries * 63, 0, 1)).reshape(
+        *shape, 63), requires_grad=True)
     return logits, joints
 
 
@@ -160,12 +188,12 @@ def make_gts(rng: PortableRng, sides):
 def test_set_loss_zero_l1_on_exact_match():
     rng = PortableRng(50)
     gts = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
-    logits = Tensor(np.zeros((4, 3)), requires_grad=True)
-    joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(4, 63)
-    joints[2] = gts[0][1]
-    joints[0] = gts[1][1]
+    logits = Tensor(np.zeros((1, 4, 3)), requires_grad=True)
+    joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(1, 4, 63)
+    joints[0, 2] = gts[0][1]
+    joints[0, 0] = gts[1][1]
     assignment = Assignment(pairs=((0, 2), (1, 0)), total_cost=0.0)
-    loss = set_loss(logits, Tensor(joints, requires_grad=True), gts, assignment)
+    loss = set_loss(logits, Tensor(joints, requires_grad=True), [gts], [assignment])
     assert loss.l1_loss.item() == 0.0
 
 
@@ -177,37 +205,45 @@ def test_set_loss_confident_correct_ce_is_zero():
     logits[2, CLASS_NO_HAND] = 200.0
     joints = np.tile(gts[0][1], (3, 1))
     assignment = Assignment(pairs=((0, 1),), total_cost=0.0)
-    loss = set_loss(Tensor(logits), Tensor(joints), gts, assignment)
+    loss = set_loss(Tensor(logits[None]), Tensor(joints[None]), [gts], [assignment])
     assert loss.cls_loss.item() < 1e-12
     assert loss.total.item() < 1e-11
 
 
-def test_set_loss_matches_scalar_recomputation():
-    rng = PortableRng(51)
-    n_queries = 4
-    logits_t, joints_t = make_preds(rng, n_queries)
-    gts = make_gts(rng, [HandSide.RIGHT, HandSide.LEFT])
-    assignment = Assignment(pairs=((0, 3), (1, 1)), total_cost=0.0)
-    lam_cls, lam_l1, w_noobj = 1.0, 5.0, 0.1
-    loss = set_loss(logits_t, joints_t, gts, assignment, lam_cls, lam_l1, w_noobj)
-
-    # straight-line scalar re-evaluation of the documented formula
-    logits = logits_t.data
-    joints = joints_t.data
+def scalar_image_loss(logits, joints, gts, pairs, lam_cls, lam_l1, w_noobj):
+    """Straight-line re-evaluation of the documented per-image formula."""
+    n_queries = len(logits)
     targets = [CLASS_NO_HAND] * n_queries
     weights = [w_noobj] * n_queries
-    targets[3] = class_index(HandSide.RIGHT)
-    targets[1] = class_index(HandSide.LEFT)
-    weights[3] = weights[1] = 1.0
+    for row, col in pairs:
+        targets[col] = class_index(gts[row][0])
+        weights[col] = 1.0
     ce_terms = []
     for q in range(n_queries):
         z = logits[q] - logits[q].max()
         log_probs = z - np.log(np.exp(z).sum())
         ce_terms.append(-log_probs[targets[q]])
     cls_ref = sum(w * ce for w, ce in zip(weights, ce_terms)) / sum(weights)
-    l1_ref = 0.5 * (np.abs(joints[3] - gts[0][1]).mean()
-                    + np.abs(joints[1] - gts[1][1]).mean())
-    total_ref = lam_cls * cls_ref + lam_l1 * l1_ref
+    l1_terms = [np.abs(joints[col] - gts[row][1]).mean() for row, col in pairs]
+    l1_ref = sum(l1_terms) / len(l1_terms) if l1_terms else 0.0
+    return cls_ref, l1_ref, lam_cls * cls_ref + lam_l1 * l1_ref
+
+
+def test_set_loss_matches_scalar_recomputation():
+    rng = PortableRng(51)
+    n_queries = 4
+    logits_t, joints_t = make_preds(rng, n_queries, n_images=3)
+    gts = [make_gts(rng, [HandSide.RIGHT, HandSide.LEFT]), make_gts(rng, [HandSide.LEFT]), []]
+    pairs = [((0, 3), (1, 1)), ((0, 2),), ()]
+    lam_cls, lam_l1, w_noobj = 1.0, 5.0, 0.1
+    loss = set_loss(logits_t, joints_t, gts,
+                    [Assignment(pairs=p, total_cost=0.0) for p in pairs],
+                    lam_cls, lam_l1, w_noobj)
+
+    per_image = [scalar_image_loss(logits_t.data[b], joints_t.data[b], gts[b], pairs[b],
+                                   lam_cls, lam_l1, w_noobj) for b in range(3)]
+    assert per_image[2][1] == 0.0  # the image without hands adds no L1
+    cls_ref, l1_ref, total_ref = (sum(terms) / 3 for terms in zip(*per_image))
     assert abs(loss.cls_loss.item() - cls_ref) < 1e-12
     assert abs(loss.l1_loss.item() - l1_ref) < 1e-12
     assert abs(loss.total.item() - total_ref) < 1e-12
@@ -219,14 +255,14 @@ def test_set_loss_permutation_invariant():
     logits_t, joints_t = make_preds(rng, n_queries)
     gts = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
     assignment = Assignment(pairs=((0, 0), (1, 4)), total_cost=0.0)
-    base = set_loss(logits_t, joints_t, gts, assignment)
+    base = set_loss(logits_t, joints_t, [gts], [assignment])
 
     perm = [3, 0, 4, 1, 2]  # query q moves to position perm.index(q)
     inv = np.argsort(perm)
-    logits_p = Tensor(logits_t.data[perm])
-    joints_p = Tensor(joints_t.data[perm])
+    logits_p = Tensor(logits_t.data[:, perm])
+    joints_p = Tensor(joints_t.data[:, perm])
     relabeled = Assignment(pairs=((0, int(inv[0])), (1, int(inv[4]))), total_cost=0.0)
-    permuted = set_loss(logits_p, joints_p, gts, relabeled)
+    permuted = set_loss(logits_p, joints_p, [gts], [relabeled])
     assert abs(base.total.item() - permuted.total.item()) < 1e-12
 
 
@@ -235,10 +271,10 @@ def test_set_loss_strictly_decreases_toward_gt():
     logits_t, joints_t = make_preds(rng, 3)
     gts = make_gts(rng, [HandSide.LEFT])
     assignment = Assignment(pairs=((0, 1),), total_cost=0.0)
-    base = set_loss(logits_t, joints_t, gts, assignment).total.item()
+    base = set_loss(logits_t, joints_t, [gts], [assignment]).total.item()
     moved = joints_t.data.copy()
-    moved[1, 10] += 0.5 * (gts[0][1][10] - moved[1, 10])  # halve one residual
-    better = set_loss(logits_t, Tensor(moved), gts, assignment).total.item()
+    moved[0, 1, 10] += 0.5 * (gts[0][1][10] - moved[0, 1, 10])  # halve one residual
+    better = set_loss(logits_t, Tensor(moved), [gts], [assignment]).total.item()
     assert better < base
 
 
@@ -248,12 +284,12 @@ def test_matched_cost_is_optimal_over_enumeration():
     rng = PortableRng(54)
     for n_gt in (1, 2, 3):
         for _ in range(20):
-            logits = np.array(rng.uniform_list(4 * 3, -3, 3)).reshape(4, 3)
-            joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(4, 63)
+            logits = np.array(rng.uniform_list(4 * 3, -3, 3)).reshape(1, 4, 3)
+            joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(1, 4, 63)
             sides = [HandSide.LEFT if rng.bernoulli(0.5) else HandSide.RIGHT
                      for _ in range(n_gt)]
             gts = make_gts(rng, sides)
-            costs = build_cost_matrix(logits, joints, gts)
+            (costs,) = build_cost_matrix(logits, joints, [gts])
             chosen = hungarian(costs)
             for perm in itertools.permutations(range(4), n_gt):
                 alt = sum(costs[g, q] for g, q in enumerate(perm))
@@ -265,7 +301,18 @@ def test_set_loss_inconsistent_assignment():
     logits_t, joints_t = make_preds(rng, 3)
     gts = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gts, Assignment(pairs=((0, 1),), total_cost=0.0))
+        set_loss(logits_t, joints_t, [gts], [Assignment(pairs=((0, 1),), total_cost=0.0)])
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gts,
-                 Assignment(pairs=((0, 1), (1, 7)), total_cost=0.0))
+        set_loss(logits_t, joints_t, [gts],
+                 [Assignment(pairs=((0, 1), (1, 7)), total_cost=0.0)])
+    # one ground-truth list and one assignment per image
+    good = Assignment(pairs=((0, 1), (1, 2)), total_cost=0.0)
+    set_loss(logits_t, joints_t, [gts], [good])
+    with pytest.raises(InconsistentAssignment):
+        set_loss(logits_t, joints_t, [gts], [good, good])
+    with pytest.raises(InconsistentAssignment):
+        set_loss(logits_t, joints_t, [gts], [])
+    with pytest.raises(InconsistentAssignment):
+        set_loss(logits_t, joints_t, [gts, []], [good])
+    with pytest.raises(ShapeError):  # one image without its batch axis
+        set_loss(logits_t[0], joints_t[0], [gts], [good])

@@ -18,25 +18,16 @@ from setpose.matching import (
 from setpose.model import (
     BatchDetections,
     DepthMode,
-    DetectionSet,
     ModelConfig,
     build_model,
     decode_predictions,
     encode_targets,
-    forward,
     forward_batch,
     forward_from_tokens,
     patch_tokens,
     position_encoding,
 )
-from setpose.nn_core import (
-    ParamStore,
-    Tensor,
-    forward_backward,
-    max_relative_error,
-    no_grad,
-    numeric_gradient,
-)
+from setpose.nn_core import ParamStore, Tensor, forward_backward, no_grad
 from setpose.rng import PortableRng
 
 TINY = ModelConfig(image_size=(32, 32), patch_size=8, embed_dim=16, n_heads=2,
@@ -119,10 +110,10 @@ def test_param_count_matches_hand_tally():
 def test_forward_contract():
     params = build_model(TINY, seed=2)
     img = random_image(PortableRng(90), TINY)
-    det = forward(params, img, TINY)
-    assert isinstance(det, DetectionSet)
-    assert det.class_logits.shape == (3, 3)
-    assert det.joints_norm.shape == (3, 63)
+    det = forward_batch(params, img[None], TINY)
+    assert isinstance(det, BatchDetections)
+    assert det.class_logits.shape == (1, 3, 3)
+    assert det.joints_norm.shape == (1, 3, 63)
     assert np.all(det.joints_norm.data > 0.0)
     assert np.all(det.joints_norm.data < 1.0)
 
@@ -132,11 +123,11 @@ def test_forward_deterministic_and_input_sensitive():
     rng = PortableRng(91)
     img1 = random_image(rng, TINY)
     img2 = random_image(rng, TINY)
-    a = forward(params, img1, TINY)
-    b = forward(params, img1, TINY)
+    a = forward_batch(params, img1[None], TINY)
+    b = forward_batch(params, img1[None], TINY)
     assert np.array_equal(a.class_logits.data, b.class_logits.data)
     assert np.array_equal(a.joints_norm.data, b.joints_norm.data)
-    c = forward(params, img2, TINY)
+    c = forward_batch(params, img2[None], TINY)
     assert not np.array_equal(a.joints_norm.data, c.joints_norm.data)
 
 
@@ -146,8 +137,8 @@ def test_forward_batch_matches_single():
     imgs = np.stack([random_image(rng, TINY) for _ in range(3)])
     batch = forward_batch(params, imgs, TINY)
     for i in range(3):
-        single = forward(params, imgs[i], TINY)
-        assert np.allclose(single.class_logits.data, batch.class_logits.data[i],
+        single = forward_batch(params, imgs[i][None], TINY)
+        assert np.allclose(single.class_logits.data[0], batch.class_logits.data[i],
                            rtol=1e-12, atol=1e-14)
 
 
@@ -170,16 +161,14 @@ def test_token_permutation_equivariance():
 def test_forward_shape_errors():
     params = build_model(TINY, seed=6)
     with pytest.raises(ShapeError):
-        forward(params, np.zeros((16, 32, 3)), TINY)
+        forward_batch(params, np.zeros((1, 16, 32, 3)), TINY)
     with pytest.raises(ShapeError):
         forward_batch(params, np.zeros((1, 32, 32, 1)), TINY)
+    with pytest.raises(ShapeError):  # one image without its batch axis
+        forward_batch(params, np.zeros((32, 32, 3)), TINY)
 
 
 # -- decode ----------------------------------------------------------------
-
-def hand_built_detections(logits: np.ndarray, joints: np.ndarray) -> DetectionSet:
-    return DetectionSet(class_logits=Tensor(logits), joints_norm=Tensor(joints))
-
 
 def test_decode_absolute_depth_endpoints():
     joints = np.zeros((3, 63))
@@ -188,8 +177,7 @@ def test_decode_absolute_depth_endpoints():
     logits = np.zeros((3, 3))
     logits[0, CLASS_LEFT] = 10.0
     logits[1, CLASS_RIGHT] = 10.0
-    det = hand_built_detections(logits, joints)
-    decoded = decode_predictions(det, TINY, tiny_cam())
+    decoded = decode_predictions(logits, joints, TINY, tiny_cam())
     assert np.all(decoded[HandSide.LEFT].uvd.d == 500.0)
     assert np.all(decoded[HandSide.RIGHT].uvd.d == 1200.0)
 
@@ -202,7 +190,7 @@ def test_decode_root_relative_zero_offset():
     vals[0, 2] = 0.25         # wrist absolute channel
     logits = np.zeros((3, 3))
     logits[2, CLASS_LEFT] = 9.0
-    decoded = decode_predictions(hand_built_detections(logits, joints), cfg, tiny_cam())
+    decoded = decode_predictions(logits, joints, cfg, tiny_cam())
     wrist_d = 500.0 + 0.25 * 700.0
     assert np.allclose(decoded[HandSide.LEFT].uvd.d, wrist_d, rtol=0, atol=1e-12)
 
@@ -211,8 +199,7 @@ def test_decode_selects_argmax_query_brute_force():
     rng = PortableRng(95)
     logits = np.array(rng.uniform_list(9, -3.0, 3.0)).reshape(3, 3)
     joints = np.array(rng.uniform_list(3 * 63, 0.0, 1.0)).reshape(3, 63)
-    det = hand_built_detections(logits, joints)
-    decoded = decode_predictions(det, TINY, tiny_cam())
+    decoded = decode_predictions(logits, joints, TINY, tiny_cam())
 
     def softmax(z):
         e = np.exp(z - z.max())
@@ -233,8 +220,8 @@ def test_decode_invariant_under_monotone_logit_transform():
     logits = np.array(rng.uniform_list(9, -2.0, 2.0)).reshape(3, 3)
     joints = np.full((3, 63), 0.5)
     cam = tiny_cam()
-    a = decode_predictions(hand_built_detections(logits, joints), TINY, cam)
-    b = decode_predictions(hand_built_detections(3.0 * logits + 11.0, joints), TINY, cam)
+    a = decode_predictions(logits, joints, TINY, cam)
+    b = decode_predictions(3.0 * logits + 11.0, joints, TINY, cam)
     for side in HandSide:
         assert a[side].query_index == b[side].query_index
 
@@ -242,7 +229,7 @@ def test_decode_invariant_under_monotone_logit_transform():
 def test_decode_tie_prefers_lowest_query():
     logits = np.zeros((3, 3))  # uniform probabilities everywhere
     joints = np.full((3, 63), 0.5)
-    decoded = decode_predictions(hand_built_detections(logits, joints), TINY, tiny_cam())
+    decoded = decode_predictions(logits, joints, TINY, tiny_cam())
     assert decoded[HandSide.LEFT].query_index == 0
     assert decoded[HandSide.RIGHT].query_index == 0
 
@@ -251,8 +238,7 @@ def test_decoded_depth_envelope():
     rng = PortableRng(97)
     for cfg in (TINY, ModelConfig(**{**TINY.to_dict(), "depth_mode": "root_relative"})):
         joints = np.array(rng.uniform_list(3 * 63, 0.0, 1.0)).reshape(3, 63)
-        det = hand_built_detections(np.zeros((3, 3)), joints)
-        decoded = decode_predictions(det, cfg, tiny_cam())
+        decoded = decode_predictions(np.zeros((3, 3)), joints, cfg, tiny_cam())
         z_min, z_max = cfg.depth_range
         delta = cfg.rel_depth_half_range
         for side in HandSide:
@@ -289,17 +275,18 @@ def test_encode_decode_depth_round_trip():
 def test_set_loss_through_forward_gradcheck_sampled():
     params = build_model(TINY, seed=11)
     rng = PortableRng(99)
-    img = random_image(rng, TINY)
-    gts = [(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95))),
-           (HandSide.RIGHT, np.array(rng.uniform_list(63, 0.05, 0.95)))]
+    imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
+    gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95))),
+            (HandSide.RIGHT, np.array(rng.uniform_list(63, 0.05, 0.95)))],
+           []]  # the second image holds no hand
 
-    det0 = forward(params, img, TINY)
+    det0 = forward_batch(params, imgs, TINY)
     costs = build_cost_matrix(det0.class_logits.data, det0.joints_norm.data, gts)
-    assignment = hungarian(costs)  # frozen: the loss is piecewise in it
+    assignments = [hungarian(c) for c in costs]  # frozen: the loss is piecewise in them
 
     def loss_fn(ps: ParamStore) -> Tensor:
-        det = forward(ps, img, TINY)
-        return set_loss(det.class_logits, det.joints_norm, gts, assignment).total
+        det = forward_batch(ps, imgs, TINY)
+        return set_loss(det.class_logits, det.joints_norm, gts, assignments).total
 
     _, grads = forward_backward(loss_fn, params)
 
@@ -334,12 +321,13 @@ def test_forward_and_backward_leave_no_cyclic_garbage():
     params = build_model(TINY, seed=12)
     rng = PortableRng(101)
     imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
-    gts = [(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))]
-    assignment = Assignment(pairs=((0, 1),), total_cost=0.0)
+    gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))], []]
+    assignments = [Assignment(pairs=((0, 1),), total_cost=0.0),
+                   Assignment(pairs=(), total_cost=0.0)]
 
     def loss_fn(ps: ParamStore) -> Tensor:
-        det = forward_batch(ps, imgs, TINY).sample(0)
-        return set_loss(det.class_logits, det.joints_norm, gts, assignment).total
+        det = forward_batch(ps, imgs, TINY)
+        return set_loss(det.class_logits, det.joints_norm, gts, assignments).total
 
     was_enabled = gc.isenabled()
     gc.collect()

@@ -113,6 +113,29 @@ def test_train_raises_on_non_finite_gradient_before_the_update(monkeypatch):
         assert t.data.tobytes() == snapshot[name].tobytes(), name
 
 
+# (total, cls_loss, l1_loss) per step of the seeded run below: 10 scenes
+# holding 0, 1 and 2 hands, batch 4 (the last batch of each epoch has 2).
+GOLDEN_STEP_LOSSES = [
+    (1.7037220765061978, 0.8974488123392237, 0.16125465283339488),
+    (2.3959449264940904, 1.4348523083159834, 0.1922185236356214),
+    (1.7651009257824875, 1.1229600363675838, 0.12842817788298072),
+    (1.6143352524693526, 0.7083737341046344, 0.18119230367294367),
+    (1.6205776923382818, 0.8717785011378671, 0.14975983824008293),
+    (1.1669228333008719, 0.6330545981090852, 0.10677364703835732),
+]
+
+
+def test_seeded_training_reproduces_golden_step_losses():
+    samples = generate_dataset(GenConfig(seed=4, n_samples=10, hand_presence_prob=0.5))
+    assert {len(s.hands) for s in samples} == {0, 1, 2}
+    _, log = train_eval.train(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
+                              samples)
+    got = [(s.total, s.cls_loss, s.l1_loss) for s in log.steps]
+    assert len(got) == len(GOLDEN_STEP_LOSSES)
+    for step, (row, golden) in enumerate(zip(got, GOLDEN_STEP_LOSSES), start=1):
+        assert np.allclose(row, golden, rtol=1e-12, atol=0), step
+
+
 def test_train_config_dict_round_trip():
     cfg = tiny_train_cfg(seed=9)
     assert train_eval.TrainConfig.from_dict(cfg.to_dict()) == cfg
