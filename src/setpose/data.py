@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError, FormatError, check_config_keys
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -135,7 +135,7 @@ class GenConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
-        return cls(**d)
+        return cls(**check_config_keys(cls, d))
 
 
 @dataclass(frozen=True)

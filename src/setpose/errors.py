@@ -1,8 +1,11 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, plus the key check every
+config's from_dict runs.
 
 Every error raised by library code derives from SetPoseError so callers
 (notably the CLI) can map failures onto exit codes in one place.
 """
+
+import dataclasses
 
 
 class SetPoseError(Exception):
@@ -59,3 +62,19 @@ class FormatError(SetPoseError):
 
 class MissingScaleStats(SetPoseError):
     """Rescaling was requested but no scale statistics were supplied."""
+
+
+def check_config_keys(cls: type, d: dict) -> dict:
+    """Returns d after checking it is a dict whose keys are exactly fields of
+    the dataclass cls, with every field that has no default present;
+    raises ConfigError naming the unknown or missing keys."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} config must be a dict, got {type(d).__name__}")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if unknown or missing:
+        raise ConfigError(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
+    return d

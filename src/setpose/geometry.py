@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDepth, ShapeError
+from .errors import ConfigError, NonPositiveDepth, ShapeError, check_config_keys
 
 N_JOINTS = 21
 WRIST = 0  # joint index of the skeleton root
@@ -63,7 +63,7 @@ class CameraIntrinsics:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(**d)
+        return cls(**check_config_keys(cls, d))
 
 
 def _as_joint_array(joints) -> np.ndarray:

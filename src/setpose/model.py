@@ -30,17 +30,18 @@ Depth decoding supports two parametrizations:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_config_keys
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, WRIST
 from .matching import class_index, class_probabilities
 from .nn_core.layers import glorot_uniform, layer_norm, linear, mlp2, multi_head_attention
 from .nn_core.tensor import ParamStore, Tensor
-from .rng import PortableRng
+from .rng import derive_seed
 
 N_JOINT_VALUES = N_JOINTS * 3  # 63
 
@@ -72,7 +73,11 @@ class ModelConfig:
         object.__setattr__(self, "image_size", tuple(self.image_size))
         object.__setattr__(self, "depth_range", tuple(self.depth_range))
         if isinstance(self.depth_mode, str):
-            object.__setattr__(self, "depth_mode", DepthMode(self.depth_mode))
+            try:
+                object.__setattr__(self, "depth_mode", DepthMode(self.depth_mode))
+            except ValueError:
+                raise ConfigError(f"unknown depth_mode {self.depth_mode!r}, expected one "
+                                  f"of {[m.value for m in DepthMode]}") from None
         h, w = self.image_size
         if h % self.patch_size or w % self.patch_size:
             raise ConfigError(f"image {h}x{w} not divisible by patch {self.patch_size}")
@@ -116,9 +121,7 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        return cls(**{**d,
-                      "image_size": tuple(d.get("image_size", (32, 32))),
-                      "depth_range": tuple(d.get("depth_range", (100.0, 1500.0)))})
+        return cls(**check_config_keys(cls, d))
 
 
 @dataclass(frozen=True)
@@ -131,9 +134,18 @@ class BatchDetections:
 
 # -- parameters ------------------------------------------------------------------
 
-def _add_linear(params: ParamStore, rng: PortableRng, name: str,
+def _add_weight(params: ParamStore, seed: int, name: str,
                 fan_in: int, fan_out: int) -> None:
-    params.add(f"{name}.w", glorot_uniform(rng, fan_in, fan_out))
+    """Glorot weight keyed by (seed, name): the first 8 bytes of the name's
+    SHA-256, never Python's salted hash(), so keys agree across processes."""
+    name_hash = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
+    key = derive_seed(seed, 0x6D6F64, name_hash)  # model init stream
+    params.add(name, glorot_uniform(key, fan_in, fan_out))
+
+
+def _add_linear(params: ParamStore, seed: int, name: str,
+                fan_in: int, fan_out: int) -> None:
+    _add_weight(params, seed, f"{name}.w", fan_in, fan_out)
     params.add(f"{name}.b", np.zeros(fan_out))
 
 
@@ -142,46 +154,46 @@ def _add_layer_norm(params: ParamStore, name: str, dim: int) -> None:
     params.add(f"{name}.b", np.zeros(dim))
 
 
-def _add_attention(params: ParamStore, rng: PortableRng, name: str, dim: int) -> None:
+def _add_attention(params: ParamStore, seed: int, name: str, dim: int) -> None:
     for proj in ("wq", "wk", "wv", "wo"):
-        params.add(f"{name}.{proj}", glorot_uniform(rng, dim, dim))
+        _add_weight(params, seed, f"{name}.{proj}", dim, dim)
         params.add(f"{name}.{proj.replace('w', 'b')}", np.zeros(dim))
 
 
-def _add_ffn(params: ParamStore, rng: PortableRng, name: str, dim: int) -> None:
+def _add_ffn(params: ParamStore, seed: int, name: str, dim: int) -> None:
     hidden = 4 * dim
-    _add_linear(params, rng, f"{name}.l1", dim, hidden)
-    _add_linear(params, rng, f"{name}.l2", hidden, dim)
+    _add_linear(params, seed, f"{name}.l1", dim, hidden)
+    _add_linear(params, seed, f"{name}.l2", hidden, dim)
 
 
 def build_model(config: ModelConfig, seed: int) -> ParamStore:
     """Deterministic initialization: weights are uniform
-    +-sqrt(6/(fan_in+fan_out)) drawn from a portable generator in a fixed
-    creation order, biases zero, layer-norm affine at identity."""
-    rng = PortableRng(seed, stream=0x6D6F64)  # model init stream
+    +-sqrt(6/(fan_in+fan_out)), counter-based on (seed, parameter name,
+    element index), so a weight does not depend on which other layers exist
+    or on their creation order; biases zero, layer-norm affine at identity."""
     d = config.embed_dim
     params = ParamStore()
-    _add_linear(params, rng, "backbone.patch_embed",
+    _add_linear(params, seed, "backbone.patch_embed",
                 config.patch_size * config.patch_size * 3, d)
     for i in range(config.n_encoder_layers):
         _add_layer_norm(params, f"enc{i}.ln1", d)
-        _add_attention(params, rng, f"enc{i}.attn", d)
+        _add_attention(params, seed, f"enc{i}.attn", d)
         _add_layer_norm(params, f"enc{i}.ln2", d)
-        _add_ffn(params, rng, f"enc{i}.ffn", d)
+        _add_ffn(params, seed, f"enc{i}.ffn", d)
     _add_layer_norm(params, "enc_norm", d)
-    params.add("queries.embed", glorot_uniform(rng, config.n_queries, d))
+    _add_weight(params, seed, "queries.embed", config.n_queries, d)
     for i in range(config.n_decoder_layers):
         _add_layer_norm(params, f"dec{i}.ln1", d)
-        _add_attention(params, rng, f"dec{i}.self_attn", d)
+        _add_attention(params, seed, f"dec{i}.self_attn", d)
         _add_layer_norm(params, f"dec{i}.ln2", d)
-        _add_attention(params, rng, f"dec{i}.cross_attn", d)
+        _add_attention(params, seed, f"dec{i}.cross_attn", d)
         _add_layer_norm(params, f"dec{i}.ln3", d)
-        _add_ffn(params, rng, f"dec{i}.ffn", d)
+        _add_ffn(params, seed, f"dec{i}.ffn", d)
     _add_layer_norm(params, "dec_norm", d)
-    _add_linear(params, rng, "head_cls.l1", d, d)
-    _add_linear(params, rng, "head_cls.l2", d, 3)
-    _add_linear(params, rng, "head_joints.l1", d, d)
-    _add_linear(params, rng, "head_joints.l2", d, N_JOINT_VALUES)
+    _add_linear(params, seed, "head_cls.l1", d, d)
+    _add_linear(params, seed, "head_cls.l2", d, 3)
+    _add_linear(params, seed, "head_joints.l1", d, d)
+    _add_linear(params, seed, "head_joints.l2", d, N_JOINT_VALUES)
     return params
 
 

@@ -9,13 +9,16 @@ A checkpoint is a directory holding
                    then the concatenated raw float64 values (little
                    endian, C order) at the recorded offsets
 
-Loads validate magic, version, and payload size before touching any
-values; a bad file raises FormatError and nothing partial is returned.
+Loads validate magic, version, and that the parameter entries tile the
+blob contiguously in table order, from the end of the header to the end
+of the file (the layout save_checkpoint writes); a bad file raises
+FormatError and nothing partial is returned.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -76,6 +79,8 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
         manifest = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{manifest_path}: invalid JSON manifest: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
     if manifest.get("format_version") != FORMAT_VERSION:
         raise FormatError(
             f"{manifest_path}: unsupported format version "
@@ -88,17 +93,37 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
         raise FormatError(f"{blob_path}: bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise FormatError(f"{blob_path}: unsupported blob version {version}")
+    entries = manifest.get("params")
+    if not isinstance(entries, list):
+        raise FormatError(f"{manifest_path}: no parameter table")
     params = ParamStore()
-    for entry in manifest["params"]:
-        if entry.get("dtype") != "float64":
-            raise FormatError(f"{manifest_path}: unsupported dtype {entry.get('dtype')!r}")
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        end = entry["offset"] + 8 * n
-        if end > len(blob):
+    offset = _HEADER.size
+    for entry in entries:
+        try:
+            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
+            dtype = entry["dtype"]
+        except (KeyError, TypeError) as e:
+            raise FormatError(f"{manifest_path}: malformed parameter entry {entry!r}") from e
+        if dtype != "float64":
+            raise FormatError(f"{manifest_path}: unsupported dtype {dtype!r}")
+        if not all(type(s) is int and s >= 0 for s in shape):
+            raise FormatError(f"{manifest_path}: parameter {name!r} has bad shape {shape}")
+        if type(start) is not int or start != offset:
+            raise FormatError(f"{manifest_path}: parameter {name!r} at offset {start!r}, "
+                              f"expected {offset} (entries must tile the blob)")
+        n = math.prod(shape)
+        offset += 8 * n
+        if offset > len(blob):
             raise FormatError(
-                f"{blob_path}: parameter {entry['name']!r} extends past end of blob")
-        arr = np.frombuffer(blob, dtype="<f8", count=n,
-                            offset=entry["offset"]).reshape(shape)
-        params.add(entry["name"], arr.astype(np.float64))
-    return params, int(manifest.get("optimizer_step", 0)), manifest.get("extra", {})
+                f"{blob_path}: parameter {name!r} extends past end of blob")
+        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(shape)
+        try:
+            params.add(name, arr)
+        except ValueError as e:
+            raise FormatError(f"{manifest_path}: {e}") from e
+    if offset != len(blob):
+        raise FormatError(f"{blob_path}: {len(blob) - offset} bytes after the last parameter")
+    step, extra = manifest.get("optimizer_step", 0), manifest.get("extra", {})
+    if type(step) is not int or not isinstance(extra, dict):
+        raise FormatError(f"{manifest_path}: bad optimizer_step {step!r} or extra {extra!r}")
+    return params, step, extra

@@ -11,15 +11,18 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from ..rng import PortableRng
+from ..rng import counter_uniform
 from .tensor import Tensor, softmax
 
 
-def glorot_uniform(rng: PortableRng, fan_in: int, fan_out: int) -> np.ndarray:
-    """Uniform +-sqrt(6/(fan_in+fan_out)) init, drawn in fixed row-major order."""
+def glorot_uniform(key: int, fan_in: int, fan_out: int) -> np.ndarray:
+    """Uniform +-sqrt(6/(fan_in+fan_out)) init of shape (fan_in, fan_out).
+
+    Counter-based: row-major element i is counter_uniform's value i under
+    `key`, a pure function of (key, i) with no generator state to thread.
+    """
     limit = (6.0 / (fan_in + fan_out)) ** 0.5
-    vals = rng.uniform_list(fan_in * fan_out, -limit, limit)
-    return np.array(vals, dtype=np.float64).reshape(fan_in, fan_out)
+    return counter_uniform(key, fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -10,6 +10,11 @@ distribution streams may change between releases):
   * uniform doubles: top 53 bits of a 64-bit draw, i.e. (u >> 11) * 2**-53
   * normals: Box-Muller, two uniform draws per value, cosine branch only
     (no cached spare, so each call consumes a fixed number of draws)
+  * counter-based uniforms (parameter init): value i under a 64-bit key is
+    the splitmix64 output for state key + (i + 1) * GOLDEN, so it depends
+    on (key, i) only and a whole array is one vectorised numpy uint64 pass
+    (the counter-based design of Salmon et al. 2011, "Parallel random
+    numbers: as easy as 1, 2, 3")
 
 Integer state arithmetic is exact everywhere; float results depend only on
 IEEE-754 double operations plus libm's log/cos/sqrt for normals.
@@ -18,6 +23,8 @@ IEEE-754 double operations plus libm's log/cos/sqrt for normals.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -30,6 +37,21 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31), state
+
+
+def counter_uniform(key: int, n: int, lo: float, hi: float) -> np.ndarray:
+    """n uniform doubles in [lo, hi): element i is `_splitmix64(key + i *
+    GOLDEN)[0]` turned into a double like PortableRng.uniform does.
+
+    Every constant is an np.uint64 (a Python int would promote the arrays to
+    float64 under numpy 1.x); uint64 wrap-around is the intended mod 2**64.
+    """
+    u64 = np.uint64
+    z = np.arange(1, n + 1, dtype=u64) * u64(_GOLDEN) + u64(key & _MASK64)
+    z = (z ^ (z >> u64(30))) * u64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> u64(27))) * u64(0x94D049BB133111EB)
+    z ^= z >> u64(31)
+    return lo + (hi - lo) * ((z >> u64(11)) * 2.0 ** -53)
 
 
 def derive_seed(seed: int, *indices: int) -> int:

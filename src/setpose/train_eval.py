@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .data import GenConfig, SceneSample, augment, generate_dataset
-from .errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss
+from .errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss, check_config_keys
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, mpjpe, uvd_to_xyz
 from .hand_model import DEFAULT_TOPOLOGY, ScaleStats, SkeletonTopology, compute_mean_scale, rescale_depth
 from .matching import build_cost_matrix, class_index, hungarian, set_loss
@@ -88,7 +88,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
+        return cls(**check_config_keys(cls, d))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ import pytest
 from setpose.data import (
     FINGER_BONE_LENGTHS,
     GenConfig,
-    HandAnnotation,
     SceneSample,
     augment,
     generate_dataset,
@@ -22,7 +21,7 @@ from setpose.data import (
     write_image,
 )
 from setpose.errors import ConfigError, FormatError
-from setpose.geometry import HandSide, N_JOINTS, uvd_to_xyz, xyz_to_uvd
+from setpose.geometry import HandSide, xyz_to_uvd
 from setpose.hand_model import DEFAULT_TOPOLOGY, hand_scale
 from setpose.rng import PortableRng
 
@@ -166,6 +165,14 @@ def test_gen_config_dict_round_trip():
     assert GenConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_gen_config_unknown_keys_raise_config_error():
+    with pytest.raises(ConfigError, match="blur"):
+        GenConfig.from_dict({**small_cfg().to_dict(), "blur": 2})
+    intrinsics = {**small_cfg().intrinsics.to_dict(), "skew": 0.0}
+    with pytest.raises(ConfigError, match="skew"):
+        GenConfig.from_dict({**small_cfg().to_dict(), "intrinsics": intrinsics})
+
+
 # -- augmentation ------------------------------------------------------------------
 
 def sample_with_both_hands(seed: int = 3) -> SceneSample:
@@ -246,6 +253,16 @@ def test_bad_image_magic(tmp_path):
     (tmp_path / "x.imgf").write_bytes(b"NOPE" + raw[4:])
     with pytest.raises(FormatError):
         read_image(tmp_path / "x.imgf")
+
+
+def test_unknown_intrinsics_key_in_dataset_raises_config_error(tmp_path):
+    cfg = small_cfg(n_samples=1)
+    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
+    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+    meta["intrinsics"]["skew"] = 0.0
+    (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ConfigError, match="skew"):
+        read_dataset(tmp_path / "ds")
 
 
 def test_unknown_dataset_version_rejected_before_load(tmp_path):

@@ -108,6 +108,16 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=1.0, fy=1.0, cx=11.0, cy=0.0, width=10, height=10)
 
 
+def test_intrinsics_from_dict_rejects_unknown_and_missing_keys(cam):
+    assert CameraIntrinsics.from_dict(cam.to_dict()) == cam
+    with pytest.raises(ConfigError, match="skew"):
+        CameraIntrinsics.from_dict({**cam.to_dict(), "skew": 0.0})
+    with pytest.raises(ConfigError, match="fy"):
+        CameraIntrinsics.from_dict({k: v for k, v in cam.to_dict().items() if k != "fy"})
+    with pytest.raises(ConfigError):
+        CameraIntrinsics.from_dict([1.0, 1.0, 0.0, 0.0, 10.0, 10.0])
+
+
 # -- mpjpe ---------------------------------------------------------------------
 
 def test_mpjpe_identity(cam):

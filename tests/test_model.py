@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 
 import numpy as np
 import pytest
@@ -64,6 +65,15 @@ def test_config_round_trips_through_dict():
     assert ModelConfig.from_dict(cfg.to_dict()) == cfg
 
 
+def test_config_unknown_key_or_depth_mode_raises_config_error():
+    with pytest.raises(ConfigError, match="foo"):
+        ModelConfig.from_dict({**TINY.to_dict(), "foo": 1})
+    with pytest.raises(ConfigError, match="bogus"):
+        ModelConfig(depth_mode="bogus")
+    with pytest.raises(ConfigError, match="bogus"):
+        ModelConfig.from_dict({**TINY.to_dict(), "depth_mode": "bogus"})
+
+
 # -- build_model ----------------------------------------------------------------
 
 def test_build_model_deterministic():
@@ -75,6 +85,29 @@ def test_build_model_deterministic():
     c = build_model(TINY, seed=8)
     assert any(not np.array_equal(tensor.data, c[name].data)
                for name, tensor in a.items())
+
+
+def test_build_model_golden_digest():
+    """Pins the counter-based init of every parameter, across processes."""
+    params = build_model(TINY, seed=0)
+    h = hashlib.sha256()
+    for name, tensor in params.items():
+        h.update(name.encode())
+        h.update(tensor.data.tobytes())
+    assert h.hexdigest() == "34ff5d8281b3dc3b9454bf029433e4cbc5fa297675c154a63a0aa95b0a680ea3"
+    assert params["enc0.attn.wq"].data.reshape(-1)[:4].tolist() == [
+        0.3020826818274901, -0.07716565848882745, 0.06553178801827331, -0.26180300247891064]
+
+
+def test_build_model_weights_do_not_depend_on_other_layers():
+    """A weight is a function of (seed, name, index): adding an encoder layer
+    leaves every parameter both models share bitwise equal."""
+    one = build_model(TINY, seed=3)
+    two = build_model(ModelConfig(**{**TINY.to_dict(), "n_encoder_layers": 2}), seed=3)
+    extra = set(two.names()) - set(one.names())
+    assert extra and all(name.startswith("enc1.") for name in extra)
+    for name, tensor in one.items():
+        assert tensor.data.tobytes() == two[name].data.tobytes(), name
 
 
 def test_param_count_grows_with_embed_dim():

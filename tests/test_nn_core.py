@@ -7,7 +7,6 @@ import pytest
 
 from setpose.errors import FormatError, KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
 from setpose.nn_core import (
-    OptimState,
     ParamStore,
     Tensor,
     adamw_step,
@@ -454,9 +453,46 @@ def test_checkpoint_truncated_blob(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def _corrupt(manifest: dict, blob: bytes, case: str):
+    first, second = manifest["params"]
+    if case == "offset_0":  # the first weight would be read from the magic
+        first["offset"] = 0
+    elif case == "negative_offset":
+        first["offset"] = -8
+    elif case == "no_offset":
+        del first["offset"]
+    elif case == "negative_shape":
+        first["shape"] = [-2]
+    elif case == "out_of_order":
+        first["offset"], second["offset"] = second["offset"], first["offset"]
+    elif case == "no_params_table":
+        del manifest["params"]
+    elif case == "not_an_object":
+        manifest = [manifest]
+    elif case == "trailing_bytes":
+        blob += bytes(8)
+    elif case == "bad_optimizer_step":
+        manifest["optimizer_step"] = "x"
+    return manifest, blob
+
+
+@pytest.mark.parametrize("case", [
+    "offset_0", "negative_offset", "no_offset", "negative_shape", "out_of_order",
+    "no_params_table", "not_an_object", "trailing_bytes", "bad_optimizer_step"])
+def test_corrupt_checkpoint_raises_format_error(tmp_path, case):
+    save_checkpoint(tmp_path / "ck", make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]))
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    blob = (tmp_path / "ck" / "params.bin").read_bytes()
+    manifest, blob = _corrupt(manifest, blob, case)
+    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "ck" / "params.bin").write_bytes(blob)
+    with pytest.raises(FormatError):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_glorot_limits_and_determinism():
-    w1 = glorot_uniform(PortableRng(82), 30, 50)
-    w2 = glorot_uniform(PortableRng(82), 30, 50)
+    w1 = glorot_uniform(82, 30, 50)
+    w2 = glorot_uniform(82, 30, 50)
     assert np.array_equal(w1, w2)
     limit = (6.0 / 80.0) ** 0.5
     assert np.abs(w1).max() <= limit

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
-from setpose.rng import PortableRng, derive_seed
+import numpy as np
+import pytest
+
+from setpose.rng import _GOLDEN, _splitmix64, PortableRng, counter_uniform, derive_seed
 
 
 def test_same_seed_same_stream():
@@ -52,3 +55,19 @@ def test_shuffle_is_permutation_and_deterministic():
     PortableRng(5).shuffle(b)
     assert a == b
     assert a != list(range(50))
+
+
+@pytest.mark.parametrize("key", [0, 99, 2**63 + 5, 2**64 - 1, 2**64 - 2 * _GOLDEN % 2**64])
+def test_counter_uniform_matches_a_splitmix64_loop(key):
+    """Element i is splitmix64's output after i + 1 steps from the key. The
+    large keys wrap the uint64 counter at the first element, and the last
+    one reaches state 0 at the second."""
+    n, lo, hi = 37, -0.75, 1.5
+    expected, state = [], key
+    for _ in range(n):
+        out, state = _splitmix64(state)
+        expected.append(lo + (hi - lo) * ((out >> 11) * 2.0 ** -53))
+    got = counter_uniform(key, n, lo, hi)
+    assert got.dtype == np.float64 and got.shape == (n,)
+    assert got.tobytes() == np.array(expected).tobytes()
+    assert np.all((got >= lo) & (got < hi))

@@ -7,7 +7,7 @@ import pytest
 
 from setpose import train_eval
 from setpose.data import GenConfig, generate_dataset
-from setpose.errors import NonFinite
+from setpose.errors import ConfigError, NonFinite
 from setpose.geometry import CameraIntrinsics
 from setpose.model import BatchDetections, ModelConfig, build_model, forward_batch
 from setpose.nn_core import load_checkpoint
@@ -70,7 +70,17 @@ def test_predict_builds_no_graph_in_pool_threads(monkeypatch):
     assert [p.to_dict() for p in serial] == [p.to_dict() for p in pooled]
 
 
-def test_best_checkpoint_records_the_winning_epoch(tmp_path):
+def test_best_checkpoint_records_the_winning_epoch(tmp_path, monkeypatch):
+    # scripted validation scores, so the winner is a middle epoch whatever the init
+    scripted = iter([(30.0, 32.0), (21.0, 23.0), (25.0, 24.0), (40.0, 41.0)])
+
+    def scripted_evaluate(params, model_cfg, samples, **kw):
+        left, right = next(scripted)
+        return train_eval.EvalReport(mpjpe_left=left, mpjpe_right=right, n_frames_left=1,
+                                     n_frames_right=1, rescaling_applied=False,
+                                     cls_accuracy=0.0, records=())
+
+    monkeypatch.setattr(train_eval, "evaluate", scripted_evaluate)
     train_set = generate_dataset(GenConfig(seed=1, n_samples=8))
     val_set = generate_dataset(GenConfig(seed=2, n_samples=4))
     cfg = tiny_train_cfg()
@@ -116,12 +126,12 @@ def test_train_raises_on_non_finite_gradient_before_the_update(monkeypatch):
 # (total, cls_loss, l1_loss) per step of the seeded run below: 10 scenes
 # holding 0, 1 and 2 hands, batch 4 (the last batch of each epoch has 2).
 GOLDEN_STEP_LOSSES = [
-    (1.7037220765061978, 0.8974488123392237, 0.16125465283339488),
-    (2.3959449264940904, 1.4348523083159834, 0.1922185236356214),
-    (1.7651009257824875, 1.1229600363675838, 0.12842817788298072),
-    (1.6143352524693526, 0.7083737341046344, 0.18119230367294367),
-    (1.6205776923382818, 0.8717785011378671, 0.14975983824008293),
-    (1.1669228333008719, 0.6330545981090852, 0.10677364703835732),
+    (1.8534345876478484, 1.0288714790903895, 0.1649126217114918),
+    (1.8166506682080823, 0.8405678423679099, 0.19521656516803448),
+    (1.9388555424236753, 1.2917008751547896, 0.12943093345377715),
+    (1.7306897552406568, 0.8547915071659586, 0.17517964961493965),
+    (1.5996292222035646, 0.8509152710292978, 0.1497427902348534),
+    (1.2832148585394205, 0.6536699072430958, 0.12590899025926494),
 ]
 
 
@@ -140,3 +150,9 @@ def test_train_config_dict_round_trip():
     cfg = tiny_train_cfg(seed=9)
     assert train_eval.TrainConfig.from_dict(cfg.to_dict()) == cfg
     assert set(cfg.to_dict()) == {f.name for f in dataclasses.fields(cfg)}
+
+
+def test_train_config_unknown_key_raises_config_error():
+    # "deterministic" is a key of old config dicts; the field no longer exists
+    with pytest.raises(ConfigError, match="deterministic"):
+        train_eval.TrainConfig.from_dict({**tiny_train_cfg().to_dict(), "deterministic": True})
