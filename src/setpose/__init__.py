@@ -16,9 +16,8 @@ from .geometry import (
     xyz_to_uvd,
 )
 from .hand_model import (
-    DEFAULT_TOPOLOGY,
+    BONES,
     ScaleStats,
-    SkeletonTopology,
     compute_mean_scale,
     hand_scale,
     rescale_depth,
@@ -28,15 +27,14 @@ from .rng import PortableRng, derive_seed
 
 __all__ = [
     "Assignment",
+    "BONES",
     "CameraIntrinsics",
-    "DEFAULT_TOPOLOGY",
     "HandSide",
     "JointSet3D",
     "JointSetUVD",
     "LossBreakdown",
     "PortableRng",
     "ScaleStats",
-    "SkeletonTopology",
     "compute_mean_scale",
     "derive_seed",
     "hand_scale",

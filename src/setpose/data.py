@@ -7,12 +7,13 @@ configured range. All randomness flows through PortableRng with one
 stream per (seed, sample index), so generation is bit-reproducible and
 order-independent across samples.
 
-Rendering: skeleton edges as anti-aliased segments plus Gaussian blobs at
-the joints, drawn onto one canvas per hand. The left-hand canvas lands in
-channel 0, the right-hand canvas in channel 1, and their maximum in
-channel 2; this side-coded palette is what lets a desk-scale backbone
-learn hand classification. Pixel (row r, col c) samples the continuous
-image point (u=c, v=r); images are float32 in [0, 1].
+Rendering: the 20 BONES of the hand skeleton (hand_model) as anti-aliased
+segments plus Gaussian blobs at the 21 joints, drawn onto one canvas per
+hand. The left-hand canvas lands in channel 0, the right-hand canvas in
+channel 1, and their maximum in channel 2; this side-coded palette is
+what lets a desk-scale backbone learn hand classification. Pixel (row r,
+col c) samples the continuous image point (u=c, v=r); images are float32
+in [0, 1].
 
 Horizontal flip augmentation mirrors image columns (discrete index
 W-1-c), swaps the left/right channels so the side coding stays consistent
@@ -29,6 +30,10 @@ On-disk layout (format_version 1):
                     [{side, uvd 21x3, xyz 21x3 | null}]
     images/<id>.imgf   magic "IMGF", u32 version, u32 H, W, C, then
                     H*W*C little-endian float32, row-major, channel-last
+
+read_dataset raises FormatError, naming the file (and the line of
+samples.jsonl), for JSON that does not parse or is not an object, a
+missing key, an unknown side or joints that are not 21x3.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_config_keys
+from .errors import ConfigError, FormatError, ShapeError, check_config_keys
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -51,7 +56,7 @@ from .geometry import (
     hflip_uvd,
     xyz_to_uvd,
 )
-from .hand_model import DEFAULT_TOPOLOGY, FINGER_SLICES, SkeletonTopology
+from .hand_model import BONES, FINGER_SLICES
 from .rng import PortableRng
 
 IMAGE_MAGIC = b"IMGF"
@@ -161,12 +166,10 @@ class SceneSample:
             raise ConfigError("at most one hand per side")
 
 
-def template_hand(topo: SkeletonTopology = DEFAULT_TOPOLOGY) -> JointSet3D:
+def template_hand() -> JointSet3D:
     """Canonical right hand, wrist at the origin, fingers fanned in the
     x-y plane; bone j of a finger extends its chain along the finger's
     fixed direction by the tabulated length."""
-    if topo.edges != DEFAULT_TOPOLOGY.edges:
-        raise ConfigError("template_hand is defined on the default joint layout")
     joints = np.zeros((N_JOINTS, 3))
     for finger, sl in FINGER_SLICES.items():
         a = math.radians(FINGER_ANGLES_DEG[finger])
@@ -293,11 +296,10 @@ def _draw_blob(canvas: np.ndarray, p: np.ndarray) -> None:
     np.maximum(region, val, out=region)
 
 
-def _render_hand_canvas(size: tuple[int, int], uvd: JointSetUVD,
-                        topo: SkeletonTopology) -> np.ndarray:
+def _render_hand_canvas(size: tuple[int, int], uvd: JointSetUVD) -> np.ndarray:
     canvas = np.zeros(size, dtype=np.float64)
     pts = uvd.joints[:, :2]
-    for parent, child in topo.edges:
+    for parent, child in BONES:
         _draw_segment(canvas, pts[parent], pts[child])
     for j in range(N_JOINTS):
         _draw_blob(canvas, pts[j])
@@ -308,13 +310,12 @@ def render_scene(
     cfg: GenConfig,
     hands: list[HandAnnotation],
     distractor_rect: tuple[float, float, float, float] | None = None,
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
 ) -> np.ndarray:
     """Compose per-side canvases into the (H, W, 3) float32 image."""
     size = cfg.image_size
     canvases = {side: np.zeros(size, dtype=np.float64) for side in HandSide}
     for hand in hands:
-        canvases[hand.side] = _render_hand_canvas(size, hand.uvd, topo)
+        canvases[hand.side] = _render_hand_canvas(size, hand.uvd)
     image = np.zeros(size + (3,), dtype=np.float64)
     if distractor_rect is not None:
         u0, v0, u1, v1 = distractor_rect
@@ -329,8 +330,7 @@ def render_scene(
     return image.astype(np.float32)
 
 
-def generate_sample(cfg: GenConfig, index: int,
-                    topo: SkeletonTopology = DEFAULT_TOPOLOGY) -> SceneSample:
+def generate_sample(cfg: GenConfig, index: int) -> SceneSample:
     """Sample `index` of the dataset; draws only from its own RNG stream."""
     rng = PortableRng(cfg.seed, stream=index + 1)
     rect = None
@@ -340,20 +340,19 @@ def generate_sample(cfg: GenConfig, index: int,
         eu, ev = rng.uniform(2.0, 0.25 * w), rng.uniform(2.0, 0.25 * h)
         rect = (cu - eu, cv - ev, cu + eu, cv + ev)
     present = {side: rng.bernoulli(cfg.hand_presence_prob) for side in HandSide}
-    base = template_hand(topo)
+    base = template_hand()
     hands = []
     for side in HandSide:  # fixed order: left, then right
         if not present[side]:
             continue
         uvd, xyz = _place_hand(rng, cfg, side, base)
         hands.append(HandAnnotation(side=side, uvd=uvd, xyz=xyz))
-    image = render_scene(cfg, hands, rect, topo)
+    image = render_scene(cfg, hands, rect)
     return SceneSample(image=image, hands=tuple(hands), camera=cfg.intrinsics)
 
 
-def generate_dataset(cfg: GenConfig,
-                     topo: SkeletonTopology = DEFAULT_TOPOLOGY) -> list[SceneSample]:
-    return [generate_sample(cfg, i, topo) for i in range(cfg.n_samples)]
+def generate_dataset(cfg: GenConfig) -> list[SceneSample]:
+    return [generate_sample(cfg, i) for i in range(cfg.n_samples)]
 
 
 # -- augmentation ------------------------------------------------------------------
@@ -449,23 +448,34 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
         meta = json.loads(meta_path.read_text())
     except json.JSONDecodeError as e:
         raise FormatError(f"{meta_path}: invalid JSON: {e}") from e
+    if not isinstance(meta, dict):
+        raise FormatError(f"{meta_path}: not a JSON object")
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
         raise FormatError(f"{meta_path}: unsupported format version "
                           f"{meta.get('format_version')!r}")
+    missing = [k for k in ("intrinsics", "n_samples") if k not in meta]
+    if missing:
+        raise FormatError(f"{meta_path}: missing keys {missing}")
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
     samples = []
-    lines = (path / "samples.jsonl").read_text().splitlines()
-    for line in lines:
-        rec = json.loads(line)
-        hands = []
-        for h in rec["hands"]:
-            hands.append(HandAnnotation(
+    jsonl_path = path / "samples.jsonl"
+    for lineno, line in enumerate(jsonl_path.read_text().splitlines(), 1):
+        where = f"{jsonl_path} line {lineno}"
+        try:
+            rec = json.loads(line)
+            hands = tuple(HandAnnotation(
                 side=HandSide(h["side"]),
                 uvd=JointSetUVD(np.array(h["uvd"])),
                 xyz=JointSet3D(np.array(h["xyz"])) if h["xyz"] is not None else None,
-            ))
-        image = read_image(path / rec["image"])
-        samples.append(SceneSample(image=image, hands=tuple(hands), camera=cam))
+            ) for h in rec["hands"])
+            image_name = rec["image"]
+        except KeyError as e:
+            raise FormatError(f"{where}: missing key {e}") from e
+        except (TypeError, ValueError, ShapeError) as e:
+            # not JSON or not an object, an unknown side, joints that are not 21x3
+            raise FormatError(f"{where}: {e}") from e
+        image = read_image(path / image_name)
+        samples.append(SceneSample(image=image, hands=hands, camera=cam))
     if len(samples) != meta["n_samples"]:
         raise FormatError(f"{path}: meta promises {meta['n_samples']} samples, "
                           f"found {len(samples)}")

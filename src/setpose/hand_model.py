@@ -1,9 +1,10 @@
-"""Hand skeleton topology, the hand-scale statistic, and depth rescaling.
+"""The hand skeleton, the hand-scale statistic, and depth rescaling.
 
-The scale of a hand is defined as the mean Euclidean length of its 20
-skeleton bones. This statistic is rotation/translation invariant and
-exactly linear under uniform scaling, which makes the depth-rescaling
-factor exact: multiplying every UVD depth by k multiplies the unprojected
+The skeleton is one fixed constant, BONES: the 20 (parent, child) joint
+pairs of the 21-joint hand, a tree rooted at the wrist. The scale of a
+hand is defined as the mean Euclidean length of those 20 bones. This
+statistic is rotation/translation invariant and exactly linear under
+uniform scaling, which makes the depth-rescaling factor exact: multiplying every UVD depth by k multiplies the unprojected
 3D pose by k coordinate-wise, so
 
     rescale to target:  k = target_scale / hand_scale(unprojected pose)
@@ -20,7 +21,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneratePose, EmptySide, NonPositiveScale
+from .errors import (
+    ConfigError,
+    DegeneratePose,
+    EmptySide,
+    FormatError,
+    NonPositiveScale,
+    check_config_keys,
+)
 from .geometry import (
     N_JOINTS,
     CameraIntrinsics,
@@ -34,35 +42,13 @@ from .geometry import (
 DEGENERATE_SCALE = 1e-6
 
 
-@dataclass(frozen=True)
-class SkeletonTopology:
-    """20 (parent, child) edges forming a tree rooted at the wrist (joint 0)."""
-
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.edges) != N_JOINTS - 1:
-            raise ValueError(f"expected {N_JOINTS - 1} edges, got {len(self.edges)}")
-        children = sorted(c for _, c in self.edges)
-        if children != list(range(1, N_JOINTS)):
-            raise ValueError("every joint 1..20 must appear as a child exactly once")
-        # tree check: walking parent links from any joint must reach the wrist
-        parent = {c: p for p, c in self.edges}
-        for j in range(1, N_JOINTS):
-            seen, node = set(), j
-            while node != 0:
-                if node in seen or node not in parent:
-                    raise ValueError(f"joint {j} is not connected to the wrist")
-                seen.add(node)
-                node = parent[node]
-
-
-# Joint layout: 0 = wrist; fingers are four-joint chains attached to the
-# wrist, ordered thumb (1-4), index (5-8), middle (9-12), ring (13-16),
-# pinky (17-20), proximal to distal.
-DEFAULT_TOPOLOGY = SkeletonTopology(
-    tuple((j - 1 if (j - 1) % 4 else 0, j) for j in range(1, N_JOINTS))
-)
+# The 20 (parent, child) bones of the 21-joint skeleton, a tree rooted at
+# the wrist (joint 0). Fingers are four-joint chains attached to the wrist,
+# ordered thumb (1-4), index (5-8), middle (9-12), ring (13-16), pinky
+# (17-20), proximal to distal.
+BONES = tuple((j - 1 if (j - 1) % 4 else 0, j) for j in range(1, N_JOINTS))
+_PARENTS = np.array([p for p, _ in BONES], dtype=np.intp)
+_CHILDREN = np.array([c for _, c in BONES], dtype=np.intp)
 
 FINGER_SLICES = {
     "thumb": slice(1, 5),
@@ -73,11 +59,9 @@ FINGER_SLICES = {
 }
 
 
-def hand_scale(pose: JointSet3D, topo: SkeletonTopology = DEFAULT_TOPOLOGY) -> float:
-    """Mean bone length (mm) over the 20 skeleton edges."""
-    parents = np.array([p for p, _ in topo.edges], dtype=np.intp)
-    children = np.array([c for _, c in topo.edges], dtype=np.intp)
-    deltas = pose.joints[children] - pose.joints[parents]
+def hand_scale(pose: JointSet3D) -> float:
+    """Mean bone length (mm) over the 20 BONES."""
+    deltas = pose.joints[_CHILDREN] - pose.joints[_PARENTS]
     scale = float(np.mean(np.linalg.norm(deltas, axis=1)))
     if scale < DEGENERATE_SCALE:
         raise DegeneratePose(f"hand scale {scale} mm below {DEGENERATE_SCALE}")
@@ -95,15 +79,12 @@ class ScaleStats:
 
     def __post_init__(self):
         if self.n_left > 0 and not self.mean_scale_left > 0:
-            raise ValueError("mean_scale_left must be > 0 when n_left > 0")
+            raise ConfigError("mean_scale_left must be > 0 when n_left > 0")
         if self.n_right > 0 and not self.mean_scale_right > 0:
-            raise ValueError("mean_scale_right must be > 0 when n_right > 0")
+            raise ConfigError("mean_scale_right must be > 0 when n_right > 0")
 
-    def mean_for(self, side: HandSide, pooled: bool = False) -> float:
-        """Target scale for one side; pooled=True uses the count-weighted
-        mean of both sides instead of the side's own mean."""
-        if pooled:
-            return self.pooled_mean()
+    def mean_for(self, side: HandSide) -> float:
+        """Target scale for one side: that side's own training mean."""
         if side is HandSide.LEFT:
             if self.n_left == 0:
                 raise EmptySide("no left-hand samples in scale stats")
@@ -111,12 +92,6 @@ class ScaleStats:
         if self.n_right == 0:
             raise EmptySide("no right-hand samples in scale stats")
         return self.mean_scale_right
-
-    def pooled_mean(self) -> float:
-        n = self.n_left + self.n_right
-        if n == 0:
-            raise EmptySide("scale stats are empty")
-        return (self.mean_scale_left * self.n_left + self.mean_scale_right * self.n_right) / n
 
     def to_json(self) -> str:
         return json.dumps(
@@ -131,13 +106,16 @@ class ScaleStats:
 
     @classmethod
     def from_json(cls, text: str) -> "ScaleStats":
-        return cls(**json.loads(text))
+        """Raises FormatError for invalid JSON and ConfigError for unknown
+        or missing keys or a non-positive mean of a non-empty side."""
+        try:
+            d = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise FormatError(f"scale stats: invalid JSON: {e}") from e
+        return cls(**check_config_keys(cls, d))
 
 
-def compute_mean_scale(
-    poses: list[tuple[HandSide, JointSet3D]],
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
-) -> ScaleStats:
+def compute_mean_scale(poses: list[tuple[HandSide, JointSet3D]]) -> ScaleStats:
     """Arithmetic mean of hand_scale per side.
 
     Uses exactly-rounded summation (math.fsum) so the result is bitwise
@@ -145,7 +123,7 @@ def compute_mean_scale(
     """
     scales = {HandSide.LEFT: [], HandSide.RIGHT: []}
     for side, pose in poses:
-        scales[side].append(hand_scale(pose, topo))
+        scales[side].append(hand_scale(pose))
     for side, vals in scales.items():
         if not vals:
             raise EmptySide(f"no {side.value}-hand poses supplied")
@@ -157,12 +135,8 @@ def compute_mean_scale(
     )
 
 
-def rescale_depth(
-    pose: JointSetUVD,
-    cam: CameraIntrinsics,
-    target_scale: float,
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
-) -> JointSetUVD:
+def rescale_depth(pose: JointSetUVD, cam: CameraIntrinsics,
+                  target_scale: float) -> JointSetUVD:
     """Multiply all depths so the unprojected hand attains target_scale.
 
     (u, v) columns are copied bitwise; by depth-homogeneity of the pinhole
@@ -171,7 +145,7 @@ def rescale_depth(
     """
     if not target_scale > 0:
         raise NonPositiveScale(f"target_scale must be > 0, got {target_scale}")
-    current = hand_scale(uvd_to_xyz(pose, cam), topo)
+    current = hand_scale(uvd_to_xyz(pose, cam))
     k = target_scale / current
     out = pose.joints.copy()
     out[:, 2] *= k

@@ -2,8 +2,7 @@
 
 All layers are pure functions of (inputs, explicit weight tensors); the
 caller owns the parameters. Shapes follow the (batch, tokens, features)
-convention; single sequences may be passed as 2D and are lifted
-internally where noted.
+convention.
 """
 
 from __future__ import annotations
@@ -51,19 +50,15 @@ def multi_head_attention(
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
     n_heads: int,
-    return_weights: bool = False,
-):
+) -> Tensor:
     """Scaled dot-product attention over n_heads subspaces.
 
-    queries: (..., Tq, D), keys/values: (..., Tk, D). Per head:
+    queries: (B, Tq, D), keys/values: (B, Tk, D). Per head:
     softmax(Q K^T / sqrt(d_head)) V; heads are concatenated and passed
     through the output projection. Output shape equals the query shape.
     """
-    squeeze = queries.data.ndim == 2
-    if squeeze:
-        queries = queries.reshape((1,) + queries.shape)
-        keys = keys.reshape((1,) + keys.shape)
-        values = values.reshape((1,) + values.shape)
+    if not queries.data.ndim == keys.data.ndim == values.data.ndim == 3:
+        raise ShapeError("attention inputs must be (batch, tokens, features)")
     d_model = queries.shape[-1]
     if d_model % n_heads != 0:
         raise ShapeError(f"embed dim {d_model} not divisible by {n_heads} heads")
@@ -84,9 +79,4 @@ def multi_head_attention(
     attn = softmax(scores, axis=-1)  # (b, heads, tq, tk)
     mixed = attn @ v
     merged = mixed.transpose((0, 2, 1, 3)).reshape((b, tq, d_model))
-    out = linear(merged, wo, bo)
-    if squeeze:
-        out = out.reshape(out.shape[1:])
-    if return_weights:
-        return out, attn
-    return out
+    return linear(merged, wo, bo)

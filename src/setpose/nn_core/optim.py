@@ -7,21 +7,21 @@ Update rule (per parameter, step count t shared across the store):
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
 
 The decay term multiplies the raw parameter, not the gradient, so it is
-decoupled from the adaptive scaling. `lr` may be a scalar or a per-name
-mapping/callable, which is how the two-group schedule (backbone vs the
-rest) is expressed.
+decoupled from the adaptive scaling. `lr` may be a scalar or a callable
+from parameter name to rate, which is how the two-group schedule
+(backbone vs the rest) is expressed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from .tensor import Gradients, ParamStore, check_keys_match
 
-LrSpec = Union[float, Mapping[str, float], Callable[[str], float]]
+LrSpec = Union[float, Callable[[str], float]]
 
 
 @dataclass
@@ -40,11 +40,7 @@ def init_optim_state(params: ParamStore) -> OptimState:
 
 
 def _lr_for(lr: LrSpec, name: str) -> float:
-    if callable(lr):
-        return float(lr(name))
-    if isinstance(lr, Mapping):
-        return float(lr[name])
-    return float(lr)
+    return float(lr(name)) if callable(lr) else float(lr)
 
 
 def adamw_step(

@@ -77,13 +77,13 @@ class Tensor:
     def backward(self) -> None:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar output")
-        topo: list[Tensor] = []
+        order: list[Tensor] = []  # topological order of the graph
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
         while stack:  # iterative DFS; graphs can exceed the recursion limit
             node, processed = stack.pop()
             if processed:
-                topo.append(node)
+                order.append(node)
                 continue
             if id(node) in visited or not node.requires_grad:
                 continue
@@ -92,7 +92,7 @@ class Tensor:
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
 

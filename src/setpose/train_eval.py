@@ -28,7 +28,7 @@ import numpy as np
 from .data import GenConfig, SceneSample, augment, generate_dataset
 from .errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss, check_config_keys
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, mpjpe, uvd_to_xyz
-from .hand_model import DEFAULT_TOPOLOGY, ScaleStats, SkeletonTopology, compute_mean_scale, rescale_depth
+from .hand_model import ScaleStats, compute_mean_scale, rescale_depth
 from .matching import build_cost_matrix, class_index, hungarian, set_loss
 from .model import (
     DepthMode,
@@ -139,7 +139,6 @@ def train(
     train_samples: list[SceneSample],
     val_samples: list[SceneSample] | None = None,
     checkpoint_dir: str | Path | None = None,
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
 ) -> tuple[ParamStore, TrainLog]:
     """Returns (checkpoint parameters, log).
 
@@ -195,7 +194,7 @@ def train(
                                         lr_transformer=lr_t, lr_backbone=lr_b))
 
         if val_samples:
-            report = evaluate(params, model_cfg, val_samples, topo=topo)
+            report = evaluate(params, model_cfg, val_samples)
             log.epochs.append(EpochRecord(
                 epoch=epoch,
                 val_mpjpe_left=_none_if_nan(report.mpjpe_left),
@@ -334,8 +333,6 @@ def score_predictions(
     samples: list[SceneSample],
     rescale: bool = False,
     scale_stats: ScaleStats | None = None,
-    pooled: bool = False,
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
 ) -> EvalReport:
     """Per-frame global MPJPE against the GT sides actually present, each
     frame unprojected (and rescaled) with its own camera.
@@ -367,7 +364,7 @@ def score_predictions(
             uvd = pred.uvd
             cam = sample.camera
             if rescale:
-                uvd = rescale_depth(uvd, cam, scale_stats.mean_for(side, pooled), topo)
+                uvd = rescale_depth(uvd, cam, scale_stats.mean_for(side))
             err = mpjpe(uvd_to_xyz(uvd, cam), hand.xyz)
             errors[side].append(err)
             records.append(FrameRecord(index=i, side=side, error_mm=err,
@@ -394,23 +391,17 @@ def evaluate(
     samples: list[SceneSample],
     rescale: bool = False,
     scale_stats: ScaleStats | None = None,
-    pooled: bool = False,
     threads: int = 1,
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
 ) -> EvalReport:
     if rescale and scale_stats is None:
         raise MissingScaleStats("rescaling requested without scale statistics")
     preds = predict(params, model_cfg, samples, threads=threads)
-    return score_predictions(preds, samples, rescale=rescale,
-                             scale_stats=scale_stats, pooled=pooled, topo=topo)
+    return score_predictions(preds, samples, rescale=rescale, scale_stats=scale_stats)
 
 
-def scale_stats_from_samples(
-    samples: list[SceneSample],
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
-) -> ScaleStats:
+def scale_stats_from_samples(samples: list[SceneSample]) -> ScaleStats:
     poses = [(h.side, h.xyz) for s in samples for h in s.hands if h.xyz is not None]
-    return compute_mean_scale(poses, topo)
+    return compute_mean_scale(poses)
 
 
 # -- ablation ------------------------------------------------------------------
@@ -491,7 +482,6 @@ def ablate(
     shifted_factor: float = 1.3,
     small_size: tuple[int, int] = (32, 32),
     large_size: tuple[int, int] = (48, 48),
-    topo: SkeletonTopology = DEFAULT_TOPOLOGY,
 ) -> AblationTable:
     """Train the three (resolution, depth-parametrization) variants and
     evaluate each on the scale-shifted split with rescaling off and on
@@ -510,15 +500,14 @@ def ablate(
             gen_cfg, size,
             derive_seed(gen_cfg.seed, ABLATION_SPLIT_STREAMS["test-shifted"]),
             n_test, subject_scale_factor=shifted_factor)
-        train_set = generate_dataset(cfg_train, topo)
-        shifted_set = generate_dataset(cfg_shifted, topo)
-        stats = scale_stats_from_samples(train_set, topo)
+        train_set = generate_dataset(cfg_train)
+        shifted_set = generate_dataset(cfg_shifted)
+        stats = scale_stats_from_samples(train_set)
         mcfg = ModelConfig(**{**model_cfg.to_dict(),
                               "image_size": size, "depth_mode": mode.value})
-        params, _ = train(mcfg, train_cfg, train_set, topo=topo)
-        off = evaluate(params, mcfg, shifted_set, topo=topo)
-        on = evaluate(params, mcfg, shifted_set, rescale=True, scale_stats=stats,
-                      topo=topo)
+        params, _ = train(mcfg, train_cfg, train_set)
+        off = evaluate(params, mcfg, shifted_set)
+        on = evaluate(params, mcfg, shifted_set, rescale=True, scale_stats=stats)
         rows.append(AblationRow(
             label=label, resolution=size, depth_mode=mode.value,
             mpjpe_off=(off.mpjpe_left, off.mpjpe_right),

@@ -22,7 +22,7 @@ from setpose.data import (
 )
 from setpose.errors import ConfigError, FormatError
 from setpose.geometry import HandSide, xyz_to_uvd
-from setpose.hand_model import DEFAULT_TOPOLOGY, hand_scale
+from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
 
 TEMPLATE_MEAN_BONE = sum(sum(v) for v in FINGER_BONE_LENGTHS.values()) / 20.0  # 40.5
@@ -44,7 +44,7 @@ def test_template_scale_matches_edge_sum_oracle():
     # independent per-edge summation
     total = math.fsum(
         math.dist(template.joints[p], template.joints[c])
-        for p, c in DEFAULT_TOPOLOGY.edges)
+        for p, c in BONES)
     oracle = total / 20.0
     assert abs(oracle - TEMPLATE_MEAN_BONE) < 1e-9
     assert abs(hand_scale(template) - oracle) < 1e-12
@@ -276,3 +276,35 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
     assert "meta.json" in str(err.value)
+
+
+@pytest.mark.parametrize("where, what, corrupt", [
+    ("meta.json", "object", lambda f: f.update(meta=[])),
+    ("meta.json", "intrinsics", lambda f: f["meta"].pop("intrinsics")),
+    ("meta.json", "n_samples", lambda f: f["meta"].pop("n_samples")),
+    ("samples.jsonl line 2", "Expecting", lambda f: f["recs"].__setitem__(1, "{not json")),
+    ("samples.jsonl line 2", "image", lambda f: f["recs"][1].pop("image")),
+    ("samples.jsonl line 2", "hands", lambda f: f["recs"][1].pop("hands")),
+    ("samples.jsonl line 2", "side", lambda f: f["recs"][1]["hands"][0].pop("side")),
+    ("samples.jsonl line 2", "uvd", lambda f: f["recs"][1]["hands"][0].pop("uvd")),
+    ("samples.jsonl line 2", "xyz", lambda f: f["recs"][1]["hands"][0].pop("xyz")),
+    ("samples.jsonl line 2", "middle", lambda f: f["recs"][1]["hands"][0].update(side="middle")),
+    ("samples.jsonl line 2", "(20, 3)",
+     lambda f: f["recs"][1]["hands"][0].update(uvd=f["recs"][1]["hands"][0]["uvd"][:20])),
+], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "not-json", "no-image",
+        "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side", "short-uvd"])
+def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,
+                                                                corrupt):
+    cfg = small_cfg(n_samples=2, hand_presence_prob=1.0)
+    ds = tmp_path / "ds"
+    write_dataset(generate_dataset(cfg), ds, gen_config=cfg)
+    files = {"meta": json.loads((ds / "meta.json").read_text()),
+             "recs": [json.loads(line)
+                      for line in (ds / "samples.jsonl").read_text().splitlines()]}
+    corrupt(files)
+    (ds / "meta.json").write_text(json.dumps(files["meta"]))
+    (ds / "samples.jsonl").write_text(
+        "\n".join(r if isinstance(r, str) else json.dumps(r) for r in files["recs"]) + "\n")
+    with pytest.raises(FormatError) as err:
+        read_dataset(ds)
+    assert where in str(err.value) and what in str(err.value)

@@ -6,12 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from setpose.errors import DegeneratePose, EmptySide, NonPositiveScale
+from setpose.errors import ConfigError, DegeneratePose, EmptySide, FormatError, NonPositiveScale
 from setpose.geometry import HandSide, JointSet3D, JointSetUVD, N_JOINTS, uvd_to_xyz, xyz_to_uvd
 from setpose.hand_model import (
-    DEFAULT_TOPOLOGY,
+    BONES,
     ScaleStats,
-    SkeletonTopology,
     compute_mean_scale,
     hand_scale,
     rescale_depth,
@@ -26,7 +25,7 @@ def constant_bone_pose(length: float, z0: float = 500.0) -> JointSet3D:
     beyond its parent along +x (fingers overlap; only edge lengths matter)."""
     joints = np.zeros((N_JOINTS, 3))
     joints[:, 2] = z0
-    for parent, child in DEFAULT_TOPOLOGY.edges:
+    for parent, child in BONES:
         joints[child] = joints[parent] + [length, 0.0, 0.0]
     return JointSet3D(joints)
 
@@ -34,25 +33,12 @@ def constant_bone_pose(length: float, z0: float = 500.0) -> JointSet3D:
 # -- topology ------------------------------------------------------------------
 
 def test_default_topology_shape():
-    assert len(DEFAULT_TOPOLOGY.edges) == 20
+    assert len(BONES) == 20
+    # every joint but the wrist is the child of exactly one bone
+    assert sorted(c for _, c in BONES) == list(range(1, N_JOINTS))
     # five finger roots chain off the wrist
-    wrist_children = sorted(c for p, c in DEFAULT_TOPOLOGY.edges if p == 0)
+    wrist_children = sorted(c for p, c in BONES if p == 0)
     assert wrist_children == [1, 5, 9, 13, 17]
-
-
-def test_topology_rejects_non_tree():
-    # joint 2 parented to itself -> unreachable from wrist
-    edges = list(DEFAULT_TOPOLOGY.edges)
-    edges[1] = (2, 2)
-    with pytest.raises(ValueError):
-        SkeletonTopology(tuple(edges))
-
-
-def test_topology_rejects_duplicate_child():
-    edges = list(DEFAULT_TOPOLOGY.edges)
-    edges[1] = (0, 3)  # joint 3 now appears twice, joint 2 never
-    with pytest.raises(ValueError):
-        SkeletonTopology(tuple(edges))
 
 
 # -- hand_scale ----------------------------------------------------------------
@@ -190,10 +176,25 @@ def test_scale_stats_json_round_trip():
     payload = json.loads(stats.to_json())
     assert set(payload) == {"mean_scale_left", "mean_scale_right", "n_left", "n_right"}
 
+    with pytest.raises(FormatError):
+        ScaleStats.from_json('{"mean_scale_left": 40.25,')
+    with pytest.raises(ConfigError, match="n_right"):  # missing key
+        ScaleStats.from_json(json.dumps({k: v for k, v in payload.items() if k != "n_right"}))
+    with pytest.raises(ConfigError, match="mean_scale_both"):  # unknown key
+        ScaleStats.from_json(json.dumps({**payload, "mean_scale_both": 41.0}))
+    with pytest.raises(ConfigError):  # not an object
+        ScaleStats.from_json("[40.25, 41.5, 100, 90]")
+    with pytest.raises(ConfigError, match="mean_scale_left"):  # non-positive mean, n > 0
+        ScaleStats.from_json(json.dumps({**payload, "mean_scale_left": 0.0}))
 
-def test_scale_stats_pooled_mean():
+
+def test_scale_stats_mean_for_uses_the_sides_own_mean():
     stats = ScaleStats(mean_scale_left=30.0, mean_scale_right=50.0,
                        n_left=1, n_right=3)
-    assert stats.pooled_mean() == (30.0 + 150.0) / 4
     assert stats.mean_for(HandSide.LEFT) == 30.0
-    assert stats.mean_for(HandSide.LEFT, pooled=True) == stats.pooled_mean()
+    assert stats.mean_for(HandSide.RIGHT) == 50.0
+    no_right = ScaleStats(mean_scale_left=30.0, mean_scale_right=0.0, n_left=1, n_right=0)
+    with pytest.raises(EmptySide):
+        no_right.mean_for(HandSide.RIGHT)
+    with pytest.raises(ConfigError, match="mean_scale_right"):
+        ScaleStats(mean_scale_left=30.0, mean_scale_right=-1.0, n_left=1, n_right=2)

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
 from setpose import train_eval
-from setpose.data import GenConfig, generate_dataset
+from setpose.data import GenConfig, HandAnnotation, SceneSample, generate_dataset
 from setpose.errors import ConfigError, NonFinite
-from setpose.geometry import CameraIntrinsics
-from setpose.model import BatchDetections, ModelConfig, build_model, forward_batch
+from setpose.geometry import CameraIntrinsics, HandSide, uvd_to_xyz
+from setpose.model import BatchDetections, DepthMode, ModelConfig, build_model, forward_batch
 from setpose.nn_core import load_checkpoint
 
 TINY = ModelConfig(image_size=(32, 32), patch_size=8, embed_dim=16, n_heads=2,
@@ -53,6 +55,31 @@ def test_scoring_uses_each_frames_own_camera():
         assert record_tuples(both) == expected
 
 
+def test_oracle_predictions_score_zero_with_rescaling_off_and_on():
+    """Predictions equal to the ground-truth uvd, one hand per side, plus a
+    frame without hands whose predictions are flagged absent."""
+    source = next(s for s in generate_dataset(GenConfig(seed=5, n_samples=8))
+                  if len(s.hands) == 2)
+    cam = source.camera
+    # xyz is the exact unprojection of uvd, so the oracle error is exactly 0
+    hands = tuple(HandAnnotation(h.side, h.uvd, uvd_to_xyz(h.uvd, cam)) for h in source.hands)
+    samples = [SceneSample(source.image, hands, cam), SceneSample(source.image, (), cam)]
+    preds = [train_eval.SidePrediction(index=i, side=h.side, uvd=h.uvd, confidence=1.0,
+                                       predicted_present=i == 0)
+             for i in (0, 1) for h in hands]
+    stats = train_eval.scale_stats_from_samples(samples)
+    off = train_eval.score_predictions(preds, samples)
+    on = train_eval.score_predictions(preds, samples, rescale=True, scale_stats=stats)
+    assert off.mpjpe_left == off.mpjpe_right == 0.0
+    assert [r.error_mm for r in off.records] == [0.0, 0.0]
+    assert max(on.mpjpe_left, on.mpjpe_right) < 1e-9
+    assert (off.rescaling_applied, on.rescaling_applied) == (False, True)
+    for report in (off, on):
+        assert (report.n_frames_left, report.n_frames_right) == (1, 1)
+        assert [r.side for r in report.records] == [HandSide.LEFT, HandSide.RIGHT]
+        assert report.cls_accuracy == 1.0
+
+
 def test_predict_builds_no_graph_in_pool_threads(monkeypatch):
     seen = []
 
@@ -65,9 +92,9 @@ def test_predict_builds_no_graph_in_pool_threads(monkeypatch):
     params = build_model(TINY, seed=3)
     samples = generate_dataset(GenConfig(seed=8, n_samples=5))
     serial = train_eval.predict(params, TINY, samples, batch_size=2)
-    pooled = train_eval.predict(params, TINY, samples, threads=2, batch_size=2)
+    threaded = train_eval.predict(params, TINY, samples, threads=2, batch_size=2)
     assert seen == [False] * 6
-    assert [p.to_dict() for p in serial] == [p.to_dict() for p in pooled]
+    assert [p.to_dict() for p in serial] == [p.to_dict() for p in threaded]
 
 
 def test_best_checkpoint_records_the_winning_epoch(tmp_path, monkeypatch):
@@ -156,3 +183,16 @@ def test_train_config_unknown_key_raises_config_error():
     # "deterministic" is a key of old config dicts; the field no longer exists
     with pytest.raises(ConfigError, match="deterministic"):
         train_eval.TrainConfig.from_dict({**tiny_train_cfg().to_dict(), "deterministic": True})
+
+
+def test_smoke_ablation_returns_three_finite_rows_in_spec_order():
+    table = train_eval.ablate(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
+                              GenConfig(seed=5, n_samples=8), n_test=6)
+    assert [(r.label, r.resolution, r.depth_mode) for r in table.rows] == [
+        ("small_relative", (32, 32), DepthMode.ROOT_PLUS_RELATIVE.value),
+        ("small_absolute", (32, 32), DepthMode.ABSOLUTE_PER_JOINT.value),
+        ("large_absolute", (48, 48), DepthMode.ABSOLUTE_PER_JOINT.value),
+    ]
+    values = [v for r in table.rows for v in r.mpjpe_off + r.mpjpe_on]
+    assert len(values) == 12 and all(math.isfinite(v) for v in values)
+    assert json.loads(table.to_json())["rows"] == [r.to_dict() for r in table.rows]
