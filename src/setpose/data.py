@@ -456,6 +456,10 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
     missing = [k for k in ("intrinsics", "n_samples") if k not in meta]
     if missing:
         raise FormatError(f"{meta_path}: missing keys {missing}")
+    n_samples = meta["n_samples"]
+    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 0:
+        raise FormatError(f"{meta_path}: n_samples must be a non-negative int, "
+                          f"got {n_samples!r}")
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
     samples = []
     jsonl_path = path / "samples.jsonl"
@@ -468,15 +472,15 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
                 uvd=JointSetUVD(np.array(h["uvd"])),
                 xyz=JointSet3D(np.array(h["xyz"])) if h["xyz"] is not None else None,
             ) for h in rec["hands"])
-            image_name = rec["image"]
+            samples.append(SceneSample(image=read_image(path / rec["image"]),
+                                       hands=hands, camera=cam))
         except KeyError as e:
             raise FormatError(f"{where}: missing key {e}") from e
-        except (TypeError, ValueError, ShapeError) as e:
-            # not JSON or not an object, an unknown side, joints that are not 21x3
+        except (TypeError, ValueError, ShapeError, ConfigError) as e:
+            # not JSON or not an object, an unknown side, joints that are not
+            # 21x3, two hands of one side
             raise FormatError(f"{where}: {e}") from e
-        image = read_image(path / image_name)
-        samples.append(SceneSample(image=image, hands=hands, camera=cam))
-    if len(samples) != meta["n_samples"]:
-        raise FormatError(f"{path}: meta promises {meta['n_samples']} samples, "
+    if len(samples) != n_samples:
+        raise FormatError(f"{path}: meta promises {n_samples} samples, "
                           f"found {len(samples)}")
     return samples, meta

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +79,14 @@ class ScaleStats:
     n_right: int
 
     def __post_init__(self):
+        for name in ("mean_scale_left", "mean_scale_right"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+        for name in ("n_left", "n_right"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+                raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
         if self.n_left > 0 and not self.mean_scale_left > 0:
             raise ConfigError("mean_scale_left must be > 0 when n_left > 0")
         if self.n_right > 0 and not self.mean_scale_right > 0:
@@ -107,7 +116,8 @@ class ScaleStats:
     @classmethod
     def from_json(cls, text: str) -> "ScaleStats":
         """Raises FormatError for invalid JSON and ConfigError for unknown
-        or missing keys or a non-positive mean of a non-empty side."""
+        or missing keys, a mean that is not a number, a count that is not a
+        non-negative int, or a non-positive mean of a non-empty side."""
         try:
             d = json.loads(text)
         except json.JSONDecodeError as e:

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..rng import counter_uniform
-from .tensor import Tensor, softmax
+from .tensor import Tensor, _unbroadcast, softmax
 
 
 def glorot_uniform(key: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -29,11 +29,35 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    return centered / (var + eps).sqrt() * gamma + beta
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    One graph node. With s = sqrt(var + eps), xh = (x - mean) / s and
+    dxh = g * gamma, the closed-form backward over the last axis is
+
+        dx     = (dxh - mean(dxh) - xh * mean(dxh * xh)) / s
+        dgamma = sum of g * xh,  dbeta = sum of g  (over the broadcast axes)
+
+    The forward evaluates the same numpy expressions, in the same order, as
+    the Tensor-op composition mean / subtract / square-mean / sqrt / divide
+    / affine, so its values are bitwise those of that composition.
+    """
+    inv_d = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    s = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps)
+    xh = centered / s
+    out = Tensor(xh * gamma.data + beta.data, _parents=(x, gamma, beta))
+    if out.requires_grad:
+        def bw(g):
+            if x.requires_grad:
+                dxh = g * gamma.data
+                x._accum((dxh - dxh.sum(axis=-1, keepdims=True) * inv_d
+                          - xh * ((dxh * xh).sum(axis=-1, keepdims=True) * inv_d)) / s)
+            if gamma.requires_grad:
+                gamma._accum(_unbroadcast(g * xh, gamma.data.shape))
+            if beta.requires_grad:
+                beta._accum(_unbroadcast(g, beta.data.shape))
+        out._backward = bw
+    return out
 
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

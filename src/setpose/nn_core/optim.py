@@ -19,6 +19,7 @@ from typing import Callable, Union
 
 import numpy as np
 
+from ..errors import ShapeError
 from .tensor import Gradients, ParamStore, check_keys_match
 
 LrSpec = Union[float, Callable[[str], float]]
@@ -53,17 +54,19 @@ def adamw_step(
     eps: float = 1e-8,
     weight_decay: float = 0.0,
 ) -> None:
-    """One in-place update; iterates parameters in sorted-name order."""
+    """One in-place update; iterates parameters in sorted-name order. Bad
+    keys or shapes raise before any parameter or moment changes."""
     check_keys_match(params, grads, "adamw_step gradients")
     check_keys_match(params, state.m, "adamw_step moments")
+    for name, tensor in params.items():
+        if grads[name].shape != tensor.data.shape:
+            raise ShapeError(f"gradient shape {grads[name].shape} != param shape "
+                             f"{tensor.data.shape} for {name!r}")
     state.t += 1
     bc1 = 1.0 - beta1 ** state.t
     bc2 = 1.0 - beta2 ** state.t
     for name, tensor in params.items():
         g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape "
-                             f"{tensor.data.shape} for {name!r}")
         m = state.m[name]
         v = state.v[name]
         m *= beta1

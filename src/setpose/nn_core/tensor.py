@@ -17,6 +17,22 @@ Broadcasting in binary ops is supported; gradients are summed back down to
 each operand's shape. matmul follows numpy semantics for stacked matrices
 (leading batch dimensions), with batch-broadcast gradients reduced the
 same way.
+
+A Tensor owns its first gradient: _accum copies it into a fresh
+np.empty_like(data) and adds only from the second contribution on, which
+saves a zero fill and an add per node. The buffer takes data's memory
+layout, not the incoming gradient's (as np.array(g) would): numpy's
+pairwise sums and the BLAS transpose flags depend on that layout, so
+gradients round as they would in a zero-filled buffer of data's layout.
+
+When a stacked operand meets a shared 2-D weight, (..., K) @ (K, N), the
+backward folds the batch axes into GEMM rows: two 2-D products give the
+input gradient and the weight gradient, in place of one GEMM per batch
+entry, a (B, K, N) temporary and a sum over the batch. The forward stays
+one stacked np.matmul: a single 2-D forward GEMM would change the rows each
+BLAS call sees, and with them the rounding of an image's output depending
+on its batch, which breaks the bitwise match between a batched forward and
+single-image forwards.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import KeyMismatch, NonFinite, NonFiniteLoss
+from ..errors import KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
 
 _grad_enabled = True
 
@@ -71,12 +87,14 @@ class Tensor:
 
     def _accum(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def backward(self) -> None:
         if self.data.size != 1:
-            raise ValueError("backward() requires a scalar output")
+            raise ShapeError(f"backward() requires a scalar output, got shape {self.shape}")
         order: list[Tensor] = []  # topological order of the graph
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -168,7 +186,16 @@ class Tensor:
     def __matmul__(self, other):
         other = self._lift(other)
         out = Tensor(np.matmul(self.data, other.data), _parents=(self, other))
-        if out.requires_grad:
+        if out.requires_grad and other.data.ndim == 2 and self.data.ndim > 2:
+            def bw(g):  # shared 2-D weight: two 2-D GEMMs over all batch rows
+                k, n = other.data.shape
+                g2 = g.reshape(-1, n)
+                if self.requires_grad:
+                    self._accum((g2 @ other.data.T).reshape(self.data.shape))
+                if other.requires_grad:
+                    other._accum(self.data.reshape(-1, k).T @ g2)
+            out._backward = bw
+        elif out.requires_grad:
             def bw(g):
                 if self.requires_grad:
                     ga = np.matmul(g, np.swapaxes(other.data, -1, -2))
@@ -304,10 +331,14 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax; the shift is a constant so gradients are exact."""
-    shifted = x - x.data.max(axis=axis, keepdims=True)
-    e = shifted.exp()
-    return e / e.sum(axis=axis, keepdims=True)
+    """Max-subtracted softmax as one graph node; the shift is a constant, so
+    the closed-form backward dx = y * (g - sum(g * y)) is exact."""
+    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
+    y = e / e.sum(axis=axis, keepdims=True)
+    out = Tensor(y, _parents=(x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
+    return out
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -282,6 +282,7 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     ("meta.json", "object", lambda f: f.update(meta=[])),
     ("meta.json", "intrinsics", lambda f: f["meta"].pop("intrinsics")),
     ("meta.json", "n_samples", lambda f: f["meta"].pop("n_samples")),
+    ("meta.json", "non-negative int", lambda f: f["meta"].update(n_samples="2")),
     ("samples.jsonl line 2", "Expecting", lambda f: f["recs"].__setitem__(1, "{not json")),
     ("samples.jsonl line 2", "image", lambda f: f["recs"][1].pop("image")),
     ("samples.jsonl line 2", "hands", lambda f: f["recs"][1].pop("hands")),
@@ -291,8 +292,11 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     ("samples.jsonl line 2", "middle", lambda f: f["recs"][1]["hands"][0].update(side="middle")),
     ("samples.jsonl line 2", "(20, 3)",
      lambda f: f["recs"][1]["hands"][0].update(uvd=f["recs"][1]["hands"][0]["uvd"][:20])),
-], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "not-json", "no-image",
-        "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side", "short-uvd"])
+    ("samples.jsonl line 2", "one hand per side",
+     lambda f: f["recs"][1]["hands"][1].update(side=f["recs"][1]["hands"][0]["side"])),
+], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-n_samples-str",
+        "not-json", "no-image", "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side",
+        "short-uvd", "same-side"])
 def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,
                                                                 corrupt):
     cfg = small_cfg(n_samples=2, hand_presence_prob=1.0)

@@ -186,6 +186,8 @@ def test_scale_stats_json_round_trip():
         ScaleStats.from_json("[40.25, 41.5, 100, 90]")
     with pytest.raises(ConfigError, match="mean_scale_left"):  # non-positive mean, n > 0
         ScaleStats.from_json(json.dumps({**payload, "mean_scale_left": 0.0}))
+    with pytest.raises(ConfigError, match="n_left"):  # a count that is a string
+        ScaleStats.from_json(json.dumps({**payload, "n_left": "3"}))
 
 
 def test_scale_stats_mean_for_uses_the_sides_own_mean():

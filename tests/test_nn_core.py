@@ -184,6 +184,96 @@ def test_softmax_gradients():
     fd_check(lambda ps: (softmax(ps["z"]) * w).sum(), p)
 
 
+# -- fused layer_norm / softmax and the shared-weight matmul backward ---------------
+
+def composed_layer_norm(x, gamma, beta, eps=1e-5):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gamma + beta
+
+
+def composed_softmax(x, axis=-1):
+    e = (x - x.data.max(axis=axis, keepdims=True)).exp()
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def assert_close(actual, expected, rtol):
+    """Max-norm relative agreement: max |a - e| <= rtol * max |e|."""
+    assert np.abs(actual - expected).max() <= rtol * np.abs(expected).max()
+
+
+def leaf(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
+
+
+def grads_of(op, arrays, weight):
+    """Forward value and input gradients of sum(op(*leaves) * weight)."""
+    leaves = [leaf(a) for a in arrays]
+    out = op(*leaves)
+    (out * weight).sum().backward()
+    return out.data, [t.grad for t in leaves]
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+def test_fused_layer_norm_matches_composition(transposed):
+    rng = PortableRng(69)
+    x = rand(rng, 2, 6, 5).transpose(0, 2, 1) if transposed else rand(rng, 2, 5, 6)
+    arrays = [x, rand(rng, 6, lo=0.5, hi=1.5), rand(rng, 6)]
+    weight = rand(rng, 2, 5, 6)
+    fused, fused_grads = grads_of(layer_norm, arrays, weight)
+    ref, ref_grads = grads_of(composed_layer_norm, arrays, weight)
+    assert fused.tobytes() == ref.tobytes()
+    for got, want in zip(fused_grads, ref_grads):
+        assert_close(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("transposed, axis", [(False, -1), (True, -1), (False, 0)])
+def test_fused_softmax_matches_composition(transposed, axis):
+    rng = PortableRng(70)
+    z = rand(rng, 3, 7, 4, lo=-6, hi=6)
+    z = z.transpose(0, 2, 1) if transposed else z
+    weight = rand(rng, *z.shape)
+    fused, (fused_grad,) = grads_of(lambda t: softmax(t, axis=axis), [z], weight)
+    ref, (ref_grad,) = grads_of(lambda t: composed_softmax(t, axis=axis), [z], weight)
+    assert fused.tobytes() == ref.tobytes()
+    assert_close(fused_grad, ref_grad, rtol=1e-12)
+
+
+def test_stacked_times_2d_matmul_gradients():
+    rng = PortableRng(71)
+    p = ParamStore()
+    p.add("x", rand(rng, 3, 4, 5))
+    p.add("w", rand(rng, 5, 2))
+    c = rand(rng, 3, 4, 2)
+    fd_check(lambda ps: ((ps["x"] @ ps["w"]) * c).sum(), p)
+    # against one np.matmul per batch entry, also for a non-contiguous x
+    for x in (p["x"].data, rand(rng, 4, 3, 5).transpose(1, 0, 2)):
+        w = p["w"].data
+        _, (gx, gw) = grads_of(lambda a, b: a @ b, [x, w], c)
+        assert_close(gx, np.stack([np.matmul(c[b], w.T) for b in range(3)]), rtol=1e-12)
+        assert_close(gw, sum(np.matmul(x[b].T, c[b]) for b in range(3)), rtol=1e-12)
+
+
+def test_first_gradient_takes_the_layout_of_data():
+    rng = PortableRng(72)
+    data = rand(rng, 5, 4).T  # a transposed, non-contiguous view
+    a, b = rand(rng, 4, 5), rand(rng, 4, 5)
+    x = leaf(data)
+    ((x * a) + (x * b)).sum().backward()  # two contributions to x.grad
+    assert x.grad.strides == np.empty_like(data).strides
+    ref = np.zeros_like(data)
+    ref += a
+    ref += b
+    assert x.grad.tobytes() == ref.tobytes()
+
+
+def test_backward_of_a_non_scalar_raises_shape_error():
+    x = leaf(np.ones(3))
+    with pytest.raises(ShapeError, match="scalar"):
+        (x * 2.0).backward()
+
+
 def test_log_softmax_gradients():
     rng = PortableRng(67)
     p = ParamStore()
@@ -388,6 +478,16 @@ def test_adamw_key_mismatch():
     state = init_optim_state(p)
     with pytest.raises(KeyMismatch):
         adamw_step(p, {"v": np.zeros(1)}, state, lr=0.1)
+
+
+def test_adamw_gradient_shape_mismatch_raises_shape_error():
+    p = make_store(a=[1.0, 2.0], w=[1.0, 2.0])
+    state = init_optim_state(p)
+    with pytest.raises(ShapeError, match="'w'"):
+        adamw_step(p, {"a": np.ones(2), "w": np.zeros((2, 1))}, state, lr=0.1)
+    # nothing moved, not even the parameter sorted before the bad one
+    assert np.array_equal(p["a"].data, [1.0, 2.0])
+    assert state.t == 0 and not state.m["a"].any()
 
 
 # -- ParamStore & checkpoint ------------------------------------------------------
