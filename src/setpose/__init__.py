@@ -22,11 +22,10 @@ from .hand_model import (
     hand_scale,
     rescale_depth,
 )
-from .matching import Assignment, LossBreakdown, hungarian, set_loss
+from .matching import LossBreakdown, hungarian, set_loss
 from .rng import PortableRng, derive_seed
 
 __all__ = [
-    "Assignment",
     "BONES",
     "CameraIntrinsics",
     "HandSide",

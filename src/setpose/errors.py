@@ -41,7 +41,7 @@ class NonFinite(SetPoseError):
 
 
 class InconsistentAssignment(SetPoseError):
-    """Assignment does not match the prediction/ground-truth sizes."""
+    """Matched queries do not fit the predictions and ground truths."""
 
 
 class NonFiniteLoss(SetPoseError):

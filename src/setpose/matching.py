@@ -11,11 +11,11 @@ predictions, class_logits (B, n_queries, 3) and joints_norm
 
     cost(gt, q) = lam_cls * (-p_q(gt side)) + lam_l1 * mean|joints_q - joints_gt|
 
-hungarian then solves each image's matrix on its own (minimizing over
-injective gt->query maps), and one set_loss call turns the B assignments
-into the batch loss. The class term uses probabilities (not
-log-probabilities), while the training loss uses cross-entropy on the same
-logits - the usual set-prediction asymmetry, kept deliberately.
+One batched hungarian call then picks every image's minimum-cost injective
+gt->query map, and one set_loss call turns the matched queries into the
+batch loss. The class term uses probabilities (not log-probabilities),
+while the training loss uses cross-entropy on the same logits - the usual
+set-prediction asymmetry, kept deliberately.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InconsistentAssignment, NonFinite, ShapeError
 from .geometry import HandSide
@@ -34,8 +33,8 @@ CLASS_RIGHT = 1
 CLASS_NO_HAND = 2
 N_CLASSES = 3
 
-# Relative tolerance for "same total cost" during lexicographic tie
-# refinement; covers float re-association, sits far below real cost gaps.
+# Relative tolerance for "same total cost" when breaking ties
+# lexicographically; covers float re-association, sits far below real cost gaps.
 _TIE_RTOL = 1e-9
 
 
@@ -43,78 +42,43 @@ def class_index(side: HandSide) -> int:
     return CLASS_LEFT if side is HandSide.LEFT else CLASS_RIGHT
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """Injective ground-truth-row -> query-column map with its total cost."""
+def hungarian(costs: list[np.ndarray]) -> np.ndarray:
+    """Minimum-cost injective ground-truth -> query map of every image of a
+    batch, for the per-image (n_gts, n_queries) matrices build_cost_matrix
+    returns.
 
-    pairs: tuple[tuple[int, int], ...]
-    total_cost: float
+    An image holds at most one hand per side, so n_gts <= 2, and every image
+    has the same n_queries >= 2. Each image's Q * (Q - 1) ordered query pairs
+    are enumerated exactly; a missing ground truth is a zero row, which adds
+    nothing to any pair. Among pairs within _TIE_RTOL of the image's minimum
+    the first in row-major order wins: the lexicographically smallest query
+    tuple (row 0 first), so results are deterministic under ties.
 
-    def __post_init__(self):
-        cols = [c for _, c in self.pairs]
-        if len(set(cols)) != len(cols):
-            raise InconsistentAssignment(f"columns not distinct: {cols}")
-
-
-def _solve_min_cost(costs: np.ndarray) -> tuple[np.ndarray, float]:
-    rows, cols = linear_sum_assignment(costs)
-    return cols, float(costs[rows, cols].sum())
-
-
-def hungarian(costs: np.ndarray) -> Assignment:
-    """Minimum-cost injective assignment of rows to columns.
-
-    Requires rows <= cols and finite entries. Among equally cheap optima
-    the lexicographically smallest column tuple (row 0 first) is returned,
-    so results are deterministic under ties.
+    Returns the matched query of every ground truth, in image then row
+    order (the order _flatten_gts uses), as one np.intp array. The name
+    stays from the general solver this replaced, because the benchmark's
+    tracer times matching.hungarian by name.
     """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.ndim != 2:
-        raise ShapeError(f"cost matrix must be 2-D, got shape {costs.shape}")
-    n_rows, n_cols = costs.shape
-    if n_rows > n_cols:
-        raise ShapeError(f"need rows <= cols, got {n_rows}x{n_cols}")
-    if n_rows == 0:
-        return Assignment(pairs=(), total_cost=0.0)
-    if not np.all(np.isfinite(costs)):
+    mats = [np.asarray(c, dtype=np.float64) for c in costs]
+    n_q = mats[0].shape[-1]
+    padded = np.zeros((len(mats), 2, n_q))
+    for b, m in enumerate(mats):
+        if m.ndim != 2 or len(m) > 2 or m.shape[1] != n_q or n_q < 2:
+            raise ShapeError(f"image {b}: need an (n_gts <= 2, n_queries >= 2) cost "
+                             f"matrix with image 0's {n_q} queries, got {m.shape}")
+        padded[b, :len(m)] = m
+    if not np.all(np.isfinite(padded)):
         raise NonFinite("cost matrix contains NaN or infinity")
 
-    base_cols, best = _solve_min_cost(costs)
-    tol = _TIE_RTOL * max(1.0, abs(best))
-
-    # Lexicographic refinement: fix rows in ascending order, each time
-    # taking the smallest available column that still admits an optimal
-    # completion. The running `completion` is a known-optimal assignment
-    # of the remaining rows, so its head column is feasible without a
-    # sub-solve and only strictly smaller candidates need testing.
-    chosen: list[int] = []
-    fixed_cost = 0.0
-    avail = list(range(n_cols))
-    completion = list(base_cols)  # completion[i] = column for row (len(chosen)+i)
-    for row in range(n_rows):
-        pick = completion[0]
-        for cand in sorted(avail):
-            if cand >= pick:
-                break
-            sub_avail = [c for c in avail if c != cand]
-            remaining = costs[row + 1:][:, sub_avail]
-            if remaining.shape[0] == 0:
-                sub_cols, sub_cost = [], 0.0
-            else:
-                sub_idx, sub_cost = _solve_min_cost(remaining)
-                sub_cols = [sub_avail[i] for i in sub_idx]
-            if fixed_cost + costs[row, cand] + sub_cost <= best + tol:
-                pick = cand
-                completion = [cand] + sub_cols
-                break
-        chosen.append(pick)
-        fixed_cost += costs[row, pick]
-        avail.remove(pick)
-        completion = completion[1:]
-
-    total = float(costs[np.arange(n_rows), np.array(chosen)].sum())
-    return Assignment(pairs=tuple((r, c) for r, c in enumerate(chosen)),
-                      total_cost=total)
+    pair = padded[:, 0, :, None] + padded[:, 1, None, :]  # (B, Q, Q)
+    pair[:, np.arange(n_q), np.arange(n_q)] = np.inf
+    pair = pair.reshape(len(mats), n_q * n_q)
+    best = pair.min(axis=1, keepdims=True)
+    tol = _TIE_RTOL * np.maximum(1.0, np.abs(best))
+    first = np.argmax(pair <= best + tol, axis=1)
+    chosen = np.stack(np.divmod(first, n_q), axis=1)  # (B, 2): rows 0 and 1
+    n_gts = np.array([len(m) for m in mats])
+    return chosen[np.arange(2) < n_gts[:, None]]
 
 
 def class_probabilities(class_logits: np.ndarray) -> np.ndarray:
@@ -169,14 +133,16 @@ def set_loss(
     class_logits: Tensor,
     joints_norm: Tensor,
     gts: list[list[tuple[HandSide, np.ndarray]]],
-    assignments: list[Assignment],
+    query: np.ndarray,
     lam_cls: float = 1.0,
     lam_l1: float = 5.0,
     w_noobj: float = 0.1,
 ) -> LossBreakdown:
     """Set-prediction loss of a batch: the mean over images of each
     image's terms, with class_logits (B, n_queries, 3), joints_norm
-    (B, n_queries, 63) and gts[b], assignments[b] for image b.
+    (B, n_queries, 63), gts[b] the ground truths of image b and query the
+    matched query of every ground truth in image then row order (what
+    hungarian returns).
 
     Classification: cross-entropy over every query, target = matched hand
     side for matched queries and no-hand for the rest; terms are combined
@@ -191,25 +157,18 @@ def set_loss(
         raise ShapeError(f"class_logits must be (B, n_queries, {N_CLASSES}), "
                          f"got {class_logits.shape}")
     n_images, n_queries = class_logits.shape[:2]
-    if len(gts) != n_images or len(assignments) != n_images:
-        raise InconsistentAssignment(
-            f"{len(gts)} ground-truth lists and {len(assignments)} assignments "
-            f"for {n_images} images")
-    # every ground truth is matched, so query[k] is the one matched to the
-    # k-th flattened ground truth
-    query = []
-    for b, (g, assignment) in enumerate(zip(gts, assignments)):
-        pairs = sorted(assignment.pairs)
-        rows = [r for r, _ in pairs]
-        if rows != list(range(len(g))):
-            raise InconsistentAssignment(
-                f"image {b}: assignment rows {rows} != ground truths 0..{len(g) - 1}")
-        query += [c for _, c in pairs]
-    query = np.array(query, dtype=np.intp)
-    if np.any((query < 0) | (query >= n_queries)):
-        raise InconsistentAssignment("assignment column out of range")
+    if len(gts) != n_images:
+        raise InconsistentAssignment(f"{len(gts)} ground-truth lists for {n_images} images")
     n_gts = np.array([len(g) for g in gts])
     image, cls, gt_joints = _flatten_gts(gts, joints_norm.shape[-1])
+    query = np.asarray(query)
+    if query.shape != image.shape:
+        raise InconsistentAssignment(
+            f"{query.shape} matched queries for {len(image)} ground truths")
+    if np.any((query < 0) | (query >= n_queries)):
+        raise InconsistentAssignment("matched query out of range")
+    if np.unique(image * n_queries + query).size != query.size:
+        raise InconsistentAssignment("a query is matched twice within one image")
 
     targets = np.full((n_images, n_queries), CLASS_NO_HAND, dtype=np.intp)
     weights = np.full((n_images, n_queries), w_noobj, dtype=np.float64)

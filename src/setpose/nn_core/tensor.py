@@ -41,7 +41,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
+from ..errors import ConfigError, KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
 
 _grad_enabled = True
 
@@ -354,7 +354,7 @@ class ParamStore:
 
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
+            raise ConfigError(f"duplicate parameter name {name!r}")
         t = Tensor(np.array(array, dtype=np.float64), requires_grad=True)
         self._params[name] = t
         return t

@@ -4,9 +4,9 @@ Training follows the two-group AdamW schedule: backbone parameters (the
 patch embedding) at lr_backbone, everything else at lr_transformer, both
 divided by lr_drop_factor from lr_drop_epoch onward. Supervision happens
 in normalized UVD space. Each step runs the batch forward, builds the
-match costs of the whole batch in one build_cost_matrix call, solves each
-image's matrix with hungarian, and makes one set_loss call, which
-averages the per-image losses over the batch. Matching is recomputed
+match costs of the whole batch in one build_cost_matrix call, matches
+every image in one batched hungarian call, and makes one set_loss call,
+which averages the per-image losses over the batch. Matching is recomputed
 every step and carries no gradient.
 
 Evaluation decodes a pose per side (per-side argmax query - a prediction
@@ -174,7 +174,7 @@ def train(
                 costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data,
                                           gts, train_cfg.lam_cls, train_cfg.lam_l1)
                 lb = set_loss(det.class_logits, det.joints_norm, gts,
-                              [hungarian(c) for c in costs], train_cfg.lam_cls,
+                              hungarian(costs), train_cfg.lam_cls,
                               train_cfg.lam_l1, train_cfg.w_noobj)
                 parts["cls"] = lb.cls_loss.item()
                 parts["l1"] = lb.l1_loss.item()

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from setpose.errors import ConfigError, NonPositiveDepth
 from setpose.geometry import (
@@ -164,6 +167,32 @@ def test_mpjpe_translation_is_raw_distance():
     assert mpjpe(shifted, gt) == 10.0
 
 
+@st.composite
+def cameras_and_poses(draw) -> tuple[CameraIntrinsics, JointSetUVD]:
+    """Random intrinsics and a pose with every joint inside the image at a
+    positive depth."""
+    width, height = draw(st.floats(8.0, 4096.0)), draw(st.floats(8.0, 4096.0))
+    cam = CameraIntrinsics(fx=draw(st.floats(1.0, 1e4)), fy=draw(st.floats(1.0, 1e4)),
+                           cx=draw(st.floats(0.0, width)), cy=draw(st.floats(0.0, height)),
+                           width=width, height=height)
+    u = draw(arrays(np.float64, N_JOINTS, elements=st.floats(0.0, width)))
+    v = draw(arrays(np.float64, N_JOINTS, elements=st.floats(0.0, height)))
+    d = draw(arrays(np.float64, N_JOINTS, elements=st.floats(1e-2, 1e6)))
+    return cam, JointSetUVD(np.stack([u, v, d], axis=1))
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cameras_and_poses())
+def test_round_trip_uvd_property(cam_and_pose):
+    cam, pose = cam_and_pose
+    back = xyz_to_uvd(uvd_to_xyz(pose, cam), cam)
+    assert np.array_equal(back.d, pose.d)
+    # u - cx cancels, so (u, v) come back within 1e-12 of the image size,
+    # which is rtol 1e-12 for every pixel coordinate away from 0
+    assert np.abs(back.u - pose.u).max() <= 1e-12 * cam.width
+    assert np.abs(back.v - pose.v).max() <= 1e-12 * cam.height
+
+
 # -- horizontal flip -----------------------------------------------------------
 
 def test_hflip_hand_computed():
@@ -196,3 +225,15 @@ def test_hflip_mirror_axis_fixed_point():
     pose = uniform_pose_uvd(640.0, 100.0, 500.0)
     flipped, _ = hflip_uvd(pose, HandSide.LEFT, 1280.0)
     assert np.array_equal(flipped.u, pose.u)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cameras_and_poses(), st.sampled_from(list(HandSide)))
+def test_hflip_twice_property(cam_and_pose, side):
+    cam, pose = cam_and_pose
+    once, s1 = hflip_uvd(pose, side, cam.width)
+    twice, s2 = hflip_uvd(once, s1, cam.width)
+    assert s1 is side.opposite and s2 is side
+    assert np.array_equal(twice.joints[:, 1:], pose.joints[:, 1:])
+    # W - (W - u) rounds twice, so u comes back within an ulp of W, not bitwise
+    assert np.abs(twice.u - pose.u).max() <= 2 * np.spacing(cam.width)

@@ -4,11 +4,15 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.optimize import linear_sum_assignment
 
 from setpose.errors import InconsistentAssignment, NonFinite, ShapeError
 from setpose.geometry import HandSide
 from setpose.matching import (
-    Assignment,
+    _TIE_RTOL,
     CLASS_NO_HAND,
     build_cost_matrix,
     class_index,
@@ -35,87 +39,146 @@ def random_costs(rng: PortableRng, n_rows: int, n_cols: int) -> np.ndarray:
         n_rows, n_cols)
 
 
+def per_image(costs: list[np.ndarray], query: np.ndarray) -> list[tuple[int, ...]]:
+    """hungarian's flat result cut into one query tuple per image."""
+    cuts = np.cumsum([len(c) for c in costs])[:-1]
+    return [tuple(int(q) for q in part) for part in np.split(query, cuts)]
+
+
+def total_cost(costs: np.ndarray, queries: tuple[int, ...]) -> float:
+    return costs[np.arange(len(costs)), list(queries)].sum()
+
+
 # -- hungarian -----------------------------------------------------------------
 
 def test_hungarian_diagonal_optimum():
-    a = hungarian(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert a.pairs == ((0, 0), (1, 1))
-    assert a.total_cost == 0.0
+    query = hungarian([np.array([[0.0, 1.0], [1.0, 0.0]])])
+    assert query.dtype == np.intp
+    assert query.tolist() == [0, 1]
 
 
 def test_hungarian_2x2_enumerated():
     costs = np.array([[1.0, 2.0], [2.0, 1.0]])
-    a = hungarian(costs)
-    assert a.pairs == ((0, 0), (1, 1))
-    assert a.total_cost == 2.0 == brute_force_min(costs)
+    (queries,) = per_image([costs], hungarian([costs]))
+    assert queries == (0, 1)
+    assert total_cost(costs, queries) == 2.0 == brute_force_min(costs)
 
 
-def test_hungarian_3x3_enumerated():
-    costs = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-    a = hungarian(costs)
-    assert a.pairs == ((0, 1), (1, 0), (2, 2))
-    assert a.total_cost == 5.0 == brute_force_min(costs)
+def test_hungarian_ragged_batch_enumerated():
+    # every image is solved on its own, so one query may serve two images;
+    # in the first image row 0 gives up its cheapest query to row 1
+    costs = [np.array([[4.0, 1.0, 3.0], [5.0, 0.0, 5.0]]),
+             np.zeros((0, 3)),
+             np.array([[3.0, 2.0, 2.0]]),
+             np.array([[5.0, 0.0, 5.0], [4.0, 1.0, 3.0]])]
+    query = hungarian(costs)
+    assert query.tolist() == [2, 1, 1, 1, 2]
+    chosen = per_image(costs, query)
+    assert chosen == [(2, 1), (), (1,), (1, 2)]
+    totals = [total_cost(c, q) for c, q in zip(costs, chosen)]
+    assert totals == [3.0, 0.0, 2.0, 3.0] == [brute_force_min(c) for c in costs]
 
 
 def test_hungarian_random_vs_enumeration():
     rng = PortableRng(40)
-    for _ in range(200):
-        n_rows = 1 + rng.next_u64() % 5
-        n_cols = n_rows + rng.next_u64() % (9 - n_rows)
-        costs = random_costs(rng, n_rows, n_cols)
-        assert hungarian(costs).total_cost == brute_force_min(costs)
+    for _ in range(50):
+        n_queries = 2 + rng.next_u64() % 7
+        costs = [random_costs(rng, rng.next_u64() % 3, n_queries) for _ in range(5)]
+        for c, queries in zip(costs, per_image(costs, hungarian(costs))):
+            assert total_cost(c, queries) == brute_force_min(c)
 
 
 def test_hungarian_row_shift_keeps_argmin():
     rng = PortableRng(41)
-    for _ in range(50):
-        costs = random_costs(rng, 3, 5)
-        shifted = costs.copy()
-        shifted[1] += 7.25
-        assert hungarian(costs).pairs == hungarian(shifted).pairs
+    costs = [random_costs(rng, 2, 5) for _ in range(50)]
+    shifted = [c.copy() for c in costs]
+    for b, c in enumerate(shifted):
+        c[b % 2] += 7.25
+    assert hungarian(costs).tolist() == hungarian(shifted).tolist()
 
 
 def test_hungarian_lexicographic_ties():
-    # every assignment costs 0 -> identity is the lexicographically smallest
-    assert hungarian(np.zeros((3, 5))).pairs == ((0, 0), (1, 1), (2, 2))
-    # both diagonals cost 4 -> prefer column 0 for row 0
-    a = hungarian(np.array([[1.0, 2.0], [2.0, 3.0]]))
-    assert a.pairs == ((0, 0), (1, 1))
-    assert a.total_cost == 4.0
+    # every assignment costs 0 -> (0, 1) is the lexicographically smallest
+    assert hungarian([np.zeros((2, 5))]).tolist() == [0, 1]
+    # both diagonals cost 4 -> prefer query 0 for row 0
+    costs = np.array([[1.0, 2.0], [2.0, 3.0]])
+    (queries,) = per_image([costs], hungarian([costs]))
+    assert queries == (0, 1)
+    assert total_cost(costs, queries) == 4.0
 
 
 def test_hungarian_tie_needs_subsolve():
-    # row 0 alone prefers column 0, but the only optimal completions force
-    # it elsewhere: [[0,0],[0,inf->big]] with col 0 needed by row 1
+    # row 0 alone prefers query 0, but the only optimal pair needs query 0
+    # for row 1
     costs = np.array([[0.0, 0.0], [0.0, 100.0]])
-    a = hungarian(costs)
-    assert a.pairs == ((0, 1), (1, 0))
-    assert a.total_cost == 0.0
+    (queries,) = per_image([costs], hungarian([costs]))
+    assert queries == (1, 0)
+    assert total_cost(costs, queries) == 0.0
 
 
 def test_hungarian_empty_and_single():
-    assert hungarian(np.zeros((0, 4))).pairs == ()
-    a = hungarian(np.array([[3.0, 1.0, 2.0]]))
-    assert a.pairs == ((0, 1),)
+    empty = hungarian([np.zeros((0, 4)), np.zeros((0, 4))])
+    assert empty.dtype == np.intp and empty.shape == (0,)
+    assert hungarian([np.array([[3.0, 1.0, 2.0]])]).tolist() == [1]
 
 
 def test_hungarian_shape_and_finite_errors():
+    with pytest.raises(ShapeError):  # three ground truths in one image
+        hungarian([np.zeros((3, 4))])
+    with pytest.raises(ShapeError):  # one query
+        hungarian([np.zeros((1, 1))])
     with pytest.raises(ShapeError):
-        hungarian(np.zeros((3, 2)))
+        hungarian([np.zeros((0, 1))])
     with pytest.raises(ShapeError):
-        hungarian(np.zeros(4))
+        hungarian([np.zeros(4)])
+    with pytest.raises(ShapeError):  # images disagree on n_queries
+        hungarian([np.zeros((1, 3)), np.zeros((1, 4))])
     bad = np.zeros((2, 3))
     bad[0, 1] = np.nan
     with pytest.raises(NonFinite):
-        hungarian(bad)
+        hungarian([np.zeros((1, 3)), bad])
     bad[0, 1] = np.inf
     with pytest.raises(NonFinite):
-        hungarian(bad)
+        hungarian([bad])
 
 
-def test_assignment_rejects_duplicate_columns():
-    with pytest.raises(InconsistentAssignment):
-        Assignment(pairs=((0, 1), (1, 1)), total_cost=0.0)
+FLOAT_COSTS = st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False)
+SMALL_INT_COSTS = st.integers(-3, 3).map(float)  # ties often, sums stay exact
+
+
+@st.composite
+def cost_batches(draw, values=None) -> list[np.ndarray]:
+    """1-4 images of 0-2 ground truths and 2-6 queries; float or
+    small-integer costs unless `values` is given."""
+    n_queries = draw(st.integers(2, 6))
+    if values is None:
+        values = draw(st.sampled_from([FLOAT_COSTS, SMALL_INT_COSTS]))
+    return [draw(arrays(np.float64, (n_gts, n_queries), elements=values))
+            for n_gts in draw(st.lists(st.integers(0, 2), min_size=1, max_size=4))]
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cost_batches())
+def test_hungarian_is_the_first_optimum_in_lexicographic_order(costs):
+    for c, queries in zip(costs, per_image(costs, hungarian(costs))):
+        perms = list(itertools.permutations(range(c.shape[1]), len(c)))
+        totals = [total_cost(c, p) for p in perms]  # lexicographic order
+        best = min(totals)
+        tol = _TIE_RTOL * max(1.0, abs(best))
+        assert best == brute_force_min(c)
+        assert queries == next(p for p, t in zip(perms, totals) if t <= best + tol)
+        assert total_cost(c, queries) <= best + tol
+        rows, cols = linear_sum_assignment(c)
+        assert abs(total_cost(c, queries) - c[rows, cols].sum()) <= tol
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(cost_batches(SMALL_INT_COSTS), st.integers(0, 3), st.integers(0, 1),
+       st.integers(-20, 20))
+def test_hungarian_ignores_a_constant_added_to_one_row(costs, image, row, shift):
+    shifted = [c.copy() for c in costs]
+    shifted[image % len(costs)][row:row + 1] += shift
+    assert hungarian(shifted).tolist() == hungarian(costs).tolist()
 
 
 # -- build_cost_matrix -------------------------------------------------------------
@@ -192,8 +255,7 @@ def test_set_loss_zero_l1_on_exact_match():
     joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(1, 4, 63)
     joints[0, 2] = gts[0][1]
     joints[0, 0] = gts[1][1]
-    assignment = Assignment(pairs=((0, 2), (1, 0)), total_cost=0.0)
-    loss = set_loss(logits, Tensor(joints, requires_grad=True), [gts], [assignment])
+    loss = set_loss(logits, Tensor(joints, requires_grad=True), [gts], np.array([2, 0]))
     assert loss.l1_loss.item() == 0.0
 
 
@@ -204,8 +266,7 @@ def test_set_loss_confident_correct_ce_is_zero():
     logits[0, CLASS_NO_HAND] = 200.0  # unmatched queries confident no-hand
     logits[2, CLASS_NO_HAND] = 200.0
     joints = np.tile(gts[0][1], (3, 1))
-    assignment = Assignment(pairs=((0, 1),), total_cost=0.0)
-    loss = set_loss(Tensor(logits[None]), Tensor(joints[None]), [gts], [assignment])
+    loss = set_loss(Tensor(logits[None]), Tensor(joints[None]), [gts], np.array([1]))
     assert loss.cls_loss.item() < 1e-12
     assert loss.total.item() < 1e-11
 
@@ -236,9 +297,8 @@ def test_set_loss_matches_scalar_recomputation():
     gts = [make_gts(rng, [HandSide.RIGHT, HandSide.LEFT]), make_gts(rng, [HandSide.LEFT]), []]
     pairs = [((0, 3), (1, 1)), ((0, 2),), ()]
     lam_cls, lam_l1, w_noobj = 1.0, 5.0, 0.1
-    loss = set_loss(logits_t, joints_t, gts,
-                    [Assignment(pairs=p, total_cost=0.0) for p in pairs],
-                    lam_cls, lam_l1, w_noobj)
+    query = np.array([col for p in pairs for _, col in p])
+    loss = set_loss(logits_t, joints_t, gts, query, lam_cls, lam_l1, w_noobj)
 
     per_image = [scalar_image_loss(logits_t.data[b], joints_t.data[b], gts[b], pairs[b],
                                    lam_cls, lam_l1, w_noobj) for b in range(3)]
@@ -254,15 +314,13 @@ def test_set_loss_permutation_invariant():
     n_queries = 5
     logits_t, joints_t = make_preds(rng, n_queries)
     gts = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
-    assignment = Assignment(pairs=((0, 0), (1, 4)), total_cost=0.0)
-    base = set_loss(logits_t, joints_t, [gts], [assignment])
+    base = set_loss(logits_t, joints_t, [gts], np.array([0, 4]))
 
     perm = [3, 0, 4, 1, 2]  # query q moves to position perm.index(q)
     inv = np.argsort(perm)
     logits_p = Tensor(logits_t.data[:, perm])
     joints_p = Tensor(joints_t.data[:, perm])
-    relabeled = Assignment(pairs=((0, int(inv[0])), (1, int(inv[4]))), total_cost=0.0)
-    permuted = set_loss(logits_p, joints_p, [gts], [relabeled])
+    permuted = set_loss(logits_p, joints_p, [gts], inv[[0, 4]])
     assert abs(base.total.item() - permuted.total.item()) < 1e-12
 
 
@@ -270,30 +328,27 @@ def test_set_loss_strictly_decreases_toward_gt():
     rng = PortableRng(53)
     logits_t, joints_t = make_preds(rng, 3)
     gts = make_gts(rng, [HandSide.LEFT])
-    assignment = Assignment(pairs=((0, 1),), total_cost=0.0)
-    base = set_loss(logits_t, joints_t, [gts], [assignment]).total.item()
+    query = np.array([1])
+    base = set_loss(logits_t, joints_t, [gts], query).total.item()
     moved = joints_t.data.copy()
     moved[0, 1, 10] += 0.5 * (gts[0][1][10] - moved[0, 1, 10])  # halve one residual
-    better = set_loss(logits_t, Tensor(moved), [gts], [assignment]).total.item()
+    better = set_loss(logits_t, Tensor(moved), [gts], query).total.item()
     assert better < base
 
 
 def test_matched_cost_is_optimal_over_enumeration():
     # hungarian's assignment never loses to any other injective map on the
-    # matching cost (the -p/L1 objective), checked exhaustively at n <= 3
+    # matching cost (the -p/L1 objective), checked exhaustively per image
     rng = PortableRng(54)
-    for n_gt in (1, 2, 3):
-        for _ in range(20):
-            logits = np.array(rng.uniform_list(4 * 3, -3, 3)).reshape(1, 4, 3)
-            joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(1, 4, 63)
-            sides = [HandSide.LEFT if rng.bernoulli(0.5) else HandSide.RIGHT
-                     for _ in range(n_gt)]
-            gts = make_gts(rng, sides)
-            (costs,) = build_cost_matrix(logits, joints, [gts])
-            chosen = hungarian(costs)
-            for perm in itertools.permutations(range(4), n_gt):
-                alt = sum(costs[g, q] for g, q in enumerate(perm))
-                assert chosen.total_cost <= alt + 1e-12
+    for _ in range(20):
+        logits = np.array(rng.uniform_list(3 * 4 * 3, -3, 3)).reshape(3, 4, 3)
+        joints = np.array(rng.uniform_list(3 * 4 * 63, 0, 1)).reshape(3, 4, 63)
+        gts = [make_gts(rng, sides) for sides in
+               ([HandSide.LEFT], [HandSide.RIGHT, HandSide.LEFT], [])]
+        costs = build_cost_matrix(logits, joints, gts)
+        for c, queries in zip(costs, per_image(costs, hungarian(costs))):
+            for perm in itertools.permutations(range(4), len(c)):
+                assert total_cost(c, queries) <= total_cost(c, perm) + 1e-12
 
 
 def test_set_loss_inconsistent_assignment():
@@ -301,18 +356,29 @@ def test_set_loss_inconsistent_assignment():
     logits_t, joints_t = make_preds(rng, 3)
     gts = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, [gts], [Assignment(pairs=((0, 1),), total_cost=0.0)])
+        set_loss(logits_t, joints_t, [gts], np.array([1]))
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, [gts],
-                 [Assignment(pairs=((0, 1), (1, 7)), total_cost=0.0)])
-    # one ground-truth list and one assignment per image
-    good = Assignment(pairs=((0, 1), (1, 2)), total_cost=0.0)
-    set_loss(logits_t, joints_t, [gts], [good])
+        set_loss(logits_t, joints_t, [gts], np.array([1, 7]))
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, [gts], [good, good])
+        set_loss(logits_t, joints_t, [gts], np.array([1, -1]))
+    # one ground-truth list per image and one query per ground truth
+    good = np.array([1, 2])
+    set_loss(logits_t, joints_t, [gts], good)
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, [gts], [])
+        set_loss(logits_t, joints_t, [gts], np.array([1, 2, 1, 2]))
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, [gts, []], [good])
+        set_loss(logits_t, joints_t, [gts], np.array([], dtype=np.intp))
+    with pytest.raises(InconsistentAssignment):
+        set_loss(logits_t, joints_t, [gts, []], good)
     with pytest.raises(ShapeError):  # one image without its batch axis
-        set_loss(logits_t[0], joints_t[0], [gts], [good])
+        set_loss(logits_t[0], joints_t[0], [gts], good)
+
+
+def test_set_loss_rejects_a_query_matched_twice_in_one_image():
+    rng = PortableRng(57)
+    logits_t, joints_t = make_preds(rng, 3, n_images=2)
+    gts = [make_gts(rng, [HandSide.LEFT, HandSide.RIGHT]), make_gts(rng, [HandSide.LEFT])]
+    with pytest.raises(InconsistentAssignment):
+        set_loss(logits_t, joints_t, gts, np.array([1, 1, 0]))
+    # query 1 of image 0 and query 1 of image 1 are different predictions
+    set_loss(logits_t, joints_t, gts, np.array([1, 0, 1]))

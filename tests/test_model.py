@@ -9,7 +9,6 @@ import pytest
 from setpose.errors import ConfigError, ShapeError
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS
 from setpose.matching import (
-    Assignment,
     CLASS_LEFT,
     CLASS_RIGHT,
     build_cost_matrix,
@@ -321,11 +320,11 @@ def test_set_loss_through_forward_gradcheck_sampled():
 
     det0 = forward_batch(params, imgs, TINY)
     costs = build_cost_matrix(det0.class_logits.data, det0.joints_norm.data, gts)
-    assignments = [hungarian(c) for c in costs]  # frozen: the loss is piecewise in them
+    query = hungarian(costs)  # frozen: the loss is piecewise in the matching
 
     def loss_fn(ps: ParamStore) -> Tensor:
         det = forward_batch(ps, imgs, TINY)
-        return set_loss(det.class_logits, det.joints_norm, gts, assignments).total
+        return set_loss(det.class_logits, det.joints_norm, gts, query).total
 
     _, grads = forward_backward(loss_fn, params)
 
@@ -361,12 +360,11 @@ def test_forward_and_backward_leave_no_cyclic_garbage():
     rng = PortableRng(101)
     imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
     gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))], []]
-    assignments = [Assignment(pairs=((0, 1),), total_cost=0.0),
-                   Assignment(pairs=(), total_cost=0.0)]
+    query = np.array([1])  # image 0's hand; image 1 holds none
 
     def loss_fn(ps: ParamStore) -> Tensor:
         det = forward_batch(ps, imgs, TINY)
-        return set_loss(det.class_logits, det.joints_norm, gts, assignments).total
+        return set_loss(det.class_logits, det.joints_norm, gts, query).total
 
     was_enabled = gc.isenabled()
     gc.collect()

@@ -5,7 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from setpose.errors import FormatError, KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
+from setpose.errors import (
+    ConfigError,
+    FormatError,
+    KeyMismatch,
+    NonFinite,
+    NonFiniteLoss,
+    ShapeError,
+)
 from setpose.nn_core import (
     ParamStore,
     Tensor,
@@ -498,7 +505,7 @@ def test_param_store_contract():
     p.add("a", np.zeros((3, 4)))
     assert p.names() == ["a", "b"]
     assert p.n_scalars() == 14
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         p.add("a", np.zeros(1))
 
 

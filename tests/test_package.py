@@ -1,16 +1,21 @@
 """Package hygiene checked with the standard library alone: the public
-names resolve and no module imports a name it never uses."""
+names resolve, no module imports a name it never uses, and numpy is the
+only third-party package the library needs."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+LIBRARY = sorted((ROOT / "src").rglob("*.py"))
+SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", ["setpose", "setpose.nn_core"])
@@ -48,3 +53,27 @@ def test_unused_import_scan_finds_a_planted_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_library_imports_only_numpy_outside_the_standard_library():
+    top_level = set()
+    for path in LIBRARY:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                top_level.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                top_level.add(node.module.split(".")[0])
+    assert top_level - set(sys.stdlib_module_names) == {"numpy"}
+
+
+def test_importing_every_module_loads_no_scipy():
+    modules = sorted(".".join(p.relative_to(ROOT / "src").with_suffix("").parts)
+                     .removesuffix(".__init__") for p in LIBRARY)
+    code = ("import importlib, sys\n"
+            f"for m in {modules!r}: importlib.import_module(m)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + os.environ.get("PYTHONPATH", "").split(os.pathsep))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
