@@ -9,7 +9,6 @@ from .tensor import (
     forward_backward,
     log_softmax,
     no_grad,
-    softmax,
     stack,
 )
 from .layers import (
@@ -18,6 +17,7 @@ from .layers import (
     linear,
     mlp2,
     multi_head_attention,
+    scaled_dot_attention,
 )
 from .optim import OptimState, adamw_step, init_optim_state
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -48,6 +48,6 @@ __all__ = [
     "no_grad",
     "numeric_gradient",
     "save_checkpoint",
-    "softmax",
+    "scaled_dot_attention",
     "stack",
 ]

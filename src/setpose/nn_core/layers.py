@@ -1,8 +1,26 @@
-"""Standard differentiable layers built from Tensor ops.
+"""Standard differentiable layers over Tensors.
 
 All layers are pure functions of (inputs, explicit weight tensors); the
 caller owns the parameters. Shapes follow the (batch, tokens, features)
 convention.
+
+`linear`, `layer_norm`, `mlp2` and `scaled_dot_attention` are each one
+graph node with a closed-form backward. Each forward writes its arithmetic
+into buffers it allocates itself (`y = x @ w; y += b`, `np.exp(s, out=s)`)
+instead of one fresh array per elementwise step, which keeps large
+temporaries off the heap; inference and training run the same code. What
+each backward keeps, beyond its operands:
+
+    linear                nothing
+    layer_norm            xh = (x - mean) / s and s
+    mlp2                  h, the ReLU output
+    scaled_dot_attention  the attention weights
+
+An in-place ufunc rounds each element exactly as the out-of-place one
+does, and every reduction runs over an array of the same values and memory
+layout, so each forward is bitwise the Tensor-op composition it replaces.
+The backward evaluates the same numpy expressions that composition's
+backward would, so gradients are bitwise equal too.
 """
 
 from __future__ import annotations
@@ -11,7 +29,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..rng import counter_uniform
-from .tensor import Tensor, _unbroadcast, softmax
+from .tensor import Tensor, _shared_weight_grads, _unbroadcast
 
 
 def glorot_uniform(key: int, fan_in: int, fan_out: int) -> np.ndarray:
@@ -24,8 +42,25 @@ def glorot_uniform(key: int, fan_in: int, fan_out: int) -> np.ndarray:
     return counter_uniform(key, fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
 
 
+def _accum_linear(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
+    """Route the gradient g of x @ w + b to each operand that requires it."""
+    gx, gw = _shared_weight_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
+    if x.requires_grad:
+        x._accum(gx)
+    if w.requires_grad:
+        w._accum(gw)
+    if b.requires_grad:
+        b._accum(_unbroadcast(g, b.data.shape))
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return x @ w + b
+    """x @ w + b with a 2-D weight w, as one graph node."""
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y, _parents=(x, w, b))
+    if out.requires_grad:
+        out._backward = lambda g: _accum_linear(x, w, b, g)
+    return out
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -42,10 +77,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     / affine, so its values are bitwise those of that composition.
     """
     inv_d = 1.0 / x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
-    s = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_d + eps)
-    xh = centered / s
-    out = Tensor(xh * gamma.data + beta.data, _parents=(x, gamma, beta))
+    xh = x.data - x.data.sum(axis=-1, keepdims=True) * inv_d
+    s = np.sqrt((xh * xh).sum(axis=-1, keepdims=True) * inv_d + eps)
+    xh /= s
+    y = xh * gamma.data
+    y += beta.data
+    out = Tensor(y, _parents=(x, gamma, beta))
     if out.requires_grad:
         def bw(g):
             if x.requires_grad:
@@ -61,8 +98,64 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer perceptron with ReLU hidden activation."""
-    return linear(x, w1, b1).relu() @ w2 + b2
+    """relu(x @ w1 + b1) @ w2 + b2 as one graph node.
+
+    The backward masks with h > 0 on the ReLU output h, which equals the
+    pre-activation mask, so a unit exactly at 0 passes a zero gradient.
+    """
+    h = np.matmul(x.data, w1.data)
+    h += b1.data
+    np.maximum(h, 0.0, out=h)
+    y = np.matmul(h, w2.data)
+    y += b2.data
+    out = Tensor(y, _parents=(x, w1, b1, w2, b2))
+    if out.requires_grad:
+        def bw(g):
+            first = x.requires_grad or w1.requires_grad or b1.requires_grad
+            gh, gw2 = _shared_weight_grads(h, w2.data, g, first, w2.requires_grad)
+            if w2.requires_grad:
+                w2._accum(gw2)
+            if b2.requires_grad:
+                b2._accum(_unbroadcast(g, b2.data.shape))
+            if first:
+                gh *= h > 0
+                _accum_linear(x, w1, b1, gh)
+        out._backward = bw
+    return out
+
+
+def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """softmax(q k^T / sqrt(d)) v over the last two axes, as one graph node.
+
+    q: (..., Tq, d), k: (..., Tk, d), v: (..., Tk, dv), with the same
+    leading axes. The (..., Tq, Tk) score buffer is scaled, max-shifted,
+    exponentiated and normalised in place and kept as the attention
+    weights a. With ga = g v^T, the
+    softmax backward is a * (ga - sum(ga * a)) over Tk; the shift is a
+    constant, so the closed form is exact.
+    """
+    scale = 1.0 / np.sqrt(q.data.shape[-1])
+    a = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    a *= scale
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    out = Tensor(np.matmul(a, v.data), _parents=(q, k, v))
+    if out.requires_grad:
+        def bw(g):
+            if v.requires_grad:
+                v._accum(np.matmul(np.swapaxes(a, -1, -2), g))
+            if q.requires_grad or k.requires_grad:
+                ga = np.matmul(g, np.swapaxes(v.data, -1, -2))
+                gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
+                gs *= scale
+                if q.requires_grad:
+                    q._accum(np.matmul(gs, k.data))
+                if k.requires_grad:
+                    k._accum(np.swapaxes(
+                        np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
+        out._backward = bw
+    return out
 
 
 def multi_head_attention(
@@ -99,8 +192,6 @@ def multi_head_attention(
     k = split_heads(linear(keys, wk, bk), tk)
     v = split_heads(linear(values, wv, bv), tk)
 
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(d_head))
-    attn = softmax(scores, axis=-1)  # (b, heads, tq, tk)
-    mixed = attn @ v
+    mixed = scaled_dot_attention(q, k, v)  # (b, heads, tq, d_head)
     merged = mixed.transpose((0, 2, 1, 3)).reshape((b, tq, d_model))
     return linear(merged, wo, bo)

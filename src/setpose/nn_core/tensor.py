@@ -26,9 +26,10 @@ pairwise sums and the BLAS transpose flags depend on that layout, so
 gradients round as they would in a zero-filled buffer of data's layout.
 
 When a stacked operand meets a shared 2-D weight, (..., K) @ (K, N), the
-backward folds the batch axes into GEMM rows: two 2-D products give the
-input gradient and the weight gradient, in place of one GEMM per batch
-entry, a (B, K, N) temporary and a sum over the batch. The forward stays
+backward (`_shared_weight_grads`, also called by the fused layers) folds
+the batch axes into GEMM rows: two 2-D products give the input gradient
+and the weight gradient, in place of one GEMM per batch entry, a
+(B, K, N) temporary and a sum over the batch. The forward stays
 one stacked np.matmul: a single 2-D forward GEMM would change the rows each
 BLAS call sees, and with them the rounding of an image's output depending
 on its batch, which breaks the bitwise match between a batched forward and
@@ -66,6 +67,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _shared_weight_grads(a: np.ndarray, w: np.ndarray, g: np.ndarray,
+                         need_a: bool, need_w: bool):
+    """Gradients (of a, of w) of a (..., K) @ w (K, N) at upstream g, each
+    one 2-D GEMM over all batch rows; None where not needed."""
+    k, n = w.shape
+    g2 = g.reshape(-1, n)
+    return ((g2 @ w.T).reshape(a.shape) if need_a else None,
+            a.reshape(-1, k).T @ g2 if need_w else None)
 
 
 class Tensor:
@@ -187,13 +198,13 @@ class Tensor:
         other = self._lift(other)
         out = Tensor(np.matmul(self.data, other.data), _parents=(self, other))
         if out.requires_grad and other.data.ndim == 2 and self.data.ndim > 2:
-            def bw(g):  # shared 2-D weight: two 2-D GEMMs over all batch rows
-                k, n = other.data.shape
-                g2 = g.reshape(-1, n)
+            def bw(g):
+                ga, gw = _shared_weight_grads(self.data, other.data, g,
+                                              self.requires_grad, other.requires_grad)
                 if self.requires_grad:
-                    self._accum((g2 @ other.data.T).reshape(self.data.shape))
+                    self._accum(ga)
                 if other.requires_grad:
-                    other._accum(self.data.reshape(-1, k).T @ g2)
+                    other._accum(gw)
             out._backward = bw
         elif out.requires_grad:
             def bw(g):
@@ -330,17 +341,6 @@ def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
     return concatenate(expanded, axis=axis)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Max-subtracted softmax as one graph node; the shift is a constant, so
-    the closed-form backward dx = y * (g - sum(g * y)) is exact."""
-    e = np.exp(x.data - x.data.max(axis=axis, keepdims=True))
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y, _parents=(x,))
-    if out.requires_grad:
-        out._backward = lambda g: x._accum(y * (g - (g * y).sum(axis=axis, keepdims=True)))
-    return out
-
-
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     shifted = x - x.data.max(axis=axis, keepdims=True)
     return shifted - shifted.exp().sum(axis=axis, keepdims=True).log()
@@ -400,10 +400,11 @@ def forward_backward(graph_fn, params: ParamStore, *inputs) -> tuple[float, Grad
     if not np.isfinite(loss.data):
         raise NonFiniteLoss(f"loss is {float(loss.data)}")
     loss.backward()
-    grads = {
-        name: (t.grad.copy() if t.grad is not None else np.zeros_like(t.data))
-        for name, t in params.items()
-    }
+    # each t.grad is a buffer its Tensor owns (see _accum): hand it over and
+    # drop the Tensor's reference, so no parameter aliases the result
+    grads = {name: (t.grad if t.grad is not None else np.zeros_like(t.data))
+             for name, t in params.items()}
+    params.zero_grad()
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFinite(f"gradient of {name!r} is not finite")

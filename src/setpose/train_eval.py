@@ -163,7 +163,7 @@ def train(
         for lo in range(0, n, train_cfg.batch_size):
             batch_idx = order[lo:lo + train_cfg.batch_size]
             batch = [augment(train_samples[i], rng) for i in batch_idx]
-            images = np.stack([s.image for s in batch]).astype(np.float64)
+            images = np.stack([s.image for s in batch])
             gts = [sample_targets(s, model_cfg) for s in batch]
             step += 1
 
@@ -301,7 +301,7 @@ def predict(
     its own camera. Runs under no_grad(), so no autodiff graph is built."""
     def run_chunk(lo: int) -> list[SidePrediction]:
         chunk = samples[lo:lo + batch_size]
-        images = np.stack([s.image for s in chunk]).astype(np.float64)
+        images = np.stack([s.image for s in chunk])
         batch = forward_batch(params, images, model_cfg)
         out = []
         for b, sample in enumerate(chunk):

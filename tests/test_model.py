@@ -393,3 +393,15 @@ def test_no_grad_forward_is_bitwise_equal_and_builds_no_graph():
         assert a.data.tobytes() == b.data.tobytes()
         assert not b.requires_grad
         assert b._parents == () and b._backward is None
+
+
+def test_float32_batch_is_bitwise_the_float64_batch():
+    """float32 -> float64 is exact, so patch_tokens' one conversion is enough."""
+    params = build_model(TINY, seed=14)
+    rng = PortableRng(103)
+    imgs = np.stack([random_image(rng, TINY) for _ in range(2)]).astype(np.float32)
+    with no_grad():
+        single = forward_batch(params, imgs, TINY)
+        double = forward_batch(params, imgs.astype(np.float64), TINY)
+    assert single.class_logits.data.tobytes() == double.class_logits.data.tobytes()
+    assert single.joints_norm.data.tobytes() == double.joints_norm.data.tobytes()

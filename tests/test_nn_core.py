@@ -31,7 +31,7 @@ from setpose.nn_core import (
     no_grad,
     numeric_gradient,
     save_checkpoint,
-    softmax,
+    scaled_dot_attention,
     stack,
 )
 from setpose.rng import PortableRng
@@ -63,10 +63,18 @@ def test_square_gradient_exact():
     assert grads["theta"] == 6.0
 
 
+def attention_weights(z: Tensor) -> Tensor:
+    """Softmax of scores z (..., T) through the attention core. With k and v
+    the T x T identity, q k^T = q, so q = z * sqrt(T) gives the scores z (up
+    to the rounding of the scale) and the output is the weight matrix."""
+    eye = Tensor(np.eye(z.shape[-1]))
+    return scaled_dot_attention(z * np.sqrt(z.shape[-1]), eye, eye)
+
+
 def test_softmax_sum_has_zero_gradient():
     p = ParamStore()
-    p.add("z", np.array([0.3, -1.2, 2.0, 0.0]))
-    loss, grads = forward_backward(lambda ps: softmax(ps["z"]).sum(), p)
+    p.add("z", np.array([[0.3, -1.2, 2.0, 0.0]]))
+    loss, grads = forward_backward(lambda ps: attention_weights(ps["z"]).sum(), p)
     assert abs(loss - 1.0) < 1e-12
     assert np.abs(grads["z"]).max() < 1e-12
 
@@ -89,6 +97,21 @@ def test_non_finite_gradient_names_first_parameter():
     with np.errstate(divide="ignore"), pytest.raises(NonFinite, match="'b'"):
         forward_backward(graph, p)
     assert all(np.array_equal(t.data, before[name]) for name, t in p.items())
+
+
+def test_forward_backward_hands_over_gradients_without_aliasing():
+    p = ParamStore()
+    p.add("w", np.array([1.5, -2.0]))
+    p.add("unused", np.zeros(2))
+    loss_fn = lambda ps: (ps["w"] * ps["w"] * ps["w"]).sum()
+    _, first = forward_backward(loss_fn, p)
+    kept = {name: g.copy() for name, g in first.items()}
+    assert all(t.grad is None for _, t in p.items())
+    p["w"].data = p["w"].data * 3.0
+    _, second = forward_backward(loss_fn, p)
+    assert all(first[name].tobytes() == kept[name].tobytes() for name in first)
+    assert not np.array_equal(second["w"], first["w"])
+    assert not np.shares_memory(first["w"], second["w"])
 
 
 # -- no-grad mode ------------------------------------------------------------------
@@ -132,8 +155,8 @@ def test_linear_gradients():
     p = ParamStore()
     p.add("w", rand(rng, 5, 4))
     p.add("b", rand(rng, 4))
-    x = Tensor(rand(rng, 3, 5))
-    fd_check(lambda ps: (linear(x, ps["w"], ps["b"]) * 0.3).sum(), p)
+    p.add("x", rand(rng, 3, 5))
+    fd_check(lambda ps: (linear(ps["x"], ps["w"], ps["b"]) * 0.3).sum(), p)
 
 
 def test_linear_gradients_wrt_input():
@@ -167,19 +190,19 @@ def test_layer_norm_statistics():
 def test_softmax_rows_sum_to_one_and_stable():
     rng = PortableRng(64)
     z = Tensor(rand(rng, 5, 7, lo=-30, hi=30))
-    s = softmax(z).data
+    s = attention_weights(z).data
     assert np.all(s > 0) and np.all(s < 1)
     assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-12
-    big = softmax(Tensor(np.array([1000.0, 0.0]))).data
+    big = attention_weights(Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))).data
     assert np.isfinite(big).all()
-    assert abs(big[0] - 1.0) < 1e-12
+    assert abs(big[0, 0] - 1.0) < 1e-12 and abs(big[1, 1] - 1.0) < 1e-12
 
 
 def test_softmax_shift_invariance():
     rng = PortableRng(65)
     z = rand(rng, 3, 5)
-    a = softmax(Tensor(z)).data
-    b = softmax(Tensor(z + 123.456)).data
+    a = attention_weights(Tensor(z)).data
+    b = attention_weights(Tensor(z + 123.456)).data
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
 
 
@@ -188,10 +211,10 @@ def test_softmax_gradients():
     p = ParamStore()
     p.add("z", rand(rng, 3, 5))
     w = Tensor(rand(rng, 3, 5))
-    fd_check(lambda ps: (softmax(ps["z"]) * w).sum(), p)
+    fd_check(lambda ps: (attention_weights(ps["z"]) * w).sum(), p)
 
 
-# -- fused layer_norm / softmax and the shared-weight matmul backward ---------------
+# -- fused layers and the shared-weight matmul backward ------------------------------
 
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
@@ -200,9 +223,29 @@ def composed_layer_norm(x, gamma, beta, eps=1e-5):
     return centered / (var + eps).sqrt() * gamma + beta
 
 
-def composed_softmax(x, axis=-1):
-    e = (x - x.data.max(axis=axis, keepdims=True)).exp()
-    return e / e.sum(axis=axis, keepdims=True)
+def composed_linear(x, w, b):
+    return x @ w + b
+
+
+def composed_mlp2(x, w1, b1, w2, b2):
+    return (x @ w1 + b1).relu() @ w2 + b2
+
+
+def closed_form_softmax(x):
+    """Last-axis softmax as one node with the closed-form backward."""
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(y, _parents=(x,))
+    if out.requires_grad:
+        out._backward = lambda g: x._accum(y * (g - (g * y).sum(axis=-1, keepdims=True)))
+    return out
+
+
+def composed_attention(q, k, v):
+    n = k.data.ndim
+    scores = (q @ k.transpose(tuple(range(n - 2)) + (n - 1, n - 2))) * (
+        1.0 / np.sqrt(q.shape[-1]))
+    return closed_form_softmax(scores) @ v
 
 
 def assert_close(actual, expected, rtol):
@@ -235,16 +278,64 @@ def test_fused_layer_norm_matches_composition(transposed):
         assert_close(got, want, rtol=1e-12)
 
 
-@pytest.mark.parametrize("transposed, axis", [(False, -1), (True, -1), (False, 0)])
-def test_fused_softmax_matches_composition(transposed, axis):
+def attention_operands(rng: PortableRng, layout: str):
+    """q (2, 2, 3, 4), k (2, 2, 5, 4), v (2, 2, 5, 3) in one memory layout."""
+    if layout == "contiguous":
+        return [rand(rng, 2, 2, 3, 4), rand(rng, 2, 2, 5, 4), rand(rng, 2, 2, 5, 3)]
+    if layout == "transposed":
+        return [rand(rng, 2, 2, 4, 3).swapaxes(-1, -2), rand(rng, 2, 2, 4, 5).swapaxes(-1, -2),
+                rand(rng, 2, 2, 3, 5).swapaxes(-1, -2)]
+    # split heads, as multi_head_attention hands them over
+    return [rand(rng, 2, t, 2 * d).reshape(2, t, 2, d).transpose(0, 2, 1, 3)
+            for t, d in ((3, 4), (5, 4), (5, 3))]
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "transposed", "split_heads"])
+def test_fused_attention_matches_composition(layout):
     rng = PortableRng(70)
-    z = rand(rng, 3, 7, 4, lo=-6, hi=6)
-    z = z.transpose(0, 2, 1) if transposed else z
-    weight = rand(rng, *z.shape)
-    fused, (fused_grad,) = grads_of(lambda t: softmax(t, axis=axis), [z], weight)
-    ref, (ref_grad,) = grads_of(lambda t: composed_softmax(t, axis=axis), [z], weight)
+    arrays = attention_operands(rng, layout)
+    weight = rand(rng, 2, 2, 3, 3)
+    fused, fused_grads = grads_of(scaled_dot_attention, arrays, weight)
+    ref, ref_grads = grads_of(composed_attention, arrays, weight)
     assert fused.tobytes() == ref.tobytes()
-    assert_close(fused_grad, ref_grad, rtol=1e-12)
+    assert all(got.tobytes() == want.tobytes() for got, want in zip(fused_grads, ref_grads))
+
+
+@pytest.mark.parametrize("x_shape", [(4, 5), (2, 3, 5)])
+def test_fused_linear_and_mlp2_match_composition(x_shape):
+    rng = PortableRng(78)
+    x = rand(rng, *x_shape)
+    lin = [x, rand(rng, 5, 4), rand(rng, 4)]
+    mlp = [x, rand(rng, 5, 8), rand(rng, 8), rand(rng, 8, 3), rand(rng, 3)]
+    for fused_op, ref_op, arrays, n_out in ((linear, composed_linear, lin, 4),
+                                            (mlp2, composed_mlp2, mlp, 3)):
+        weight = rand(rng, *x_shape[:-1], n_out)
+        fused, fused_grads = grads_of(fused_op, arrays, weight)
+        ref, ref_grads = grads_of(ref_op, arrays, weight)
+        assert fused.tobytes() == ref.tobytes()
+        assert all(got.tobytes() == want.tobytes()
+                   for got, want in zip(fused_grads, ref_grads))
+
+
+def test_mlp2_relu_exactly_at_zero_routes_a_zero_gradient():
+    rng = PortableRng(80)
+    w1, b1 = rand(rng, 4, 5, lo=0.1, hi=1.0), rand(rng, 5, lo=0.1, hi=1.0)
+    w1[:, 2] = 0.0
+    b1[2] = 0.0  # hidden unit 2 is exactly 0 for every input, the rest are > 0
+    arrays = [rand(rng, 3, 4, lo=0.1, hi=1.0), w1, b1, rand(rng, 5, 2), rand(rng, 2)]
+    _, (_, gw1, gb1, gw2, _) = grads_of(mlp2, arrays, rand(rng, 3, 2))
+    assert gb1[2] == 0.0 and not gw1[:, 2].any() and not gw2[2].any()
+    assert np.all(gb1[[0, 1, 3, 4]] != 0.0)
+
+
+def test_fused_layers_build_no_graph_under_no_grad():
+    rng = PortableRng(81)
+    x, w, b = leaf(rand(rng, 2, 3, 4)), leaf(rand(rng, 4, 4)), leaf(rand(rng, 4))
+    with no_grad():
+        outs = [linear(x, w, b), mlp2(x, w, b, w, b), layer_norm(x, b, b),
+                scaled_dot_attention(x, x, x)]
+    for out in outs:
+        assert not out.requires_grad and out._parents == () and out._backward is None
 
 
 def test_stacked_times_2d_matmul_gradients():
@@ -310,8 +401,17 @@ def test_mlp_gradients():
     p.add("b1", rand(rng, 8))
     p.add("w2", rand(rng, 8, 2))
     p.add("b2", rand(rng, 2))
-    x = Tensor(rand(rng, 4, 5))
-    fd_check(lambda ps: (mlp2(x, ps["w1"], ps["b1"], ps["w2"], ps["b2"]) ** 2.0).sum(), p)
+    p.add("x", rand(rng, 2, 4, 5))
+    fd_check(lambda ps: (mlp2(ps["x"], ps["w1"], ps["b1"], ps["w2"], ps["b2"])
+                         ** 2.0).sum(), p)
+
+
+def test_attention_core_gradients():
+    rng = PortableRng(79)
+    p = ParamStore()
+    for name, shape in (("q", (2, 2, 3, 4)), ("k", (2, 2, 5, 4)), ("v", (2, 2, 5, 3))):
+        p.add(name, rand(rng, *shape))
+    fd_check(lambda ps: (scaled_dot_attention(ps["q"], ps["k"], ps["v"]) ** 2.0).sum(), p)
 
 
 def _attention_params(rng: PortableRng, p: ParamStore, d: int):
