@@ -8,12 +8,12 @@ stream per (seed, sample index), so generation is bit-reproducible and
 order-independent across samples.
 
 Rendering: the 20 BONES of the hand skeleton (hand_model) as anti-aliased
-segments plus Gaussian blobs at the 21 joints, drawn onto one canvas per
-hand. The left-hand canvas lands in channel 0, the right-hand canvas in
-channel 1, and their maximum in channel 2; this side-coded palette is
-what lets a desk-scale backbone learn hand classification. Pixel (row r,
-col c) samples the continuous image point (u=c, v=r); images are float32
-in [0, 1].
+segments plus Gaussian blobs (zero-length segments) at the 21 joints,
+drawn onto one canvas per hand. The left-hand canvas lands in channel 0,
+the right-hand canvas in channel 1, and their maximum in channel 2; this
+side-coded palette is what lets a desk-scale backbone learn hand
+classification. Pixel (row r, col c) samples the continuous image point
+(u=c, v=r); images are float32 in [0, 1].
 
 Horizontal flip augmentation mirrors image columns (discrete index
 W-1-c), swaps the left/right channels so the side coding stays consistent
@@ -31,9 +31,12 @@ On-disk layout (format_version 1):
     images/<id>.imgf   magic "IMGF", u32 version, u32 H, W, C, then
                     H*W*C little-endian float32, row-major, channel-last
 
-read_dataset raises FormatError, naming the file (and the line of
-samples.jsonl), for JSON that does not parse or is not an object, a
-missing key, an unknown side or joints that are not 21x3.
+meta.json holds one camera for the whole dataset, so write_dataset raises
+ConfigError, naming the first sample whose camera differs from sample 0's,
+rather than give that frame another camera on reading. read_dataset raises
+FormatError, naming the file (and the line of samples.jsonl), for JSON
+that does not parse or is not an object, a missing key, an unknown side or
+joints that are not 21x3.
 """
 
 from __future__ import annotations
@@ -256,42 +259,32 @@ _BLOB_SIGMA = 1.0
 _WINDOW = 3  # pixels beyond the primitive's bounding box
 
 
-def _draw_segment(canvas: np.ndarray, p: np.ndarray, q: np.ndarray) -> None:
+def _draw_segment(canvas: np.ndarray, p: np.ndarray, q: np.ndarray,
+                  sigma: float) -> None:
+    """Max-composite exp(-dist^2 / (2 sigma^2)), dist being a pixel's distance
+    to the segment pq (to the point p when p == q), within _WINDOW pixels of
+    the segment's bounding box. Columns and rows broadcast against each
+    other instead of being tiled into a grid."""
     h, w = canvas.shape
-    lo_c = max(int(np.floor(min(p[0], q[0]))) - _WINDOW, 0)
-    hi_c = min(int(np.ceil(max(p[0], q[0]))) + _WINDOW, w - 1)
-    lo_r = max(int(np.floor(min(p[1], q[1]))) - _WINDOW, 0)
-    hi_r = min(int(np.ceil(max(p[1], q[1]))) + _WINDOW, h - 1)
+    (pu, pv), (qu, qv) = p.tolist(), q.tolist()
+    lo_c = max(math.floor(min(pu, qu)) - _WINDOW, 0)
+    hi_c = min(math.ceil(max(pu, qu)) + _WINDOW, w - 1)
+    lo_r = max(math.floor(min(pv, qv)) - _WINDOW, 0)
+    hi_r = min(math.ceil(max(pv, qv)) + _WINDOW, h - 1)
     if lo_c > hi_c or lo_r > hi_r:
         return
-    cols = np.arange(lo_c, hi_c + 1)
-    rows = np.arange(lo_r, hi_r + 1)
-    cc, rr = np.meshgrid(cols, rows)
+    cc = np.arange(lo_c, hi_c + 1)
+    rr = np.arange(lo_r, hi_r + 1)[:, None]
     seg = q - p
-    seg_len2 = seg @ seg
+    seg_len2 = seg @ seg  # a dot, not su*su + sv*sv, which can round otherwise
     if seg_len2 == 0.0:
-        t = np.zeros_like(cc, dtype=np.float64)
+        dx, dy = cc - pu, rr - pv
     else:
-        t = np.clip(((cc - p[0]) * seg[0] + (rr - p[1]) * seg[1]) / seg_len2, 0.0, 1.0)
-    dx = cc - (p[0] + t * seg[0])
-    dy = rr - (p[1] + t * seg[1])
-    val = np.exp(-(dx * dx + dy * dy) / (2.0 * _SEGMENT_SIGMA ** 2))
-    region = canvas[lo_r:hi_r + 1, lo_c:hi_c + 1]
-    np.maximum(region, val, out=region)
-
-
-def _draw_blob(canvas: np.ndarray, p: np.ndarray) -> None:
-    h, w = canvas.shape
-    lo_c = max(int(np.floor(p[0])) - _WINDOW, 0)
-    hi_c = min(int(np.ceil(p[0])) + _WINDOW, w - 1)
-    lo_r = max(int(np.floor(p[1])) - _WINDOW, 0)
-    hi_r = min(int(np.ceil(p[1])) + _WINDOW, h - 1)
-    if lo_c > hi_c or lo_r > hi_r:
-        return
-    cols = np.arange(lo_c, hi_c + 1)
-    rows = np.arange(lo_r, hi_r + 1)
-    cc, rr = np.meshgrid(cols, rows)
-    val = np.exp(-((cc - p[0]) ** 2 + (rr - p[1]) ** 2) / (2.0 * _BLOB_SIGMA ** 2))
+        su, sv = seg.tolist()
+        t = np.clip(((cc - pu) * su + (rr - pv) * sv) / seg_len2, 0.0, 1.0)
+        dx = cc - (pu + t * su)
+        dy = rr - (pv + t * sv)
+    val = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
     region = canvas[lo_r:hi_r + 1, lo_c:hi_c + 1]
     np.maximum(region, val, out=region)
 
@@ -300,9 +293,9 @@ def _render_hand_canvas(size: tuple[int, int], uvd: JointSetUVD) -> np.ndarray:
     canvas = np.zeros(size, dtype=np.float64)
     pts = uvd.joints[:, :2]
     for parent, child in BONES:
-        _draw_segment(canvas, pts[parent], pts[child])
-    for j in range(N_JOINTS):
-        _draw_blob(canvas, pts[j])
+        _draw_segment(canvas, pts[parent], pts[child], _SEGMENT_SIGMA)
+    for pt in pts:
+        _draw_segment(canvas, pt, pt, _BLOB_SIGMA)
     return canvas
 
 
@@ -416,14 +409,18 @@ def _sample_record(index: int, image_name: str, sample: SceneSample) -> dict:
 
 def write_dataset(samples: list[SceneSample], path: str | Path,
                   gen_config: GenConfig | None = None) -> None:
-    path = Path(path)
-    (path / "images").mkdir(parents=True, exist_ok=True)
     if samples:
         cam = samples[0].camera
     elif gen_config is not None:
         cam = gen_config.intrinsics
     else:
         raise ConfigError("cannot infer intrinsics for an empty dataset")
+    for i, sample in enumerate(samples):
+        if sample.camera != cam:
+            raise ConfigError(f"sample {i} has camera {sample.camera}, but meta.json "
+                              f"holds one camera for all samples, sample 0's {cam}")
+    path = Path(path)
+    (path / "images").mkdir(parents=True, exist_ok=True)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_samples": len(samples),

@@ -9,7 +9,6 @@ from .tensor import (
     forward_backward,
     log_softmax,
     no_grad,
-    stack,
 )
 from .layers import (
     glorot_uniform,
@@ -21,11 +20,7 @@ from .layers import (
 )
 from .optim import OptimState, adamw_step, init_optim_state
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import (
-    check_parameter_gradients,
-    max_relative_error,
-    numeric_gradient,
-)
+from .gradcheck import max_relative_error, numeric_gradient
 
 __all__ = [
     "Gradients",
@@ -33,7 +28,6 @@ __all__ = [
     "ParamStore",
     "Tensor",
     "adamw_step",
-    "check_parameter_gradients",
     "concatenate",
     "forward_backward",
     "glorot_uniform",
@@ -49,5 +43,4 @@ __all__ = [
     "numeric_gradient",
     "save_checkpoint",
     "scaled_dot_attention",
-    "stack",
 ]

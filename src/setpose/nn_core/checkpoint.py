@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import ConfigError, FormatError
 from .tensor import ParamStore
 
 MAGIC = b"PSTO"
@@ -119,7 +119,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
         arr = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(shape)
         try:
             params.add(name, arr)
-        except ValueError as e:
+        except ConfigError as e:  # a name listed twice
             raise FormatError(f"{manifest_path}: {e}") from e
     if offset != len(blob):
         raise FormatError(f"{blob_path}: {len(blob) - offset} bytes after the last parameter")

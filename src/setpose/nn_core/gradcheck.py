@@ -13,8 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import ParamStore
-
 
 def numeric_gradient(
     loss_fn: Callable[[], float],
@@ -54,17 +52,3 @@ def max_relative_error(
     denom = np.maximum(np.abs(a[keep]), np.abs(n[keep]))
     return float(np.max(np.abs(a[keep] - n[keep]) / denom))
 
-
-def check_parameter_gradients(
-    loss_fn: Callable[[], float],
-    params: ParamStore,
-    analytic: dict,
-    base_h: float = 1e-5,
-    skip_below: float = 1e-8,
-) -> dict[str, float]:
-    """Per-parameter max relative error between analytic grads and FD."""
-    report = {}
-    for name, tensor in params.items():
-        numeric = numeric_gradient(loss_fn, tensor.data, base_h=base_h)
-        report[name] = max_relative_error(analytic[name], numeric, skip_below)
-    return report

@@ -249,8 +249,8 @@ class Tensor:
     def sigmoid(self):
         # stable two-branch evaluation, no overflow for large |x|
         x = self.data
-        y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                     np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+        e = np.exp(-np.abs(x))
+        y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
         out = Tensor(y, _parents=(self,))
         if out.requires_grad:
             out._backward = lambda g: self._accum(g * y * (1.0 - y))
@@ -330,15 +330,6 @@ def concatenate(tensors: list[Tensor], axis: int = 0) -> Tensor:
                     t._accum(g[tuple(sl)])
         out._backward = bw
     return out
-
-
-def stack(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    expanded = []
-    for t in tensors:
-        shape = list(t.data.shape)
-        shape.insert(axis if axis >= 0 else axis + t.data.ndim + 1, 1)
-        expanded.append(t.reshape(tuple(shape)))
-    return concatenate(expanded, axis=axis)
 
 
 def log_softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -8,8 +8,6 @@ distribution streams may change between releases):
   * state seeding / stream derivation: splitmix64
   * core generator: xoshiro256++ (Blackman & Vigna)
   * uniform doubles: top 53 bits of a 64-bit draw, i.e. (u >> 11) * 2**-53
-  * normals: Box-Muller, two uniform draws per value, cosine branch only
-    (no cached spare, so each call consumes a fixed number of draws)
   * counter-based uniforms (parameter init): value i under a 64-bit key is
     the splitmix64 output for state key + (i + 1) * GOLDEN, so it depends
     on (key, i) only and a whole array is one vectorised numpy uint64 pass
@@ -17,12 +15,10 @@ distribution streams may change between releases):
     numbers: as easy as 1, 2, 3")
 
 Integer state arithmetic is exact everywhere; float results depend only on
-IEEE-754 double operations plus libm's log/cos/sqrt for normals.
+IEEE-754 double operations.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -108,12 +104,6 @@ class PortableRng:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (cosine branch)."""
-        u1 = 1.0 - self.random()  # in (0, 1], keeps log finite
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def bernoulli(self, p: float) -> bool:
         return self.random() < p

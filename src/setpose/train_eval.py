@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -112,20 +111,6 @@ class EpochRecord:
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
     epochs: list[EpochRecord] = field(default_factory=list)
-
-    def to_jsonl(self) -> str:
-        lines = []
-        for s in self.steps:
-            lines.append(json.dumps({
-                "kind": "step", "step": s.step, "cls_loss": s.cls_loss,
-                "l1_loss": s.l1_loss, "total": s.total,
-                "lr_transformer": s.lr_transformer, "lr_backbone": s.lr_backbone}))
-        for e in self.epochs:
-            lines.append(json.dumps({
-                "kind": "epoch", "epoch": e.epoch,
-                "val_mpjpe_left": e.val_mpjpe_left,
-                "val_mpjpe_right": e.val_mpjpe_right}))
-        return "\n".join(lines) + ("\n" if lines else "")
 
 
 def sample_targets(sample: SceneSample, model_cfg: ModelConfig):
@@ -236,18 +221,6 @@ class SidePrediction:
     confidence: float
     predicted_present: bool  # argmax class of the selected query == side
 
-    def to_dict(self) -> dict:
-        return {"id": self.index, "side": self.side.value,
-                "uvd": self.uvd.joints.tolist(), "confidence": self.confidence,
-                "predicted_present": self.predicted_present}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SidePrediction":
-        return cls(index=int(d["id"]), side=HandSide(d["side"]),
-                   uvd=JointSetUVD(np.array(d["uvd"])),
-                   confidence=float(d["confidence"]),
-                   predicted_present=bool(d["predicted_present"]))
-
 
 @dataclass(frozen=True)
 class FrameRecord:
@@ -294,38 +267,29 @@ def predict(
     params: ParamStore,
     model_cfg: ModelConfig,
     samples: list[SceneSample],
-    threads: int = 1,
     batch_size: int = 32,
 ) -> list[SidePrediction]:
-    """Decode both sides for every sample (pure per-chunk work), each with
-    its own camera. Runs under no_grad(), so no autodiff graph is built."""
-    def run_chunk(lo: int) -> list[SidePrediction]:
-        chunk = samples[lo:lo + batch_size]
-        images = np.stack([s.image for s in chunk])
-        batch = forward_batch(params, images, model_cfg)
-        out = []
-        for b, sample in enumerate(chunk):
-            logits = batch.class_logits.data[b]
-            decoded = decode_predictions(logits, batch.joints_norm.data[b],
-                                         model_cfg, sample.camera)
-            argmax_class = np.argmax(logits, axis=1)
-            for side in HandSide:
-                dec = decoded[side]
-                out.append(SidePrediction(
-                    index=lo + b, side=side, uvd=dec.uvd,
-                    confidence=dec.confidence,
-                    predicted_present=bool(
-                        argmax_class[dec.query_index] == class_index(side))))
-        return out
-
-    offsets = list(range(0, len(samples), batch_size))
-    with no_grad():  # process-global, so the pool's threads see it too
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                chunks = list(pool.map(run_chunk, offsets))
-        else:
-            chunks = [run_chunk(lo) for lo in offsets]
-    return [p for chunk in chunks for p in chunk]  # index order: deterministic
+    """Decode both sides of every sample, in index then side order, each
+    with its own camera. Runs under no_grad(), so no autodiff graph is
+    built."""
+    out = []
+    with no_grad():
+        for lo in range(0, len(samples), batch_size):
+            chunk = samples[lo:lo + batch_size]
+            batch = forward_batch(params, np.stack([s.image for s in chunk]), model_cfg)
+            for b, sample in enumerate(chunk):
+                logits = batch.class_logits.data[b]
+                decoded = decode_predictions(logits, batch.joints_norm.data[b],
+                                             model_cfg, sample.camera)
+                argmax_class = np.argmax(logits, axis=1)
+                for side in HandSide:
+                    dec = decoded[side]
+                    out.append(SidePrediction(
+                        index=lo + b, side=side, uvd=dec.uvd,
+                        confidence=dec.confidence,
+                        predicted_present=bool(
+                            argmax_class[dec.query_index] == class_index(side))))
+    return out
 
 
 def score_predictions(
@@ -391,11 +355,10 @@ def evaluate(
     samples: list[SceneSample],
     rescale: bool = False,
     scale_stats: ScaleStats | None = None,
-    threads: int = 1,
 ) -> EvalReport:
     if rescale and scale_stats is None:
         raise MissingScaleStats("rescaling requested without scale statistics")
-    preds = predict(params, model_cfg, samples, threads=threads)
+    preds = predict(params, model_cfg, samples)
     return score_predictions(preds, samples, rescale=rescale, scale_stats=scale_stats)
 
 
@@ -435,19 +398,6 @@ class AblationTable:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    def to_text(self) -> str:
-        header = (f"{'configuration':<28}{'resolution':<12}{'depth':<14}"
-                  f"{'off L (mm)':>12}{'off R (mm)':>12}"
-                  f"{'on L (mm)':>12}{'on R (mm)':>12}")
-        lines = [header, "-" * len(header)]
-        for r in self.rows:
-            res = f"{r.resolution[0]}x{r.resolution[1]}"
-            lines.append(
-                f"{r.label:<28}{res:<12}{r.depth_mode:<14}"
-                f"{r.mpjpe_off[0]:>12.2f}{r.mpjpe_off[1]:>12.2f}"
-                f"{r.mpjpe_on[0]:>12.2f}{r.mpjpe_on[1]:>12.2f}")
-        return "\n".join(lines)
 
 
 def scaled_gen_config(gen_cfg: GenConfig, image_size: tuple[int, int],

@@ -10,6 +10,7 @@ from setpose.data import (
     FINGER_BONE_LENGTHS,
     GenConfig,
     SceneSample,
+    _draw_segment,
     augment,
     generate_dataset,
     generate_sample,
@@ -21,7 +22,7 @@ from setpose.data import (
     write_image,
 )
 from setpose.errors import ConfigError, FormatError
-from setpose.geometry import HandSide, xyz_to_uvd
+from setpose.geometry import CameraIntrinsics, HandSide, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
 
@@ -217,6 +218,23 @@ def test_augment_flip_rate():
     assert 160 < flips < 240
 
 
+@pytest.mark.parametrize("u, v", [(9.3, 6.6), (1.2, 14.8)], ids=["inside", "clipped"])
+def test_zero_length_segment_draws_a_gaussian_blob_in_its_window(u, v):
+    """Within _WINDOW (3) pixels of the point's bounding box, clipped to the
+    canvas, every pixel is exactly the Gaussian of its distance to (u, v);
+    outside it the canvas keeps its values."""
+    sigma = 0.8
+    canvas = np.full((16, 20), -1.0)
+    p = np.array([u, v])
+    _draw_segment(canvas, p, p.copy(), sigma)
+    rr, cc = np.mgrid[0:16, 0:20]
+    window = ((cc >= math.floor(u) - 3) & (cc <= math.ceil(u) + 3)
+              & (rr >= math.floor(v) - 3) & (rr <= math.ceil(v) + 3))
+    gauss = np.exp(-((cc - u) ** 2 + (rr - v) ** 2) / (2.0 * sigma ** 2))
+    assert np.array_equal(canvas[window], gauss[window])
+    assert np.all(canvas[~window] == -1.0)
+
+
 # -- dataset I/O ------------------------------------------------------------------
 
 def test_round_trip_bitwise(tmp_path):
@@ -235,6 +253,17 @@ def test_round_trip_bitwise(tmp_path):
             assert np.array_equal(ha.uvd.joints, hb.uvd.joints)
             assert np.array_equal(ha.xyz.joints, hb.xyz.joints)
         assert a.camera == b.camera
+
+
+def test_write_dataset_rejects_frames_with_different_cameras(tmp_path):
+    """meta.json holds one camera, so reading back would give the third frame
+    the first frame's intrinsics."""
+    near = generate_dataset(small_cfg(n_samples=1))[0]
+    wide = CameraIntrinsics(fx=18.0, fy=18.0, cx=15.0, cy=17.0, width=32.0, height=32.0)
+    far = generate_dataset(small_cfg(n_samples=1, intrinsics=wide))[0]
+    with pytest.raises(ConfigError, match="sample 2 "):
+        write_dataset([near, near, far], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
 
 
 def test_truncated_image_raises_named_format_error(tmp_path):

@@ -32,7 +32,6 @@ from setpose.nn_core import (
     numeric_gradient,
     save_checkpoint,
     scaled_dot_attention,
-    stack,
 )
 from setpose.rng import PortableRng
 
@@ -496,7 +495,7 @@ def test_getitem_concat_stack_gradients():
 
     def loss(ps):
         cat = concatenate([ps["a"], ps["b"]], axis=0)       # (6, 3)
-        picked = stack([cat[1], cat[4], cat[1]], axis=0)    # reuse row 1
+        picked = cat[[1, 4, 1]]                             # reuse row 1
         return (picked * picked).sum() + cat[0, 2] * 3.0
 
     fd_check(loss, p)
@@ -670,12 +669,15 @@ def _corrupt(manifest: dict, blob: bytes, case: str):
         blob += bytes(8)
     elif case == "bad_optimizer_step":
         manifest["optimizer_step"] = "x"
+    elif case == "duplicate_name":
+        second["name"] = first["name"]
     return manifest, blob
 
 
 @pytest.mark.parametrize("case", [
     "offset_0", "negative_offset", "no_offset", "negative_shape", "out_of_order",
-    "no_params_table", "not_an_object", "trailing_bytes", "bad_optimizer_step"])
+    "no_params_table", "not_an_object", "trailing_bytes", "bad_optimizer_step",
+    "duplicate_name"])
 def test_corrupt_checkpoint_raises_format_error(tmp_path, case):
     save_checkpoint(tmp_path / "ck", make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]))
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())

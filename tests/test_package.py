@@ -1,6 +1,7 @@
 """Package hygiene checked with the standard library alone: the public
-names resolve, no module imports a name it never uses, and numpy is the
-only third-party package the library needs."""
+names resolve, no module imports a name it never uses, every function and
+class the library defines has a reader, and numpy is the only third-party
+package the library needs."""
 
 from __future__ import annotations
 
@@ -16,6 +17,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = sorted((ROOT / "src").rglob("*.py"))
 SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 @pytest.mark.parametrize("module", ["setpose", "setpose.nn_core"])
@@ -53,6 +55,38 @@ def test_unused_import_scan_finds_a_planted_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(library: list[str], readers: list[str]) -> list[str]:
+    """Functions and classes defined in `library` (at any depth; dunders,
+    which Python calls itself, excepted) whose name no source in `readers`
+    reads as a variable or an attribute. A definition, an import and the
+    strings of __all__ are not reads."""
+    defined = {node.name for source in library for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and not (node.name.startswith("__") and node.name.endswith("__"))}
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for source in readers for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+    return sorted(defined - read)
+
+
+def test_reference_scan_finds_a_planted_definition():
+    library = ("__all__ = ['dead', 'Idle']\n"
+               "def dead(): pass\n"
+               "def live(): pass\n"
+               "class Idle:\n"
+               "    def __init__(self): pass\n"
+               "    def used(self): pass\n"
+               "    def unused(self): pass\n")
+    caller = "from lib import dead, live\nlive()\nobj.used()\n"
+    assert unreferenced_definitions([library], [library, caller]) == [
+        "Idle", "dead", "unused"]
+
+
+def test_every_library_definition_has_a_reader():
+    texts = [path.read_text() for path in SOURCES + BENCH]
+    assert unreferenced_definitions([path.read_text() for path in LIBRARY], texts) == []
 
 
 def test_library_imports_only_numpy_outside_the_standard_library():

@@ -32,15 +32,6 @@ def test_uniform_range_and_moments():
     assert abs(mean - 2.0) < 0.1  # E = 2, sd of mean ~ 0.016
 
 
-def test_normal_moments():
-    rng = PortableRng(100)
-    vals = [rng.normal() for _ in range(20000)]
-    mean = sum(vals) / len(vals)
-    var = sum((v - mean) ** 2 for v in vals) / len(vals)
-    assert abs(mean) < 0.05
-    assert abs(var - 1.0) < 0.05
-
-
 def test_bernoulli_rate():
     rng = PortableRng(101)
     hits = sum(rng.bernoulli(0.9) for _ in range(10000))

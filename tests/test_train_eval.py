@@ -80,21 +80,25 @@ def test_oracle_predictions_score_zero_with_rescaling_off_and_on():
         assert report.cls_accuracy == 1.0
 
 
-def test_predict_builds_no_graph_in_pool_threads(monkeypatch):
+def test_predict_builds_no_graph_and_keeps_index_then_side_order(monkeypatch):
     seen = []
 
     def recording(params, images, cfg):
         out = forward_batch(params, images, cfg)
-        seen.append(out.class_logits.requires_grad or out.joints_norm.requires_grad)
+        seen.append((len(images),
+                     out.class_logits.requires_grad or out.joints_norm.requires_grad))
         return out
 
     monkeypatch.setattr(train_eval, "forward_batch", recording)
     params = build_model(TINY, seed=3)
     samples = generate_dataset(GenConfig(seed=8, n_samples=5))
-    serial = train_eval.predict(params, TINY, samples, batch_size=2)
-    threaded = train_eval.predict(params, TINY, samples, threads=2, batch_size=2)
-    assert seen == [False] * 6
-    assert [p.to_dict() for p in serial] == [p.to_dict() for p in threaded]
+    preds = train_eval.predict(params, TINY, samples, batch_size=2)
+    assert seen == [(2, False), (2, False), (1, False)]
+    assert [(p.index, p.side) for p in preds] == [
+        (i, side) for i in range(5) for side in (HandSide.LEFT, HandSide.RIGHT)]
+    alone = [p for s in samples for p in train_eval.predict(params, TINY, [s])]
+    assert [(p.uvd.joints.tobytes(), p.confidence, p.predicted_present) for p in preds] == [
+        (p.uvd.joints.tobytes(), p.confidence, p.predicted_present) for p in alone]
 
 
 def test_best_checkpoint_records_the_winning_epoch(tmp_path, monkeypatch):
