@@ -23,29 +23,33 @@ normalized UVD space). The half-pixel gap between the discrete and
 continuous mirrors is accepted; it is sub-pixel and irrelevant at this
 scale.
 
-On-disk layout (format_version 1):
+On-disk layout (format_version 2):
 
     meta.json       format version, generator-config echo, intrinsics, count
-    samples.jsonl   one object per sample: id, image path, hands
+    samples.jsonl   one object per sample, in image order: id, hands
                     [{side, uvd 21x3, xyz 21x3 | null}]
-    images/<id>.imgf   magic "IMGF", u32 version, u32 H, W, C, then
-                    H*W*C little-endian float32, row-major, channel-last
+    images.npy      every image in one little-endian float32 array of
+                    shape (N, H, W, 3), in numpy's .npy format
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
-ConfigError, naming the first sample whose camera differs from sample 0's,
-rather than give that frame another camera on reading. read_dataset raises
-FormatError, naming the file (and the line of samples.jsonl), for JSON
-that does not parse or is not an object, a missing key, an unknown side or
-joints that are not 21x3.
+ConfigError, naming the first sample whose camera differs from sample 0's
+or whose image is not of the camera's size, rather than give that frame
+another camera on reading. read_dataset checks the format version before
+it reads anything else, and raises FormatError, naming the file (and the
+line of samples.jsonl), for JSON that does not parse or is not an object,
+a missing key, an unknown side, joints that are not 21x3, an images.npy
+whose header does not parse or does not describe its bytes exactly, or
+that does not hold meta.json's count of float32 images of the camera's
+size, and a samples.jsonl of another length.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from tokenize import TokenError
 
 import numpy as np
 
@@ -62,9 +66,8 @@ from .geometry import (
 from .hand_model import BONES, FINGER_SLICES
 from .rng import PortableRng
 
-IMAGE_MAGIC = b"IMGF"
-IMAGE_FORMAT_VERSION = 1
-DATASET_FORMAT_VERSION = 1
+DATASET_FORMAT_VERSION = 2
+IMAGES_NAME = "images.npy"
 
 # Canonical right-hand template: per-finger in-plane fan angle (degrees
 # from +y toward +x) and bone lengths (mm), proximal to distal.
@@ -370,33 +373,7 @@ def augment(sample: SceneSample, rng: PortableRng) -> SceneSample:
 
 # -- dataset I/O ------------------------------------------------------------------
 
-_IMG_HEADER = struct.Struct("<4sIIII")
-
-
-def write_image(path: Path, image: np.ndarray) -> None:
-    arr = np.ascontiguousarray(image, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(_IMG_HEADER.pack(IMAGE_MAGIC, IMAGE_FORMAT_VERSION,
-                                 arr.shape[0], arr.shape[1], arr.shape[2]))
-        f.write(arr.tobytes())
-
-
-def read_image(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if len(raw) < _IMG_HEADER.size:
-        raise FormatError(f"{path}: truncated image header")
-    magic, version, h, w, c = _IMG_HEADER.unpack_from(raw)
-    if magic != IMAGE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != IMAGE_FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported image format version {version}")
-    expected = _IMG_HEADER.size + h * w * c * 4
-    if len(raw) != expected:
-        raise FormatError(f"{path}: expected {expected} bytes, found {len(raw)}")
-    return np.frombuffer(raw, dtype="<f4", offset=_IMG_HEADER.size).reshape(h, w, c)
-
-
-def _sample_record(index: int, image_name: str, sample: SceneSample) -> dict:
+def _sample_record(index: int, sample: SceneSample) -> dict:
     hands = []
     for hand in sample.hands:
         hands.append({
@@ -404,7 +381,7 @@ def _sample_record(index: int, image_name: str, sample: SceneSample) -> dict:
             "uvd": hand.uvd.joints.tolist(),
             "xyz": hand.xyz.joints.tolist() if hand.xyz is not None else None,
         })
-    return {"id": index, "image": image_name, "hands": hands}
+    return {"id": index, "hands": hands}
 
 
 def write_dataset(samples: list[SceneSample], path: str | Path,
@@ -415,12 +392,16 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
         cam = gen_config.intrinsics
     else:
         raise ConfigError("cannot infer intrinsics for an empty dataset")
+    shape = (int(cam.height), int(cam.width), 3)
     for i, sample in enumerate(samples):
         if sample.camera != cam:
             raise ConfigError(f"sample {i} has camera {sample.camera}, but meta.json "
                               f"holds one camera for all samples, sample 0's {cam}")
+        if sample.image.shape != shape:
+            raise ConfigError(f"sample {i} has a {sample.image.shape} image, but its "
+                              f"camera's images are {shape}")
     path = Path(path)
-    (path / "images").mkdir(parents=True, exist_ok=True)
+    path.mkdir(parents=True, exist_ok=True)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_samples": len(samples),
@@ -428,11 +409,12 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
         "gen_config": gen_config.to_dict() if gen_config is not None else None,
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    lines = []
+    images = np.empty((len(samples),) + shape, dtype="<f4")
     for i, sample in enumerate(samples):
-        name = f"images/{i:06d}.imgf"
-        write_image(path / name, sample.image)
-        lines.append(json.dumps(_sample_record(i, name, sample), sort_keys=True))
+        images[i] = sample.image
+    np.save(path / IMAGES_NAME, images)
+    lines = [json.dumps(_sample_record(i, sample), sort_keys=True)
+             for i, sample in enumerate(samples)]
     (path / "samples.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
 
 
@@ -449,7 +431,8 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
         raise FormatError(f"{meta_path}: not a JSON object")
     if meta.get("format_version") != DATASET_FORMAT_VERSION:
         raise FormatError(f"{meta_path}: unsupported format version "
-                          f"{meta.get('format_version')!r}")
+                          f"{meta.get('format_version')!r} "
+                          f"(expected {DATASET_FORMAT_VERSION})")
     missing = [k for k in ("intrinsics", "n_samples") if k not in meta]
     if missing:
         raise FormatError(f"{meta_path}: missing keys {missing}")
@@ -458,9 +441,27 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
         raise FormatError(f"{meta_path}: n_samples must be a non-negative int, "
                           f"got {n_samples!r}")
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
-    samples = []
+    images_path = path / IMAGES_NAME
+    try:
+        with open(images_path, "rb") as f:
+            images = np.load(f, allow_pickle=False)
+            trailing = f.read(1)
+    # SyntaxError and TokenError: a header that does not parse
+    except (ValueError, EOFError, SyntaxError, TokenError) as e:
+        raise FormatError(f"{images_path}: {e}") from e
+    if trailing:  # e.g. a header length too short, which shifts every pixel
+        raise FormatError(f"{images_path}: bytes after the array its header describes")
+    expected = (n_samples, int(cam.height), int(cam.width), 3)
+    if images.dtype != np.dtype("<f4") or images.shape != expected:
+        raise FormatError(f"{images_path}: holds {images.dtype} images of shape "
+                          f"{images.shape}, meta.json promises float32 {expected}")
     jsonl_path = path / "samples.jsonl"
-    for lineno, line in enumerate(jsonl_path.read_text().splitlines(), 1):
+    lines = jsonl_path.read_text().splitlines()
+    if len(lines) != n_samples:
+        raise FormatError(f"{jsonl_path}: {len(lines)} lines, meta.json promises "
+                          f"{n_samples} samples")
+    samples = []
+    for lineno, (line, image) in enumerate(zip(lines, images), 1):
         where = f"{jsonl_path} line {lineno}"
         try:
             rec = json.loads(line)
@@ -469,15 +470,11 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
                 uvd=JointSetUVD(np.array(h["uvd"])),
                 xyz=JointSet3D(np.array(h["xyz"])) if h["xyz"] is not None else None,
             ) for h in rec["hands"])
-            samples.append(SceneSample(image=read_image(path / rec["image"]),
-                                       hands=hands, camera=cam))
+            samples.append(SceneSample(image=image, hands=hands, camera=cam))
         except KeyError as e:
             raise FormatError(f"{where}: missing key {e}") from e
         except (TypeError, ValueError, ShapeError, ConfigError) as e:
             # not JSON or not an object, an unknown side, joints that are not
             # 21x3, two hands of one side
             raise FormatError(f"{where}: {e}") from e
-    if len(samples) != n_samples:
-        raise FormatError(f"{path}: meta promises {n_samples} samples, "
-                          f"found {len(samples)}")
     return samples, meta

@@ -17,7 +17,7 @@ All functions are pure; joint arrays inside the pose types are read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -56,10 +56,7 @@ class CameraIntrinsics:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "width": self.width, "height": self.height,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "CameraIntrinsics":

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -103,15 +103,7 @@ class ScaleStats:
         return self.mean_scale_right
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "mean_scale_left": self.mean_scale_left,
-                "mean_scale_right": self.mean_scale_right,
-                "n_left": self.n_left,
-                "n_right": self.n_right,
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ScaleStats":

@@ -203,9 +203,6 @@ def is_backbone_param(name: str) -> bool:
 
 # -- forward pass ------------------------------------------------------------------
 
-_POSENC_CACHE: dict[tuple[int, int, int], np.ndarray] = {}
-
-
 def position_encoding(config: ModelConfig) -> np.ndarray:
     """Fixed 2D sinusoidal encodings, (n_tokens, embed_dim).
 
@@ -215,19 +212,16 @@ def position_encoding(config: ModelConfig) -> np.ndarray:
     """
     gh, gw = config.grid
     d = config.embed_dim
-    key = (gh, gw, d)
-    if key not in _POSENC_CACHE:
-        half = d // 2
-        n_freq = half // 2
-        freqs = 1.0 / (10000.0 ** (np.arange(n_freq) / n_freq))
-        rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
-        out = np.empty((gh, gw, d))
-        for offset, coord in ((0, rows), (half, cols)):
-            angles = coord[..., None] * freqs  # (gh, gw, n_freq)
-            out[..., offset:offset + half:2] = np.sin(angles)
-            out[..., offset + 1:offset + half:2] = np.cos(angles)
-        _POSENC_CACHE[key] = out.reshape(gh * gw, d)
-    return _POSENC_CACHE[key]
+    half = d // 2
+    n_freq = half // 2
+    freqs = 1.0 / (10000.0 ** (np.arange(n_freq) / n_freq))
+    rows, cols = np.meshgrid(np.arange(gh), np.arange(gw), indexing="ij")
+    out = np.empty((gh, gw, d))
+    for offset, coord in ((0, rows), (half, cols)):
+        angles = coord[..., None] * freqs  # (gh, gw, n_freq)
+        out[..., offset:offset + half:2] = np.sin(angles)
+        out[..., offset + 1:offset + half:2] = np.cos(angles)
+    return out.reshape(gh * gw, d)
 
 
 def patch_tokens(images: np.ndarray, config: ModelConfig) -> np.ndarray:

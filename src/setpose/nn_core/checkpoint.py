@@ -1,25 +1,24 @@
-"""Checkpoint format: JSON manifest + little-endian binary blob.
+"""Checkpoint format: JSON manifest + numpy .npz archive.
 
 A checkpoint is a directory holding
 
-  manifest.json  - format version, optimizer step, free-form "extra"
-                   payload (e.g. the model config), and the parameter
-                   table: name, shape, dtype, byte offset into the blob
-  params.bin     - magic b"PSTO", u32 little-endian format version,
-                   then the concatenated raw float64 values (little
-                   endian, C order) at the recorded offsets
+  manifest.json  - format version, optimizer step and a free-form "extra"
+                   payload (e.g. the model config)
+  params.npz     - uncompressed np.savez archive, one float64 array per
+                   parameter, stored under the parameter's name
 
-Loads validate magic, version, and that the parameter entries tile the
-blob contiguously in table order, from the end of the header to the end
-of the file (the layout save_checkpoint writes); a bad file raises
-FormatError and nothing partial is returned.
+Loads read the manifest first, so a checkpoint of another format version
+raises FormatError naming that version before any array is read. The
+archive is read with pickles refused; a member whose CRC-32 does not
+match, a truncated or non-zip archive, a member that is not a float64
+array and a name stored twice raise FormatError, and nothing partial is
+returned.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import struct
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -27,11 +26,9 @@ import numpy as np
 from ..errors import ConfigError, FormatError
 from .tensor import ParamStore
 
-MAGIC = b"PSTO"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 MANIFEST_NAME = "manifest.json"
-BLOB_NAME = "params.bin"
-_HEADER = struct.Struct("<4sI")
+ARRAYS_NAME = "params.npz"
 
 
 def save_checkpoint(
@@ -42,38 +39,21 @@ def save_checkpoint(
 ) -> None:
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    entries = []
-    offset = _HEADER.size
-    chunks = []
-    for name, tensor in params.items():
-        raw = np.ascontiguousarray(tensor.data, dtype="<f8").tobytes()
-        entries.append({
-            "name": name,
-            "shape": list(tensor.data.shape),
-            "dtype": "float64",
-            "offset": offset,
-        })
-        chunks.append(raw)
-        offset += len(raw)
     manifest = {
         "format_version": FORMAT_VERSION,
         "optimizer_step": optimizer_step,
         "extra": extra or {},
-        "params": entries,
     }
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    with open(path / BLOB_NAME, "wb") as f:
-        f.write(_HEADER.pack(MAGIC, FORMAT_VERSION))
-        for chunk in chunks:
-            f.write(chunk)
+    np.savez(path / ARRAYS_NAME, **{name: tensor.data for name, tensor in params.items()})
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
     """Returns (params, optimizer_step, extra)."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
-    blob_path = path / BLOB_NAME
-    if not manifest_path.is_file() or not blob_path.is_file():
+    arrays_path = path / ARRAYS_NAME
+    if not manifest_path.is_file():
         raise FileNotFoundError(f"no checkpoint at {path}")
     try:
         manifest = json.loads(manifest_path.read_text())
@@ -85,45 +65,29 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
         raise FormatError(
             f"{manifest_path}: unsupported format version "
             f"{manifest.get('format_version')!r} (expected {FORMAT_VERSION})")
-    blob = blob_path.read_bytes()
-    if len(blob) < _HEADER.size:
-        raise FormatError(f"{blob_path}: truncated header")
-    magic, version = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise FormatError(f"{blob_path}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{blob_path}: unsupported blob version {version}")
-    entries = manifest.get("params")
-    if not isinstance(entries, list):
-        raise FormatError(f"{manifest_path}: no parameter table")
-    params = ParamStore()
-    offset = _HEADER.size
-    for entry in entries:
-        try:
-            name, shape, start = entry["name"], tuple(entry["shape"]), entry["offset"]
-            dtype = entry["dtype"]
-        except (KeyError, TypeError) as e:
-            raise FormatError(f"{manifest_path}: malformed parameter entry {entry!r}") from e
-        if dtype != "float64":
-            raise FormatError(f"{manifest_path}: unsupported dtype {dtype!r}")
-        if not all(type(s) is int and s >= 0 for s in shape):
-            raise FormatError(f"{manifest_path}: parameter {name!r} has bad shape {shape}")
-        if type(start) is not int or start != offset:
-            raise FormatError(f"{manifest_path}: parameter {name!r} at offset {start!r}, "
-                              f"expected {offset} (entries must tile the blob)")
-        n = math.prod(shape)
-        offset += 8 * n
-        if offset > len(blob):
-            raise FormatError(
-                f"{blob_path}: parameter {name!r} extends past end of blob")
-        arr = np.frombuffer(blob, dtype="<f8", count=n, offset=start).reshape(shape)
-        try:
-            params.add(name, arr)
-        except ConfigError as e:  # a name listed twice
-            raise FormatError(f"{manifest_path}: {e}") from e
-    if offset != len(blob):
-        raise FormatError(f"{blob_path}: {len(blob) - offset} bytes after the last parameter")
     step, extra = manifest.get("optimizer_step", 0), manifest.get("extra", {})
     if type(step) is not int or not isinstance(extra, dict):
         raise FormatError(f"{manifest_path}: bad optimizer_step {step!r} or extra {extra!r}")
+    params = ParamStore()
+    try:
+        with np.load(arrays_path, allow_pickle=False) as archive:
+            # numpy reads a member only up to the end of its array, and a
+            # member comment (np.savez writes none) can swallow the next
+            # member's directory entry: check every byte's CRC-32 and that
+            # no member carries a comment
+            if (archive.zip.testzip() is not None
+                    or any(info.comment for info in archive.zip.infolist())):
+                raise FormatError(f"{arrays_path}: corrupt archive")
+            for name in archive.files:
+                arr = archive[name]  # bytes for a member that is not .npy
+                if getattr(arr, "dtype", None) != np.float64:
+                    raise FormatError(f"{arrays_path}: parameter {name!r} is not a "
+                                      f"float64 array")
+                params.add(name, arr)
+    # OSError and RuntimeError: a missing archive, or a zip directory entry
+    # with a bad offset, version, compression method or encryption flag;
+    # ConfigError: a name stored twice
+    except (zipfile.BadZipFile, ValueError, EOFError, OSError, RuntimeError,
+            ConfigError) as e:
+        raise FormatError(f"{arrays_path}: {e}") from e
     return params, step, extra

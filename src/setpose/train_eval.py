@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,10 +80,7 @@ class TrainConfig:
         return self.lr_transformer / div, self.lr_backbone / div
 
     def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in (
-            "lr_transformer", "lr_backbone", "weight_decay", "batch_size",
-            "total_epochs", "lr_drop_epoch", "lr_drop_factor", "lam_cls",
-            "lam_l1", "w_noobj", "seed")}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":

@@ -16,10 +16,8 @@ from setpose.data import (
     generate_sample,
     hflip_sample,
     read_dataset,
-    read_image,
     template_hand,
     write_dataset,
-    write_image,
 )
 from setpose.errors import ConfigError, FormatError
 from setpose.geometry import CameraIntrinsics, HandSide, xyz_to_uvd
@@ -242,7 +240,9 @@ def test_round_trip_bitwise(tmp_path):
     samples = generate_dataset(cfg)
     write_dataset(samples, tmp_path / "ds", gen_config=cfg)
     loaded, meta = read_dataset(tmp_path / "ds")
-    assert meta["format_version"] == 1
+    assert meta["format_version"] == 2
+    images = np.load(tmp_path / "ds" / "images.npy")
+    assert images.dtype == np.dtype("<f4") and images.shape == (10, 32, 32, 3)
     assert meta["gen_config"]["subject_scale_factor"] == 1.0
     assert len(loaded) == 10
     for a, b in zip(samples, loaded):
@@ -266,22 +266,80 @@ def test_write_dataset_rejects_frames_with_different_cameras(tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
+def test_write_dataset_rejects_an_image_not_of_the_camera_size(tmp_path):
+    sample = generate_dataset(small_cfg(n_samples=1))[0]
+    small = SceneSample(image=sample.image[:16], hands=sample.hands, camera=sample.camera)
+    with pytest.raises(ConfigError, match=r"sample 1 has a \(16, 32, 3\) image"):
+        write_dataset([sample, small], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
 def test_truncated_image_raises_named_format_error(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
-    victim = tmp_path / "ds" / "images" / "000001.imgf"
+    victim = tmp_path / "ds" / "images.npy"
     victim.write_bytes(victim.read_bytes()[:-10])
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
-    assert "000001.imgf" in str(err.value)
+    assert "images.npy" in str(err.value)
 
 
-def test_bad_image_magic(tmp_path):
-    write_image(tmp_path / "x.imgf", np.zeros((4, 4, 3), dtype=np.float32))
-    raw = (tmp_path / "x.imgf").read_bytes()
-    (tmp_path / "x.imgf").write_bytes(b"NOPE" + raw[4:])
-    with pytest.raises(FormatError):
-        read_image(tmp_path / "x.imgf")
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw + bytes(4),
+    lambda raw: raw[:8] + bytes([raw[8] - 4]) + raw[9:],  # data would start 4 bytes early
+    lambda raw: raw[:8] + bytes([raw[8] - 64]) + raw[9:],  # cuts the header's dict
+], ids=["trailing-bytes", "short-header-length", "cut-header"])
+def test_images_file_its_header_does_not_describe_raises_format_error(tmp_path, edit):
+    cfg = small_cfg(n_samples=2)
+    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
+    victim = tmp_path / "ds" / "images.npy"
+    victim.write_bytes(edit(victim.read_bytes()))
+    with pytest.raises(FormatError) as err:
+        read_dataset(tmp_path / "ds")
+    assert "images.npy" in str(err.value)
+
+
+@pytest.mark.parametrize("images", [
+    lambda a: a[:2],  # one image fewer than meta.json's n_samples
+    lambda a: np.concatenate([a, a[:1]]),
+    lambda a: a.astype(np.float64),
+    lambda a: a.astype(">f4"),
+    lambda a: a[:, :16],
+    lambda a: np.array([None] * 3, dtype=object),  # a pickle, never loaded
+], ids=["fewer", "more", "float64", "big-endian", "wrong-size", "pickled"])
+def test_images_that_do_not_fit_meta_raise_format_error_naming_the_file(tmp_path, images):
+    cfg = small_cfg(n_samples=3)
+    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
+    victim = tmp_path / "ds" / "images.npy"
+    np.save(victim, images(np.load(victim)))
+    with pytest.raises(FormatError) as err:
+        read_dataset(tmp_path / "ds")
+    assert "images.npy" in str(err.value)
+
+
+@pytest.mark.parametrize("edit", [lambda lines: lines + lines[:1], lambda lines: lines[:-1]],
+                         ids=["more-lines", "fewer-lines"])
+def test_sample_lines_that_do_not_fit_meta_raise_format_error(tmp_path, edit):
+    cfg = small_cfg(n_samples=3)
+    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
+    jsonl = tmp_path / "ds" / "samples.jsonl"
+    jsonl.write_text("\n".join(edit(jsonl.read_text().splitlines())) + "\n")
+    with pytest.raises(FormatError, match="samples.jsonl: .* lines, meta.json promises 3"):
+        read_dataset(tmp_path / "ds")
+
+
+def test_version_1_dataset_raises_format_error_naming_the_version(tmp_path):
+    """The layout before images.npy: one images/<id>.imgf file per image."""
+    ds = tmp_path / "ds"
+    (ds / "images").mkdir(parents=True)
+    (ds / "images" / "000000.imgf").write_bytes(b"IMGF" + bytes(16))
+    meta = {"format_version": 1, "n_samples": 1,
+            "intrinsics": small_cfg().intrinsics.to_dict(), "gen_config": None}
+    (ds / "meta.json").write_text(json.dumps(meta))
+    (ds / "samples.jsonl").write_text(
+        json.dumps({"id": 0, "image": "images/000000.imgf", "hands": []}) + "\n")
+    with pytest.raises(FormatError, match="meta.json: unsupported format version 1 "):
+        read_dataset(ds)
 
 
 def test_unknown_intrinsics_key_in_dataset_raises_config_error(tmp_path):
@@ -298,10 +356,10 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    meta["format_version"] = 2
+    meta["format_version"] = 3
     (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
-    # also corrupt an image: proves samples are never touched
-    (tmp_path / "ds" / "images" / "000000.imgf").write_bytes(b"junk")
+    # also corrupt the images: proves they are never touched
+    (tmp_path / "ds" / "images.npy").write_bytes(b"junk")
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
     assert "meta.json" in str(err.value)
@@ -313,7 +371,6 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     ("meta.json", "n_samples", lambda f: f["meta"].pop("n_samples")),
     ("meta.json", "non-negative int", lambda f: f["meta"].update(n_samples="2")),
     ("samples.jsonl line 2", "Expecting", lambda f: f["recs"].__setitem__(1, "{not json")),
-    ("samples.jsonl line 2", "image", lambda f: f["recs"][1].pop("image")),
     ("samples.jsonl line 2", "hands", lambda f: f["recs"][1].pop("hands")),
     ("samples.jsonl line 2", "side", lambda f: f["recs"][1]["hands"][0].pop("side")),
     ("samples.jsonl line 2", "uvd", lambda f: f["recs"][1]["hands"][0].pop("uvd")),
@@ -324,7 +381,7 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     ("samples.jsonl line 2", "one hand per side",
      lambda f: f["recs"][1]["hands"][1].update(side=f["recs"][1]["hands"][0]["side"])),
 ], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-n_samples-str",
-        "not-json", "no-image", "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side",
+        "not-json", "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side",
         "short-uvd", "same-side"])
 def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,
                                                                 corrupt):

@@ -27,7 +27,14 @@ from setpose.model import (
     patch_tokens,
     position_encoding,
 )
-from setpose.nn_core import ParamStore, Tensor, forward_backward, no_grad
+from setpose.nn_core import (
+    ParamStore,
+    Tensor,
+    forward_backward,
+    load_checkpoint,
+    no_grad,
+    save_checkpoint,
+)
 from setpose.rng import PortableRng
 
 TINY = ModelConfig(image_size=(32, 32), patch_size=8, embed_dim=16, n_heads=2,
@@ -194,6 +201,14 @@ def test_token_permutation_equivariance():
                        rtol=1e-9, atol=1e-12)
     assert np.allclose(base.joints_norm.data, permuted.joints_norm.data,
                        rtol=1e-9, atol=1e-12)
+
+
+def test_position_encoding_is_a_fresh_array_per_call():
+    """A caller writing into its encodings changes no other caller's."""
+    first = position_encoding(TINY)
+    expected = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(position_encoding(TINY), expected)
 
 
 def test_forward_shape_errors():
@@ -405,3 +420,12 @@ def test_float32_batch_is_bitwise_the_float64_batch():
         double = forward_batch(params, imgs.astype(np.float64), TINY)
     assert single.class_logits.data.tobytes() == double.class_logits.data.tobytes()
     assert single.joints_norm.data.tobytes() == double.joints_norm.data.tobytes()
+
+
+def test_default_model_checkpoint_round_trip_is_bitwise(tmp_path):
+    params = build_model(ModelConfig(), 3)
+    save_checkpoint(tmp_path / "ck", params)
+    loaded, _, _ = load_checkpoint(tmp_path / "ck")
+    assert loaded.names() == params.names()
+    for name, tensor in params.items():
+        assert loaded[name].data.tobytes() == tensor.data.tobytes(), name

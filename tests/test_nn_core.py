@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import warnings
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -621,12 +624,24 @@ def test_checkpoint_round_trip(tmp_path):
         assert np.array_equal(loaded[name].data, tensor.data)
 
 
+def test_checkpoint_is_a_manifest_and_one_float64_array_per_parameter(tmp_path):
+    save_checkpoint(tmp_path / "ck", make_store(**{"enc.w": [[1.0, 2.0]], "enc.b": [3.0]}),
+                    optimizer_step=7)
+    assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json",
+                                                                   "params.npz"]
+    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
+    assert manifest == {"format_version": 2, "optimizer_step": 7, "extra": {}}
+    with np.load(tmp_path / "ck" / "params.npz", allow_pickle=False) as archive:
+        assert sorted(archive.files) == ["enc.b", "enc.w"]
+        assert archive["enc.w"].dtype == np.float64 and archive["enc.w"].shape == (1, 2)
+
+
 def test_checkpoint_bad_magic(tmp_path):
-    p = make_store(w=[1.0, 2.0])
-    save_checkpoint(tmp_path / "ck", p)
-    blob = (tmp_path / "ck" / "params.bin").read_bytes()
-    (tmp_path / "ck" / "params.bin").write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FormatError):
+    """params.npz that is not a zip archive."""
+    save_checkpoint(tmp_path / "ck", make_store(w=[1.0, 2.0]))
+    blob = (tmp_path / "ck" / "params.npz").read_bytes()
+    (tmp_path / "ck" / "params.npz").write_bytes(b"XXXX" + blob[4:])
+    with pytest.raises(FormatError, match="params.npz"):
         load_checkpoint(tmp_path / "ck")
 
 
@@ -640,52 +655,101 @@ def test_checkpoint_unknown_version(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
+def test_version_1_checkpoint_raises_format_error_naming_the_version(tmp_path):
+    """The layout before params.npz: a parameter table in the manifest and a
+    PSTO blob in params.bin."""
+    (tmp_path / "ck").mkdir()
+    manifest = {"format_version": 1, "optimizer_step": 0, "extra": {},
+                "params": [{"name": "w", "shape": [1], "dtype": "float64", "offset": 8}]}
+    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+    (tmp_path / "ck" / "params.bin").write_bytes(b"PSTO\x01\x00\x00\x00" + bytes(8))
+    with pytest.raises(FormatError, match="unsupported format version 1 "):
+        load_checkpoint(tmp_path / "ck")
+
+
 def test_checkpoint_truncated_blob(tmp_path):
     p = make_store(w=np.arange(16.0))
     save_checkpoint(tmp_path / "ck", p)
-    blob = (tmp_path / "ck" / "params.bin").read_bytes()
-    (tmp_path / "ck" / "params.bin").write_bytes(blob[:-8])
+    blob = (tmp_path / "ck" / "params.npz").read_bytes()
+    (tmp_path / "ck" / "params.npz").write_bytes(blob[:-8])
+    with pytest.raises(FormatError, match="params.npz"):
+        load_checkpoint(tmp_path / "ck")
+
+
+def _with_member(archive: Path, name: str, array: np.ndarray) -> None:
+    """Append one more .npy member to an existing archive."""
+    with zipfile.ZipFile(archive, "a") as zf, warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # zipfile warns on a name stored twice
+        with zf.open(name + ".npy", "w") as f:
+            np.lib.format.write_array(f, array, allow_pickle=True)
+
+
+def _corrupt(ck: Path, case: str) -> None:
+    manifest_path, archive = ck / "manifest.json", ck / "params.npz"
+    manifest = json.loads(manifest_path.read_text())
+    if case == "not_an_object":
+        manifest = [manifest]
+    elif case == "bad_optimizer_step":
+        manifest["optimizer_step"] = "x"
+    elif case == "duplicate_name":
+        _with_member(archive, "a", np.array([5.0, 6.0]))
+    elif case == "flipped_byte":  # the last payload byte of a = [1.0, 2.0]
+        raw = bytearray(archive.read_bytes())
+        raw[raw.index(np.array([1.0, 2.0]).tobytes()) + 15] ^= 0x01
+        archive.write_bytes(bytes(raw))
+    elif case == "float32_member":
+        _with_member(archive, "c", np.array([1.0], dtype=np.float32))
+    elif case == "object_member":
+        _with_member(archive, "c", np.array([None], dtype=object))
+    elif case == "no_archive":
+        archive.unlink()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+@pytest.mark.parametrize("case", [
+    "not_an_object", "bad_optimizer_step", "duplicate_name", "flipped_byte",
+    "float32_member", "object_member", "no_archive"])
+def test_corrupt_checkpoint_raises_format_error(tmp_path, case):
+    save_checkpoint(tmp_path / "ck", make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]))
+    _corrupt(tmp_path / "ck", case)
     with pytest.raises(FormatError):
         load_checkpoint(tmp_path / "ck")
 
 
-def _corrupt(manifest: dict, blob: bytes, case: str):
-    first, second = manifest["params"]
-    if case == "offset_0":  # the first weight would be read from the magic
-        first["offset"] = 0
-    elif case == "negative_offset":
-        first["offset"] = -8
-    elif case == "no_offset":
-        del first["offset"]
-    elif case == "negative_shape":
-        first["shape"] = [-2]
-    elif case == "out_of_order":
-        first["offset"], second["offset"] = second["offset"], first["offset"]
-    elif case == "no_params_table":
-        del manifest["params"]
-    elif case == "not_an_object":
-        manifest = [manifest]
-    elif case == "trailing_bytes":
-        blob += bytes(8)
-    elif case == "bad_optimizer_step":
-        manifest["optimizer_step"] = "x"
-    elif case == "duplicate_name":
-        second["name"] = first["name"]
-    return manifest, blob
+def test_every_flipped_bit_of_params_npz_raises_or_loads_equal_params(tmp_path):
+    """One flipped bit anywhere in the archive (payload, .npy headers, zip
+    headers, central directory) either raises FormatError or leaves every
+    loaded parameter bitwise equal, e.g. a flipped timestamp."""
+    p = make_store(**{"enc.w": np.arange(20.0).reshape(4, 5), "enc.b": np.arange(5.0) / 3})
+    save_checkpoint(tmp_path / "ck", p)
+    archive = tmp_path / "ck" / "params.npz"
+    raw = archive.read_bytes()
+    equal = 0
+    for i in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[i] ^= 1 << (i % 8)
+        archive.write_bytes(bytes(flipped))
+        try:
+            loaded, _, _ = load_checkpoint(tmp_path / "ck")
+        except FormatError:
+            continue
+        assert loaded.names() == p.names(), i
+        for name, tensor in p.items():
+            assert loaded[name].data.shape == tensor.data.shape, (i, name)
+            assert loaded[name].data.tobytes() == tensor.data.tobytes(), (i, name)
+        equal += 1
+    assert 0 < equal < len(raw) // 2
 
 
-@pytest.mark.parametrize("case", [
-    "offset_0", "negative_offset", "no_offset", "negative_shape", "out_of_order",
-    "no_params_table", "not_an_object", "trailing_bytes", "bad_optimizer_step",
-    "duplicate_name"])
-def test_corrupt_checkpoint_raises_format_error(tmp_path, case):
-    save_checkpoint(tmp_path / "ck", make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]))
-    manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    blob = (tmp_path / "ck" / "params.bin").read_bytes()
-    manifest, blob = _corrupt(manifest, blob, case)
-    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
-    (tmp_path / "ck" / "params.bin").write_bytes(blob)
-    with pytest.raises(FormatError):
+def test_changed_shape_in_a_large_member_header_raises_format_error(tmp_path):
+    """numpy stops reading a member at the end of the array its header
+    describes, so a shrunk shape alone would read short without a CRC check."""
+    save_checkpoint(tmp_path / "ck", make_store(w=np.arange(20000.0).reshape(400, 50)))
+    archive = tmp_path / "ck" / "params.npz"
+    raw = archive.read_bytes()
+    assert raw.count(b"(400, 50)") == 1
+    archive.write_bytes(raw.replace(b"(400, 50)", b"(400, 40)"))
+    with pytest.raises(FormatError, match="corrupt archive"):
         load_checkpoint(tmp_path / "ck")
 
 

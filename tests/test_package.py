@@ -1,7 +1,8 @@
 """Package hygiene checked with the standard library alone: the public
 names resolve, no module imports a name it never uses, every function and
-class the library defines has a reader, and numpy is the only third-party
-package the library needs."""
+class the library defines has a reader, every console script pyproject.toml
+declares resolves, and numpy is the only third-party package the library
+needs."""
 
 from __future__ import annotations
 
@@ -87,6 +88,14 @@ def test_reference_scan_finds_a_planted_definition():
 def test_every_library_definition_has_a_reader():
     texts = [path.read_text() for path in SOURCES + BENCH]
     assert unreferenced_definitions([path.read_text() for path in LIBRARY], texts) == []
+
+
+def test_every_declared_script_target_imports():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    for script, target in project.get("scripts", {}).items():
+        module, _, attr = target.partition(":")
+        assert callable(getattr(importlib.import_module(module), attr)), script
 
 
 def test_library_imports_only_numpy_outside_the_standard_library():
