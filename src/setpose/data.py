@@ -23,9 +23,10 @@ normalized UVD space). The half-pixel gap between the discrete and
 continuous mirrors is accepted; it is sub-pixel and irrelevant at this
 scale.
 
-On-disk layout (format_version 2):
+On-disk layout (format_version 3):
 
-    meta.json       format version, generator-config echo, intrinsics, count
+    meta.json       format version, generator-config echo, intrinsics, count,
+                    and the SHA-256 of images.npy
     samples.jsonl   one object per sample, in image order: id, hands
                     [{side, uvd 21x3, xyz 21x3 | null}]
     images.npy      every image in one little-endian float32 array of
@@ -40,11 +41,13 @@ line of samples.jsonl), for JSON that does not parse or is not an object,
 a missing key, an unknown side, joints that are not 21x3, an images.npy
 whose header does not parse or does not describe its bytes exactly, or
 that does not hold meta.json's count of float32 images of the camera's
-size, and a samples.jsonl of another length.
+size or whose SHA-256 is not meta.json's, and a samples.jsonl of another
+length.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -66,7 +69,7 @@ from .geometry import (
 from .hand_model import BONES, FINGER_SLICES
 from .rng import PortableRng
 
-DATASET_FORMAT_VERSION = 2
+DATASET_FORMAT_VERSION = 3
 IMAGES_NAME = "images.npy"
 
 # Canonical right-hand template: per-finger in-plane fan angle (degrees
@@ -384,6 +387,14 @@ def _sample_record(index: int, sample: SceneSample) -> dict:
     return {"id": index, "hands": hands}
 
 
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_dataset(samples: list[SceneSample], path: str | Path,
                   gen_config: GenConfig | None = None) -> None:
     if samples:
@@ -402,17 +413,18 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
                               f"camera's images are {shape}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
+    images = np.empty((len(samples),) + shape, dtype="<f4")
+    for i, sample in enumerate(samples):
+        images[i] = sample.image
+    np.save(path / IMAGES_NAME, images)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_samples": len(samples),
         "intrinsics": cam.to_dict(),
         "gen_config": gen_config.to_dict() if gen_config is not None else None,
+        "images_sha256": _sha256(path / IMAGES_NAME),
     }
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    images = np.empty((len(samples),) + shape, dtype="<f4")
-    for i, sample in enumerate(samples):
-        images[i] = sample.image
-    np.save(path / IMAGES_NAME, images)
     lines = [json.dumps(_sample_record(i, sample), sort_keys=True)
              for i, sample in enumerate(samples)]
     (path / "samples.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
@@ -433,7 +445,7 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
         raise FormatError(f"{meta_path}: unsupported format version "
                           f"{meta.get('format_version')!r} "
                           f"(expected {DATASET_FORMAT_VERSION})")
-    missing = [k for k in ("intrinsics", "n_samples") if k not in meta]
+    missing = [k for k in ("intrinsics", "n_samples", "images_sha256") if k not in meta]
     if missing:
         raise FormatError(f"{meta_path}: missing keys {missing}")
     n_samples = meta["n_samples"]
@@ -455,6 +467,9 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
     if images.dtype != np.dtype("<f4") or images.shape != expected:
         raise FormatError(f"{images_path}: holds {images.dtype} images of shape "
                           f"{images.shape}, meta.json promises float32 {expected}")
+    if _sha256(images_path) != meta["images_sha256"]:
+        raise FormatError(f"{images_path}: SHA-256 differs from meta.json's "
+                          f"{meta['images_sha256']!r}")
     jsonl_path = path / "samples.jsonl"
     lines = jsonl_path.read_text().splitlines()
     if len(lines) != n_samples:

@@ -87,10 +87,10 @@ class ScaleStats:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
                 raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
-        if self.n_left > 0 and not self.mean_scale_left > 0:
-            raise ConfigError("mean_scale_left must be > 0 when n_left > 0")
-        if self.n_right > 0 and not self.mean_scale_right > 0:
-            raise ConfigError("mean_scale_right must be > 0 when n_right > 0")
+        if self.n_left > 0 and not 0 < self.mean_scale_left < math.inf:
+            raise ConfigError("mean_scale_left must be finite and > 0 when n_left > 0")
+        if self.n_right > 0 and not 0 < self.mean_scale_right < math.inf:
+            raise ConfigError("mean_scale_right must be finite and > 0 when n_right > 0")
 
     def mean_for(self, side: HandSide) -> float:
         """Target scale for one side: that side's own training mean."""
@@ -109,7 +109,8 @@ class ScaleStats:
     def from_json(cls, text: str) -> "ScaleStats":
         """Raises FormatError for invalid JSON and ConfigError for unknown
         or missing keys, a mean that is not a number, a count that is not a
-        non-negative int, or a non-positive mean of a non-empty side."""
+        non-negative int, or a non-positive or non-finite mean of a non-empty
+        side."""
         try:
             d = json.loads(text)
         except json.JSONDecodeError as e:
@@ -145,8 +146,8 @@ def rescale_depth(pose: JointSetUVD, cam: CameraIntrinsics,
     unprojection the resulting 3D pose is exactly k times the original one
     with k = target_scale / current scale, so reprojection is unchanged.
     """
-    if not target_scale > 0:
-        raise NonPositiveScale(f"target_scale must be > 0, got {target_scale}")
+    if not 0 < target_scale < math.inf:
+        raise NonPositiveScale(f"target_scale must be finite and > 0, got {target_scale}")
     current = hand_scale(uvd_to_xyz(pose, cam))
     k = target_scale / current
     out = pose.joints.copy()

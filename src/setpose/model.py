@@ -242,7 +242,7 @@ def patch_tokens(images: np.ndarray, config: ModelConfig) -> np.ndarray:
 def _attention_block(params: ParamStore, name: str, q: Tensor, kv: Tensor,
                      n_heads: int) -> Tensor:
     return multi_head_attention(
-        q, kv, kv,
+        q, kv,
         params[f"{name}.wq"], params[f"{name}.bq"],
         params[f"{name}.wk"], params[f"{name}.bk"],
         params[f"{name}.wv"], params[f"{name}.bv"],

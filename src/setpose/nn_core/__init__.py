@@ -16,7 +16,6 @@ from .layers import (
     linear,
     mlp2,
     multi_head_attention,
-    scaled_dot_attention,
 )
 from .optim import OptimState, adamw_step, init_optim_state
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -42,5 +41,4 @@ __all__ = [
     "no_grad",
     "numeric_gradient",
     "save_checkpoint",
-    "scaled_dot_attention",
 ]

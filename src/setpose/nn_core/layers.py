@@ -4,7 +4,7 @@ All layers are pure functions of (inputs, explicit weight tensors); the
 caller owns the parameters. Shapes follow the (batch, tokens, features)
 convention.
 
-`linear`, `layer_norm`, `mlp2` and `scaled_dot_attention` are each one
+`linear`, `layer_norm`, `mlp2` and `multi_head_attention` are each one
 graph node with a closed-form backward. Each forward writes its arithmetic
 into buffers it allocates itself (`y = x @ w; y += b`, `np.exp(s, out=s)`)
 instead of one fresh array per elementwise step, which keeps large
@@ -14,13 +14,16 @@ each backward keeps, beyond its operands:
     linear                nothing
     layer_norm            xh = (x - mean) / s and s
     mlp2                  h, the ReLU output
-    scaled_dot_attention  the attention weights
+    multi_head_attention  the q, k and v head views of the projections,
+                          the attention weights a and the merged heads
 
 An in-place ufunc rounds each element exactly as the out-of-place one
 does, and every reduction runs over an array of the same values and memory
 layout, so each forward is bitwise the Tensor-op composition it replaces.
 The backward evaluates the same numpy expressions that composition's
-backward would, so gradients are bitwise equal too.
+backward would, so gradients are bitwise equal too, up to the order in
+which the consumers of one input add their contributions to its gradient
+(attention's q, k and v projections of a shared input add in that order).
 """
 
 from __future__ import annotations
@@ -124,74 +127,72 @@ def mlp2(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return out
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q k^T / sqrt(d)) v over the last two axes, as one graph node.
-
-    q: (..., Tq, d), k: (..., Tk, d), v: (..., Tk, dv), with the same
-    leading axes. The (..., Tq, Tk) score buffer is scaled, max-shifted,
-    exponentiated and normalised in place and kept as the attention
-    weights a. With ga = g v^T, the
-    softmax backward is a * (ga - sum(ga * a)) over Tk; the shift is a
-    constant, so the closed form is exact.
-    """
-    scale = 1.0 / np.sqrt(q.data.shape[-1])
-    a = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
-    a *= scale
-    a -= a.max(axis=-1, keepdims=True)
-    np.exp(a, out=a)
-    a /= a.sum(axis=-1, keepdims=True)
-    out = Tensor(np.matmul(a, v.data), _parents=(q, k, v))
-    if out.requires_grad:
-        def bw(g):
-            if v.requires_grad:
-                v._accum(np.matmul(np.swapaxes(a, -1, -2), g))
-            if q.requires_grad or k.requires_grad:
-                ga = np.matmul(g, np.swapaxes(v.data, -1, -2))
-                gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
-                gs *= scale
-                if q.requires_grad:
-                    q._accum(np.matmul(gs, k.data))
-                if k.requires_grad:
-                    k._accum(np.swapaxes(
-                        np.matmul(np.swapaxes(q.data, -1, -2), gs), -1, -2))
-        out._backward = bw
-    return out
-
-
 def multi_head_attention(
     queries: Tensor,
-    keys: Tensor,
-    values: Tensor,
+    memory: Tensor,
     wq: Tensor, bq: Tensor,
     wk: Tensor, bk: Tensor,
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
     n_heads: int,
 ) -> Tensor:
-    """Scaled dot-product attention over n_heads subspaces.
+    """Multi-head attention of queries (B, Tq, D) over memory (B, Tk, D), as
+    one graph node; the output has the query shape.
 
-    queries: (B, Tq, D), keys/values: (B, Tk, D). Per head:
-    softmax(Q K^T / sqrt(d_head)) V; heads are concatenated and passed
-    through the output projection. Output shape equals the query shape.
+    q = queries @ wq + bq, and k and v project memory alike; each is split
+    into n_heads views (B, heads, T, D / heads) of its buffer. Per head,
+    softmax(q k^T / sqrt(d_head)) v: the score buffer is scaled, max-shifted,
+    exponentiated and normalised in place and kept as the weights a. The
+    heads are merged into (B, Tq, D) and passed through wo, bo. With
+    ga = g v^T, the softmax backward is a * (ga - sum(ga * a)) over Tk; the
+    shift is a constant, so the closed form is exact.
     """
-    if not queries.data.ndim == keys.data.ndim == values.data.ndim == 3:
+    if not queries.data.ndim == memory.data.ndim == 3:
         raise ShapeError("attention inputs must be (batch, tokens, features)")
-    d_model = queries.shape[-1]
+    b, tq, d_model = queries.shape
     if d_model % n_heads != 0:
         raise ShapeError(f"embed dim {d_model} not divisible by {n_heads} heads")
-    if keys.shape[-1] != d_model or values.shape[-1] != d_model:
-        raise ShapeError("queries/keys/values feature dims must match")
+    if memory.shape[0] != b or memory.shape[-1] != d_model:
+        raise ShapeError(f"memory {memory.shape} does not fit queries {queries.shape}")
     d_head = d_model // n_heads
-    b, tq = queries.shape[0], queries.shape[1]
-    tk = keys.shape[1]
 
-    def split_heads(t: Tensor, tlen: int) -> Tensor:
-        return t.reshape((b, tlen, n_heads, d_head)).transpose((0, 2, 1, 3))
+    def split(x: np.ndarray) -> np.ndarray:  # (B, T, D) -> (B, heads, T, d_head)
+        return x.reshape(b, x.shape[1], n_heads, d_head).transpose(0, 2, 1, 3)
 
-    q = split_heads(linear(queries, wq, bq), tq)
-    k = split_heads(linear(keys, wk, bk), tk)
-    v = split_heads(linear(values, wv, bv), tk)
+    def merge(x: np.ndarray) -> np.ndarray:  # (B, heads, T, d_head) -> (B, T, D)
+        # always a C-ordered copy: the bias-gradient sums round by layout
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, x.shape[2], d_model)
 
-    mixed = scaled_dot_attention(q, k, v)  # (b, heads, tq, d_head)
-    merged = mixed.transpose((0, 2, 1, 3)).reshape((b, tq, d_model))
-    return linear(merged, wo, bo)
+    def project(x: Tensor, w: Tensor, bias: Tensor) -> np.ndarray:
+        y = np.matmul(x.data, w.data)
+        y += bias.data
+        return split(y)
+
+    q, k, v = project(queries, wq, bq), project(memory, wk, bk), project(memory, wv, bv)
+    scale = 1.0 / np.sqrt(d_head)
+    a = np.matmul(q, np.swapaxes(k, -1, -2))
+    a *= scale
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
+    merged = merge(np.matmul(a, v))
+    y = np.matmul(merged, wo.data)
+    y += bo.data
+    out = Tensor(y, _parents=(queries, memory, wq, bq, wk, bk, wv, bv, wo, bo))
+    if out.requires_grad:
+        def bw(g):  # every input gradient; _accum_linear routes what is needed
+            gm, gwo = _shared_weight_grads(merged, wo.data, g, True, wo.requires_grad)
+            if wo.requires_grad:
+                wo._accum(gwo)
+            if bo.requires_grad:
+                bo._accum(_unbroadcast(g, bo.data.shape))
+            gh = split(gm)
+            ga = np.matmul(gh, np.swapaxes(v, -1, -2))
+            gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
+            gs *= scale
+            _accum_linear(queries, wq, bq, merge(np.matmul(gs, k)))
+            _accum_linear(memory, wk, bk, merge(
+                np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)))
+            _accum_linear(memory, wv, bv, merge(np.matmul(np.swapaxes(a, -1, -2), gh)))
+        out._backward = bw
+    return out

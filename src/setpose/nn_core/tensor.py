@@ -26,14 +26,14 @@ pairwise sums and the BLAS transpose flags depend on that layout, so
 gradients round as they would in a zero-filled buffer of data's layout.
 
 When a stacked operand meets a shared 2-D weight, (..., K) @ (K, N), the
-backward (`_shared_weight_grads`, also called by the fused layers) folds
-the batch axes into GEMM rows: two 2-D products give the input gradient
-and the weight gradient, in place of one GEMM per batch entry, a
-(B, K, N) temporary and a sum over the batch. The forward stays
-one stacked np.matmul: a single 2-D forward GEMM would change the rows each
-BLAS call sees, and with them the rounding of an image's output depending
-on its batch, which breaks the bitwise match between a batched forward and
-single-image forwards.
+backward (`_shared_weight_grads`, also called by `linear`, `mlp2` and
+`multi_head_attention`) folds the batch axes into GEMM rows: two 2-D
+products give the input gradient and the weight gradient, in place of one
+GEMM per batch entry, a (B, K, N) temporary and a sum over the batch. The
+forward stays one stacked np.matmul: a single 2-D forward GEMM would change
+the rows each BLAS call sees, and with them the rounding of an image's
+output depending on its batch, which breaks the bitwise match between a
+batched forward and single-image forwards.
 """
 
 from __future__ import annotations
@@ -274,11 +274,6 @@ class Tensor:
             out._backward = bw
         return out
 
-    def mean(self, axis=None, keepdims: bool = False):
-        count = self.data.size if axis is None else np.prod(
-            [self.data.shape[a] for a in np.atleast_1d(axis)])
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
-
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -359,9 +354,6 @@ class ParamStore:
     def items(self):
         for name in self.names():
             yield name, self._params[name]
-
-    def n_scalars(self) -> int:
-        return sum(t.data.size for t in self._params.values())
 
     def zero_grad(self) -> None:
         for t in self._params.values():

@@ -240,7 +240,7 @@ def test_round_trip_bitwise(tmp_path):
     samples = generate_dataset(cfg)
     write_dataset(samples, tmp_path / "ds", gen_config=cfg)
     loaded, meta = read_dataset(tmp_path / "ds")
-    assert meta["format_version"] == 2
+    assert meta["format_version"] == 3
     images = np.load(tmp_path / "ds" / "images.npy")
     assert images.dtype == np.dtype("<f4") and images.shape == (10, 32, 32, 3)
     assert meta["gen_config"]["subject_scale_factor"] == 1.0
@@ -342,6 +342,29 @@ def test_version_1_dataset_raises_format_error_naming_the_version(tmp_path):
         read_dataset(ds)
 
 
+def test_version_2_dataset_raises_format_error_naming_the_version(tmp_path):
+    """The layout before meta.json recorded the SHA-256 of images.npy."""
+    cfg = small_cfg(n_samples=1)
+    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
+    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
+    del meta["images_sha256"]
+    meta["format_version"] = 2
+    (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+    with pytest.raises(FormatError, match="meta.json: unsupported format version 2 "):
+        read_dataset(tmp_path / "ds")
+
+
+def test_a_flipped_pixel_bit_raises_format_error_naming_images(tmp_path):
+    cfg = small_cfg(n_samples=2)
+    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
+    victim = tmp_path / "ds" / "images.npy"
+    raw = bytearray(victim.read_bytes())
+    raw[-100] ^= 0x01  # the low mantissa bit of a pixel of the second image
+    victim.write_bytes(bytes(raw))
+    with pytest.raises(FormatError, match="images.npy: SHA-256"):
+        read_dataset(tmp_path / "ds")
+
+
 def test_unknown_intrinsics_key_in_dataset_raises_config_error(tmp_path):
     cfg = small_cfg(n_samples=1)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
@@ -356,7 +379,7 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    meta["format_version"] = 3
+    meta["format_version"] = 4
     (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
     # also corrupt the images: proves they are never touched
     (tmp_path / "ds" / "images.npy").write_bytes(b"junk")
@@ -369,6 +392,7 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     ("meta.json", "object", lambda f: f.update(meta=[])),
     ("meta.json", "intrinsics", lambda f: f["meta"].pop("intrinsics")),
     ("meta.json", "n_samples", lambda f: f["meta"].pop("n_samples")),
+    ("meta.json", "images_sha256", lambda f: f["meta"].pop("images_sha256")),
     ("meta.json", "non-negative int", lambda f: f["meta"].update(n_samples="2")),
     ("samples.jsonl line 2", "Expecting", lambda f: f["recs"].__setitem__(1, "{not json")),
     ("samples.jsonl line 2", "hands", lambda f: f["recs"][1].pop("hands")),
@@ -380,7 +404,8 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
      lambda f: f["recs"][1]["hands"][0].update(uvd=f["recs"][1]["hands"][0]["uvd"][:20])),
     ("samples.jsonl line 2", "one hand per side",
      lambda f: f["recs"][1]["hands"][1].update(side=f["recs"][1]["hands"][0]["side"])),
-], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-n_samples-str",
+], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-sha256",
+        "meta-n_samples-str",
         "not-json", "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side",
         "short-uvd", "same-side"])
 def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,

@@ -157,6 +157,13 @@ def test_rescale_scales_3d_pose_uniformly(cam):
     assert np.allclose(after.joints, k * before.joints, rtol=1e-9, atol=0.0)
 
 
+@pytest.mark.parametrize("target", [math.inf, math.nan])
+def test_rescale_rejects_a_non_finite_target(cam, target):
+    pose = xyz_to_uvd(constant_bone_pose(40.0), cam)
+    with pytest.raises(NonPositiveScale):
+        rescale_depth(pose, cam, target)
+
+
 def test_rescale_errors(cam):
     pose = xyz_to_uvd(constant_bone_pose(40.0), cam)
     with pytest.raises(NonPositiveScale):
@@ -188,6 +195,16 @@ def test_scale_stats_json_round_trip():
         ScaleStats.from_json(json.dumps({**payload, "mean_scale_left": 0.0}))
     with pytest.raises(ConfigError, match="n_left"):  # a count that is a string
         ScaleStats.from_json(json.dumps({**payload, "n_left": "3"}))
+
+
+@pytest.mark.parametrize("mean", ["Infinity", "-Infinity", "NaN"])
+def test_scale_stats_reject_a_non_finite_mean_of_a_non_empty_side(mean):
+    text = ('{"mean_scale_left": 40.25, "mean_scale_right": %s, "n_left": 100, "n_right": 90}'
+            % mean)
+    with pytest.raises(ConfigError, match="mean_scale_right"):
+        ScaleStats.from_json(text)
+    empty_right = text.replace('"n_right": 90', '"n_right": 0')
+    assert ScaleStats.from_json(empty_right).n_right == 0  # an empty side's mean is unused
 
 
 def test_scale_stats_mean_for_uses_the_sides_own_mean():

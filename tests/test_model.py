@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -116,10 +117,13 @@ def test_build_model_weights_do_not_depend_on_other_layers():
         assert tensor.data.tobytes() == two[name].data.tobytes(), name
 
 
+def n_scalars(params: ParamStore) -> int:
+    return sum(t.data.size for _, t in params.items())
+
+
 def test_param_count_grows_with_embed_dim():
-    small = build_model(TINY, seed=0).n_scalars()
-    bigger = build_model(ModelConfig(**{**TINY.to_dict(), "embed_dim": 32}),
-                         seed=0).n_scalars()
+    small = n_scalars(build_model(TINY, seed=0))
+    bigger = n_scalars(build_model(ModelConfig(**{**TINY.to_dict(), "embed_dim": 32}), seed=0))
     assert bigger > small
 
 
@@ -141,7 +145,7 @@ def test_param_count_matches_hand_tally():
         + (d * d + d) + (d * 3 + 3)               # class head MLP
         + (d * d + d) + (d * 63 + 63)             # joints head MLP
     )
-    assert build_model(TINY, seed=1).n_scalars() == expected
+    assert n_scalars(build_model(TINY, seed=1)) == expected
 
 
 # -- forward ----------------------------------------------------------------
@@ -393,6 +397,34 @@ def test_forward_and_backward_leave_no_cyclic_garbage():
     finally:
         if was_enabled:
             gc.enable()
+
+
+def graph_census(root: Tensor) -> Counter:
+    """Count the nodes behind root by the function that made them, read off
+    each node's backward closure (e.g. 'Tensor.reshape', 'linear')."""
+    census, seen, stack = Counter(), set(), [root]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._backward is None:
+            continue
+        seen.add(id(node))
+        census[node._backward.__qualname__.split(".<locals>")[0]] += 1
+        stack.extend(node._parents)
+    return census
+
+
+def test_training_graph_has_one_node_per_attention_block():
+    params = build_model(TINY, seed=15)
+    rng = PortableRng(104)
+    imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
+    gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))], []]
+    det = forward_batch(params, imgs, TINY)
+    costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data, gts)
+    loss = set_loss(det.class_logits, det.joints_norm, gts, hungarian(costs)).total
+    census = graph_census(loss)
+    assert census["multi_head_attention"] == TINY.n_encoder_layers + 2 * TINY.n_decoder_layers
+    assert census["Tensor.reshape"] == census["Tensor.transpose"] == 0
+    assert census["linear"] == 1  # the patch embedding; attention projects inside its node
 
 
 def test_no_grad_forward_is_bitwise_equal_and_builds_no_graph():

@@ -34,7 +34,6 @@ from setpose.nn_core import (
     no_grad,
     numeric_gradient,
     save_checkpoint,
-    scaled_dot_attention,
 )
 from setpose.rng import PortableRng
 
@@ -66,16 +65,19 @@ def test_square_gradient_exact():
 
 
 def attention_weights(z: Tensor) -> Tensor:
-    """Softmax of scores z (..., T) through the attention core. With k and v
-    the T x T identity, q k^T = q, so q = z * sqrt(T) gives the scores z (up
-    to the rounding of the scale) and the output is the weight matrix."""
-    eye = Tensor(np.eye(z.shape[-1]))
-    return scaled_dot_attention(z * np.sqrt(z.shape[-1]), eye, eye)
+    """Softmax of scores z (1, R, T) through one attention head with identity
+    projections and zero biases. With the T x T identity as memory, k and v
+    are the identity, so queries z * sqrt(T) give the scores z (up to the
+    rounding of the scale) and the output is the weight matrix."""
+    t = z.shape[-1]
+    eye, zero = Tensor(np.eye(t)), Tensor(np.zeros(t))
+    return multi_head_attention(z * np.sqrt(t), Tensor(np.eye(t)[None]),
+                                eye, zero, eye, zero, eye, zero, eye, zero, n_heads=1)
 
 
 def test_softmax_sum_has_zero_gradient():
     p = ParamStore()
-    p.add("z", np.array([[0.3, -1.2, 2.0, 0.0]]))
+    p.add("z", np.array([[[0.3, -1.2, 2.0, 0.0]]]))
     loss, grads = forward_backward(lambda ps: attention_weights(ps["z"]).sum(), p)
     assert abs(loss - 1.0) < 1e-12
     assert np.abs(grads["z"]).max() < 1e-12
@@ -191,18 +193,18 @@ def test_layer_norm_statistics():
 
 def test_softmax_rows_sum_to_one_and_stable():
     rng = PortableRng(64)
-    z = Tensor(rand(rng, 5, 7, lo=-30, hi=30))
+    z = Tensor(rand(rng, 1, 5, 7, lo=-30, hi=30))
     s = attention_weights(z).data
     assert np.all(s > 0) and np.all(s < 1)
     assert np.abs(s.sum(axis=-1) - 1.0).max() < 1e-12
-    big = attention_weights(Tensor(np.array([[1000.0, 0.0], [-1000.0, 0.0]]))).data
+    big = attention_weights(Tensor(np.array([[[1000.0, 0.0], [-1000.0, 0.0]]]))).data
     assert np.isfinite(big).all()
-    assert abs(big[0, 0] - 1.0) < 1e-12 and abs(big[1, 1] - 1.0) < 1e-12
+    assert abs(big[0, 0, 0] - 1.0) < 1e-12 and abs(big[0, 1, 1] - 1.0) < 1e-12
 
 
 def test_softmax_shift_invariance():
     rng = PortableRng(65)
-    z = rand(rng, 3, 5)
+    z = rand(rng, 1, 3, 5)
     a = attention_weights(Tensor(z)).data
     b = attention_weights(Tensor(z + 123.456)).data
     assert np.allclose(a, b, rtol=1e-12, atol=1e-15)
@@ -211,17 +213,17 @@ def test_softmax_shift_invariance():
 def test_softmax_gradients():
     rng = PortableRng(66)
     p = ParamStore()
-    p.add("z", rand(rng, 3, 5))
-    w = Tensor(rand(rng, 3, 5))
+    p.add("z", rand(rng, 1, 3, 5))
+    w = Tensor(rand(rng, 1, 3, 5))
     fd_check(lambda ps: (attention_weights(ps["z"]) * w).sum(), p)
 
 
 # -- fused layers and the shared-weight matmul backward ------------------------------
 
 def composed_layer_norm(x, gamma, beta, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_d = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * inv_d
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_d
     return centered / (var + eps).sqrt() * gamma + beta
 
 
@@ -243,11 +245,19 @@ def closed_form_softmax(x):
     return out
 
 
-def composed_attention(q, k, v):
-    n = k.data.ndim
-    scores = (q @ k.transpose(tuple(range(n - 2)) + (n - 1, n - 2))) * (
-        1.0 / np.sqrt(q.shape[-1]))
-    return closed_form_softmax(scores) @ v
+def composed_attention(queries, memory, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+    """multi_head_attention from Tensor-op linears, reshape/transpose head
+    split and merge, and closed_form_softmax."""
+    b, tq, d = queries.shape
+    d_head = d // n_heads
+
+    def split(x):
+        return x.reshape((b, x.shape[1], n_heads, d_head)).transpose((0, 2, 1, 3))
+
+    q, k, v = split(queries @ wq + bq), split(memory @ wk + bk), split(memory @ wv + bv)
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(d_head))
+    heads = closed_form_softmax(scores) @ v
+    return heads.transpose((0, 2, 1, 3)).reshape((b, tq, d)) @ wo + bo
 
 
 def assert_close(actual, expected, rtol):
@@ -280,26 +290,28 @@ def test_fused_layer_norm_matches_composition(transposed):
         assert_close(got, want, rtol=1e-12)
 
 
-def attention_operands(rng: PortableRng, layout: str):
-    """q (2, 2, 3, 4), k (2, 2, 5, 4), v (2, 2, 5, 3) in one memory layout."""
-    if layout == "contiguous":
-        return [rand(rng, 2, 2, 3, 4), rand(rng, 2, 2, 5, 4), rand(rng, 2, 2, 5, 3)]
-    if layout == "transposed":
-        return [rand(rng, 2, 2, 4, 3).swapaxes(-1, -2), rand(rng, 2, 2, 4, 5).swapaxes(-1, -2),
-                rand(rng, 2, 2, 3, 5).swapaxes(-1, -2)]
-    # split heads, as multi_head_attention hands them over
-    return [rand(rng, 2, t, 2 * d).reshape(2, t, 2, d).transpose(0, 2, 1, 3)
-            for t, d in ((3, 4), (5, 4), (5, 3))]
+def attention_weight_arrays(rng: PortableRng, d: int) -> list[np.ndarray]:
+    """wq, bq, wk, bk, wv, bv, wo, bo for model width d."""
+    return [rand(rng, d, d, lo=-0.7, hi=0.7) if i % 2 == 0 else rand(rng, d, lo=-0.2, hi=0.2)
+            for i in range(8)]
 
 
-@pytest.mark.parametrize("layout", ["contiguous", "transposed", "split_heads"])
-def test_fused_attention_matches_composition(layout):
+@pytest.mark.parametrize("self_attention", [False, True], ids=["cross", "self"])
+def test_fused_attention_matches_composition(self_attention):
     rng = PortableRng(70)
-    arrays = attention_operands(rng, layout)
-    weight = rand(rng, 2, 2, 3, 3)
-    fused, fused_grads = grads_of(scaled_dot_attention, arrays, weight)
-    ref, ref_grads = grads_of(composed_attention, arrays, weight)
+    queries = rand(rng, 2, 3, 6)
+    memory = [] if self_attention else [rand(rng, 2, 5, 6)]
+    arrays = [queries, *memory, *attention_weight_arrays(rng, 6)]
+    weight = rand(rng, 2, 3, 6)
+
+    def bind(op):  # self-attention hands one Tensor over as both inputs
+        if self_attention:
+            return lambda x, *ws: op(x, x, *ws, n_heads=2)
+        return lambda *ts: op(*ts, n_heads=2)
+    fused, fused_grads = grads_of(bind(multi_head_attention), arrays, weight)
+    ref, ref_grads = grads_of(bind(composed_attention), arrays, weight)
     assert fused.tobytes() == ref.tobytes()
+    assert len(fused_grads) == 9 + len(memory)
     assert all(got.tobytes() == want.tobytes() for got, want in zip(fused_grads, ref_grads))
 
 
@@ -335,7 +347,7 @@ def test_fused_layers_build_no_graph_under_no_grad():
     x, w, b = leaf(rand(rng, 2, 3, 4)), leaf(rand(rng, 4, 4)), leaf(rand(rng, 4))
     with no_grad():
         outs = [linear(x, w, b), mlp2(x, w, b, w, b), layer_norm(x, b, b),
-                scaled_dot_attention(x, x, x)]
+                multi_head_attention(x, x, w, b, w, b, w, b, w, b, n_heads=2)]
     for out in outs:
         assert not out.requires_grad and out._parents == () and out._backward is None
 
@@ -393,7 +405,7 @@ def test_abs_gradients():
     p = ParamStore()
     p.add("x", rand(rng, 8))
     t = rand(rng, 8)
-    fd_check(lambda ps: (ps["x"] - t).abs().mean(), p)
+    fd_check(lambda ps: (ps["x"] - t).abs().sum() * (1.0 / 8), p)
 
 
 def test_mlp_gradients():
@@ -408,25 +420,29 @@ def test_mlp_gradients():
                          ** 2.0).sum(), p)
 
 
-def test_attention_core_gradients():
-    rng = PortableRng(79)
-    p = ParamStore()
-    for name, shape in (("q", (2, 2, 3, 4)), ("k", (2, 2, 5, 4)), ("v", (2, 2, 5, 3))):
-        p.add(name, rand(rng, *shape))
-    fd_check(lambda ps: (scaled_dot_attention(ps["q"], ps["k"], ps["v"]) ** 2.0).sum(), p)
+ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
 
 
 def _attention_params(rng: PortableRng, p: ParamStore, d: int):
-    for name in ("wq", "wk", "wv", "wo"):
-        p.add(name, rand(rng, d, d, lo=-0.7, hi=0.7))
-        p.add(name.replace("w", "b"), rand(rng, d, lo=-0.2, hi=0.2))
+    for name, array in zip(ATTENTION_WEIGHTS, attention_weight_arrays(rng, d)):
+        p.add(name, array)
 
 
-def _mha(ps, q, k, v, n_heads):
-    return multi_head_attention(
-        q, k, v,
-        ps["wq"], ps["bq"], ps["wk"], ps["bk"],
-        ps["wv"], ps["bv"], ps["wo"], ps["bo"], n_heads)
+def _mha(ps, queries, memory, n_heads):
+    return multi_head_attention(queries, memory, *(ps[name] for name in ATTENTION_WEIGHTS),
+                                n_heads)
+
+
+@pytest.mark.parametrize("self_attention", [False, True], ids=["cross", "self"])
+def test_attention_gradients_of_every_parent(self_attention):
+    rng = PortableRng(79)
+    p = ParamStore()
+    p.add("queries", rand(rng, 2, 3, 4))
+    if not self_attention:
+        p.add("memory", rand(rng, 2, 5, 4))
+    _attention_params(rng, p, 4)
+    memory = "queries" if self_attention else "memory"
+    fd_check(lambda ps: (_mha(ps, ps["queries"], ps[memory], n_heads=2) ** 2.0).sum(), p)
 
 
 def test_attention_gradients():
@@ -436,7 +452,7 @@ def test_attention_gradients():
     _attention_params(rng, p, d)
     q = Tensor(rand(rng, 2, 3, d))
     kv = Tensor(rand(rng, 2, 5, d))
-    fd_check(lambda ps: (_mha(ps, q, kv, kv, n_heads=2) ** 2.0).sum(), p)
+    fd_check(lambda ps: (_mha(ps, q, kv, n_heads=2) ** 2.0).sum(), p)
 
 
 def test_attention_gradients_wrt_inputs():
@@ -447,8 +463,7 @@ def test_attention_gradients_wrt_inputs():
     p.add("kv", rand(rng, 1, 4, d))
     weights = ParamStore()
     _attention_params(rng, weights, d)
-    fd_check(lambda ps: (_mha(weights, ps["q"], ps["kv"], ps["kv"], n_heads=2)
-                         * 0.5).sum(), p)
+    fd_check(lambda ps: (_mha(weights, ps["q"], ps["kv"], n_heads=2) * 0.5).sum(), p)
 
 
 def test_attention_single_kv_position_ignores_query():
@@ -457,8 +472,8 @@ def test_attention_single_kv_position_ignores_query():
     d = 4
     _attention_params(rng, p, d)
     kv = Tensor(rand(rng, 1, 1, d))
-    out1 = _mha(p, Tensor(rand(rng, 1, 3, d)), kv, kv, n_heads=2).data
-    out2 = _mha(p, Tensor(rand(rng, 1, 3, d)), kv, kv, n_heads=2).data
+    out1 = _mha(p, Tensor(rand(rng, 1, 3, d)), kv, n_heads=2).data
+    out2 = _mha(p, Tensor(rand(rng, 1, 3, d)), kv, n_heads=2).data
     # softmax over one key is identically 1: output = Wo(Wv v + bv) + bo
     expected = (kv.data @ p["wv"].data + p["bv"].data) @ p["wo"].data + p["bo"].data
     assert np.allclose(out1, np.broadcast_to(expected, out1.shape), rtol=1e-12)
@@ -473,7 +488,7 @@ def test_attention_two_position_hand_computed():
         p.add(name.replace("w", "b"), np.array([0.0]))
     q = Tensor(np.array([[[0.5]]]))          # single query
     k = Tensor(np.array([[[1.0], [-1.0]]]))  # two keys = values
-    out = _mha(p, q, k, k, n_heads=1).data
+    out = _mha(p, q, k, n_heads=1).data
     # scores = [0.5, -0.5]; w = softmax -> (e/(e+1/e) strutture)
     w0 = np.exp(0.5) / (np.exp(0.5) + np.exp(-0.5))
     expected = w0 * 1.0 + (1.0 - w0) * -1.0
@@ -485,9 +500,11 @@ def test_attention_shape_errors():
     _attention_params(PortableRng(75), p, 6)
     x = Tensor(np.zeros((1, 2, 6)))
     with pytest.raises(ShapeError):
-        _mha(p, x, x, x, n_heads=4)  # 6 % 4 != 0
+        _mha(p, x, x, n_heads=4)  # 6 % 4 != 0
     with pytest.raises(ShapeError):
-        _mha(p, Tensor(np.zeros((2, 6))), x, x, n_heads=2)  # no batch axis
+        _mha(p, Tensor(np.zeros((2, 6))), x, n_heads=2)  # no batch axis
+    with pytest.raises(ShapeError):
+        _mha(p, x, Tensor(np.zeros((2, 2, 6))), n_heads=2)  # batch sizes differ
 
 
 def test_getitem_concat_stack_gradients():
@@ -606,7 +623,7 @@ def test_param_store_contract():
     p.add("b", np.zeros(2))
     p.add("a", np.zeros((3, 4)))
     assert p.names() == ["a", "b"]
-    assert p.n_scalars() == 14
+    assert sum(t.data.size for _, t in p.items()) == 14
     with pytest.raises(ConfigError):
         p.add("a", np.zeros(1))
 
