@@ -6,7 +6,7 @@ Architecture (pre-LN residual blocks, FFN hidden width = 4 * embed_dim):
     tokens  = linear(patches)                    backbone.patch_embed.{w,b}
     x       = tokens + sinusoidal2d              (fixed, not learned)
     encoder layer i (x N):                       enc{i}.*
-        x = x + MHA(LN1(x))                      ln1.{g,b}, attn.{wq,bq,wk,bk,wv,bv,wo,bo}
+        x = x + MHA(LN1(x))                      ln1.{g,b}, attn.{wq,bq,wk,wv,bv,wo,bo}
         x = x + FFN(LN2(x))                      ln2.{g,b}, ffn.{w1,b1,w2,b2}
     memory  = LN(x)                              enc_norm.{g,b}
     decoder input: learned queries               queries.embed (n_queries, D)
@@ -31,7 +31,7 @@ Depth decoding supports two parametrizations:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -44,6 +44,7 @@ from .nn_core.tensor import ParamStore, Tensor
 from .rng import derive_seed
 
 N_JOINT_VALUES = N_JOINTS * 3  # 63
+PARAM_DTYPE = np.float32  # of every parameter, activation and gradient
 
 # Depths decoded below this floor (mm) are clamped so downstream
 # unprojection stays total; only reachable in root_relative mode when
@@ -106,18 +107,7 @@ class ModelConfig:
         return gh * gw
 
     def to_dict(self) -> dict:
-        return {
-            "image_size": list(self.image_size),
-            "patch_size": self.patch_size,
-            "embed_dim": self.embed_dim,
-            "n_heads": self.n_heads,
-            "n_encoder_layers": self.n_encoder_layers,
-            "n_decoder_layers": self.n_decoder_layers,
-            "n_queries": self.n_queries,
-            "depth_mode": self.depth_mode.value,
-            "depth_range": list(self.depth_range),
-            "rel_depth_half_range": self.rel_depth_half_range,
-        }
+        return {**asdict(self), "depth_mode": self.depth_mode.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
@@ -140,24 +130,25 @@ def _add_weight(params: ParamStore, seed: int, name: str,
     SHA-256, never Python's salted hash(), so keys agree across processes."""
     name_hash = int.from_bytes(hashlib.sha256(name.encode()).digest()[:8], "little")
     key = derive_seed(seed, 0x6D6F64, name_hash)  # model init stream
-    params.add(name, glorot_uniform(key, fan_in, fan_out))
+    params.add(name, glorot_uniform(key, fan_in, fan_out).astype(PARAM_DTYPE))
 
 
 def _add_linear(params: ParamStore, seed: int, name: str,
                 fan_in: int, fan_out: int) -> None:
     _add_weight(params, seed, f"{name}.w", fan_in, fan_out)
-    params.add(f"{name}.b", np.zeros(fan_out))
+    params.add(f"{name}.b", np.zeros(fan_out, PARAM_DTYPE))
 
 
 def _add_layer_norm(params: ParamStore, name: str, dim: int) -> None:
-    params.add(f"{name}.g", np.ones(dim))
-    params.add(f"{name}.b", np.zeros(dim))
+    params.add(f"{name}.g", np.ones(dim, PARAM_DTYPE))
+    params.add(f"{name}.b", np.zeros(dim, PARAM_DTYPE))
 
 
 def _add_attention(params: ParamStore, seed: int, name: str, dim: int) -> None:
-    for proj in ("wq", "wk", "wv", "wo"):
-        _add_weight(params, seed, f"{name}.{proj}", dim, dim)
-        params.add(f"{name}.{proj.replace('w', 'b')}", np.zeros(dim))
+    for proj in ("q", "k", "v", "o"):
+        _add_weight(params, seed, f"{name}.w{proj}", dim, dim)
+        if proj != "k":  # no key bias: see multi_head_attention
+            params.add(f"{name}.b{proj}", np.zeros(dim, PARAM_DTYPE))
 
 
 def _add_ffn(params: ParamStore, seed: int, name: str, dim: int) -> None:
@@ -236,7 +227,7 @@ def patch_tokens(images: np.ndarray, config: ModelConfig) -> np.ndarray:
     gh, gw = config.grid
     x = images.reshape(b, gh, ps, gw, ps, c)
     x = x.transpose(0, 1, 3, 2, 4, 5)  # (B, gh, gw, ps, ps, c)
-    return np.ascontiguousarray(x.reshape(b, gh * gw, ps * ps * c), dtype=np.float64)
+    return np.ascontiguousarray(x.reshape(b, gh * gw, ps * ps * c))
 
 
 def _attention_block(params: ParamStore, name: str, q: Tensor, kv: Tensor,
@@ -244,7 +235,7 @@ def _attention_block(params: ParamStore, name: str, q: Tensor, kv: Tensor,
     return multi_head_attention(
         q, kv,
         params[f"{name}.wq"], params[f"{name}.bq"],
-        params[f"{name}.wk"], params[f"{name}.bk"],
+        params[f"{name}.wk"],
         params[f"{name}.wv"], params[f"{name}.bv"],
         params[f"{name}.wo"], params[f"{name}.bo"],
         n_heads)
@@ -265,12 +256,13 @@ def forward_from_tokens(
     posenc: np.ndarray,
     config: ModelConfig,
 ) -> BatchDetections:
-    """Run the network on pre-extracted patch tokens (testing seam for the
-    token-permutation equivariance property)."""
+    """Run the network, in the parameters' dtype, on pre-extracted patch
+    tokens (testing seam for the token-permutation equivariance property)."""
     n_batch = tokens.shape[0]
-    x = linear(Tensor(tokens), params["backbone.patch_embed.w"],
+    dtype = params["backbone.patch_embed.w"].data.dtype
+    x = linear(Tensor(tokens.astype(dtype, copy=False)), params["backbone.patch_embed.w"],
                params["backbone.patch_embed.b"])
-    x = x + Tensor(posenc)
+    x = x + Tensor(posenc.astype(dtype, copy=False))
     for i in range(config.n_encoder_layers):
         h = _ln(params, f"enc{i}.ln1", x)
         x = x + _attention_block(params, f"enc{i}.attn", h, h, config.n_heads)
@@ -356,15 +348,15 @@ def decode_predictions(
     pose per present hand); confidence reports the side's probability at
     the selected query. Ties pick the lowest query index.
     """
-    probs = class_probabilities(class_logits)
+    probs = class_probabilities(np.asarray(class_logits, dtype=np.float64))
     out = {}
     for side in HandSide:
         q = int(np.argmax(probs[:, class_index(side)]))
-        vals = joints_norm[q].reshape(N_JOINTS, 3)
+        vals = joints_norm[q].reshape(N_JOINTS, 3).astype(np.float64)
         uvd = np.empty((N_JOINTS, 3))
         uvd[:, 0] = vals[:, 0] * cam.width
         uvd[:, 1] = vals[:, 1] * cam.height
-        uvd[:, 2] = decode_depth(vals[:, 2].copy(), config)
+        uvd[:, 2] = decode_depth(vals[:, 2], config)
         out[side] = DecodedHand(uvd=JointSetUVD(uvd),
                                 confidence=float(probs[q, class_index(side)]),
                                 query_index=q)

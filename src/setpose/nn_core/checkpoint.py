@@ -2,21 +2,24 @@
 
 A checkpoint is a directory holding
 
-  manifest.json  - format version, optimizer step and a free-form "extra"
+  manifest.json  - format version, the parameters' dtype ("float32" or
+                   "float64"), optimizer step and a free-form "extra"
                    payload (e.g. the model config)
-  params.npz     - uncompressed np.savez archive, one float64 array per
-                   parameter, stored under the parameter's name
+  params.npz     - uncompressed np.savez archive, one array of that dtype
+                   per parameter, stored under the parameter's name
 
 Loads read the manifest first, so a checkpoint of another format version
-raises FormatError naming that version before any array is read. The
-archive is read with pickles refused; a member whose CRC-32 does not
-match, a truncated or non-zip archive, a member that is not a float64
-array and a name stored twice raise FormatError, and nothing partial is
-returned.
+raises FormatError naming that version before any array is read. Each
+archive member is then read whole, which checks its CRC-32, and parsed
+from those bytes with pickles refused. A CRC mismatch, a truncated or
+non-zip archive, a member comment, a member that is not an array of the
+manifest's dtype and a name stored twice raise FormatError, and nothing
+partial is returned.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from pathlib import Path
@@ -26,7 +29,8 @@ import numpy as np
 from ..errors import ConfigError, FormatError
 from .tensor import ParamStore
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+DTYPES = ("float32", "float64")
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "params.npz"
 
@@ -37,13 +41,13 @@ def save_checkpoint(
     optimizer_step: int = 0,
     extra: dict | None = None,
 ) -> None:
+    dtypes = sorted({tensor.data.dtype.name for _, tensor in params.items()})
+    if len(dtypes) != 1 or dtypes[0] not in DTYPES:
+        raise ConfigError(f"parameters must share one dtype of {DTYPES}, got {dtypes}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "optimizer_step": optimizer_step,
-        "extra": extra or {},
-    }
+    manifest = {"format_version": FORMAT_VERSION, "dtype": dtypes[0],
+                "optimizer_step": optimizer_step, "extra": extra or {}}
     (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
     np.savez(path / ARRAYS_NAME, **{name: tensor.data for name, tensor in params.items()})
 
@@ -66,28 +70,25 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
             f"{manifest_path}: unsupported format version "
             f"{manifest.get('format_version')!r} (expected {FORMAT_VERSION})")
     step, extra = manifest.get("optimizer_step", 0), manifest.get("extra", {})
-    if type(step) is not int or not isinstance(extra, dict):
-        raise FormatError(f"{manifest_path}: bad optimizer_step {step!r} or extra {extra!r}")
+    dtype = manifest.get("dtype")
+    if type(step) is not int or not isinstance(extra, dict) or dtype not in DTYPES:
+        raise FormatError(f"{manifest_path}: bad optimizer_step {step!r}, extra "
+                          f"{extra!r} or dtype {dtype!r}")
     params = ParamStore()
     try:
-        with np.load(arrays_path, allow_pickle=False) as archive:
-            # numpy reads a member only up to the end of its array, and a
-            # member comment (np.savez writes none) can swallow the next
-            # member's directory entry: check every byte's CRC-32 and that
-            # no member carries a comment
-            if (archive.zip.testzip() is not None
-                    or any(info.comment for info in archive.zip.infolist())):
-                raise FormatError(f"{arrays_path}: corrupt archive")
-            for name in archive.files:
-                arr = archive[name]  # bytes for a member that is not .npy
-                if getattr(arr, "dtype", None) != np.float64:
-                    raise FormatError(f"{arrays_path}: parameter {name!r} is not a "
-                                      f"float64 array")
-                params.add(name, arr)
+        with zipfile.ZipFile(arrays_path) as archive:
+            for info in archive.infolist():
+                raw = archive.read(info)  # read whole: checks the CRC-32
+                arr = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+                # np.savez writes no member comment; one can hide the next entry
+                if info.comment or not info.filename.endswith(".npy") or arr.dtype != dtype:
+                    raise FormatError(f"{arrays_path}: corrupt archive: member "
+                                      f"{info.filename!r} is not a {dtype} array")
+                params.add(info.filename[:-len(".npy")], arr)
     # OSError and RuntimeError: a missing archive, or a zip directory entry
     # with a bad offset, version, compression method or encryption flag;
     # ConfigError: a name stored twice
     except (zipfile.BadZipFile, ValueError, EOFError, OSError, RuntimeError,
             ConfigError) as e:
-        raise FormatError(f"{arrays_path}: {e}") from e
+        raise FormatError(f"{arrays_path}: corrupt archive: {e}") from e
     return params, step, extra

@@ -8,8 +8,9 @@ convention.
 graph node with a closed-form backward. Each forward writes its arithmetic
 into buffers it allocates itself (`y = x @ w; y += b`, `np.exp(s, out=s)`)
 instead of one fresh array per elementwise step, which keeps large
-temporaries off the heap; inference and training run the same code. What
-each backward keeps, beyond its operands:
+temporaries off the heap; inference and training run the same code. Every
+buffer keeps its operands' dtype (scalar factors are Python floats, which
+never promote an array). What each backward keeps, beyond its operands:
 
     linear                nothing
     layer_norm            xh = (x - mean) / s and s
@@ -45,14 +46,14 @@ def glorot_uniform(key: int, fan_in: int, fan_out: int) -> np.ndarray:
     return counter_uniform(key, fan_in * fan_out, -limit, limit).reshape(fan_in, fan_out)
 
 
-def _accum_linear(x: Tensor, w: Tensor, b: Tensor, g: np.ndarray) -> None:
-    """Route the gradient g of x @ w + b to each operand that requires it."""
+def _accum_linear(x: Tensor, w: Tensor, b: Tensor | None, g: np.ndarray) -> None:
+    """Route the gradient g of x @ w (+ b if any) to each operand needing it."""
     gx, gw = _shared_weight_grads(x.data, w.data, g, x.requires_grad, w.requires_grad)
     if x.requires_grad:
         x._accum(gx)
     if w.requires_grad:
         w._accum(gw)
-    if b.requires_grad:
+    if b is not None and b.requires_grad:
         b._accum(_unbroadcast(g, b.data.shape))
 
 
@@ -131,7 +132,7 @@ def multi_head_attention(
     queries: Tensor,
     memory: Tensor,
     wq: Tensor, bq: Tensor,
-    wk: Tensor, bk: Tensor,
+    wk: Tensor,
     wv: Tensor, bv: Tensor,
     wo: Tensor, bo: Tensor,
     n_heads: int,
@@ -139,8 +140,9 @@ def multi_head_attention(
     """Multi-head attention of queries (B, Tq, D) over memory (B, Tk, D), as
     one graph node; the output has the query shape.
 
-    q = queries @ wq + bq, and k and v project memory alike; each is split
-    into n_heads views (B, heads, T, D / heads) of its buffer. Per head,
+    q = queries @ wq + bq, k = memory @ wk (a key bias would shift each
+    softmax row by a constant) and v = memory @ wv + bv, each split into
+    n_heads views (B, heads, T, D / heads) of its buffer. Per head,
     softmax(q k^T / sqrt(d_head)) v: the score buffer is scaled, max-shifted,
     exponentiated and normalised in place and kept as the weights a. The
     heads are merged into (B, Tq, D) and passed through wo, bo. With
@@ -163,13 +165,14 @@ def multi_head_attention(
         # always a C-ordered copy: the bias-gradient sums round by layout
         return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, x.shape[2], d_model)
 
-    def project(x: Tensor, w: Tensor, bias: Tensor) -> np.ndarray:
+    def project(x: Tensor, w: Tensor, bias: Tensor | None) -> np.ndarray:
         y = np.matmul(x.data, w.data)
-        y += bias.data
+        if bias is not None:
+            y += bias.data
         return split(y)
 
-    q, k, v = project(queries, wq, bq), project(memory, wk, bk), project(memory, wv, bv)
-    scale = 1.0 / np.sqrt(d_head)
+    q, k, v = project(queries, wq, bq), project(memory, wk, None), project(memory, wv, bv)
+    scale = float(1.0 / np.sqrt(d_head))
     a = np.matmul(q, np.swapaxes(k, -1, -2))
     a *= scale
     a -= a.max(axis=-1, keepdims=True)
@@ -178,7 +181,7 @@ def multi_head_attention(
     merged = merge(np.matmul(a, v))
     y = np.matmul(merged, wo.data)
     y += bo.data
-    out = Tensor(y, _parents=(queries, memory, wq, bq, wk, bk, wv, bv, wo, bo))
+    out = Tensor(y, _parents=(queries, memory, wq, bq, wk, wv, bv, wo, bo))
     if out.requires_grad:
         def bw(g):  # every input gradient; _accum_linear routes what is needed
             gm, gwo = _shared_weight_grads(merged, wo.data, g, True, wo.requires_grad)
@@ -191,7 +194,7 @@ def multi_head_attention(
             gs = a * (ga - (ga * a).sum(axis=-1, keepdims=True))
             gs *= scale
             _accum_linear(queries, wq, bq, merge(np.matmul(gs, k)))
-            _accum_linear(memory, wk, bk, merge(
+            _accum_linear(memory, wk, None, merge(
                 np.swapaxes(np.matmul(np.swapaxes(q, -1, -2), gs), -1, -2)))
             _accum_linear(memory, wv, bv, merge(np.matmul(np.swapaxes(a, -1, -2), gh)))
         out._backward = bw

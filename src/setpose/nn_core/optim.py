@@ -9,7 +9,8 @@ Update rule (per parameter, step count t shared across the store):
 The decay term multiplies the raw parameter, not the gradient, so it is
 decoupled from the adaptive scaling. `lr` may be a scalar or a callable
 from parameter name to rate, which is how the two-group schedule
-(backbone vs the rest) is expressed.
+(backbone vs the rest) is expressed. m and v take each parameter's dtype
+and every scalar is a Python float, so a float32 model updates in float32.
 """
 
 from __future__ import annotations
@@ -33,11 +34,8 @@ class OptimState:
 
 
 def init_optim_state(params: ParamStore) -> OptimState:
-    state = OptimState()
-    for name, tensor in params.items():
-        state.m[name] = np.zeros_like(tensor.data)
-        state.v[name] = np.zeros_like(tensor.data)
-    return state
+    return OptimState(m={name: np.zeros_like(t.data) for name, t in params.items()},
+                      v={name: np.zeros_like(t.data) for name, t in params.items()})
 
 
 def _lr_for(lr: LrSpec, name: str) -> float:

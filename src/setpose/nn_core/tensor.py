@@ -1,4 +1,4 @@
-"""Reverse-mode autodiff over numpy float64 arrays.
+"""Reverse-mode autodiff over numpy floating arrays.
 
 A Tensor wraps an ndarray plus a closure that routes the upstream gradient
 to its parents; backward() walks the graph in reverse topological order.
@@ -12,6 +12,11 @@ soon as its last Tensor is dropped. Inside `with no_grad():` (a process-
 global flag, so threads started in the block see it) op results get no
 parents and no closure: no graph is built and values are bitwise the same.
 Leaves made with requires_grad=True, such as parameters, keep the flag.
+
+A Tensor keeps a floating input's dtype (anything else becomes float64),
+and op results, gradients and AdamW moments take their operands' dtype.
+_lift gives a constant the Tensor's dtype, since numpy 2 promotes float32
+times a 0-d float64 array to float64. build_model's parameters are float32.
 
 Broadcasting in binary ops is supported; gradients are summed back down to
 each operand's shape. matmul follows numpy semantics for stacked matrices
@@ -83,7 +88,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad or (
             _grad_enabled and any(p.requires_grad for p in _parents))
@@ -125,9 +131,8 @@ class Tensor:
             if node._backward is not None:
                 node._backward(node.grad)
 
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+    def _lift(self, x) -> "Tensor":
+        return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.data.dtype))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -341,7 +346,7 @@ class ParamStore:
     def add(self, name: str, array: np.ndarray) -> Tensor:
         if name in self._params:
             raise ConfigError(f"duplicate parameter name {name!r}")
-        t = Tensor(np.array(array, dtype=np.float64), requires_grad=True)
+        t = Tensor(np.array(array), requires_grad=True)
         self._params[name] = t
         return t
 
@@ -361,8 +366,8 @@ class ParamStore:
 
     def copy(self) -> "ParamStore":
         dup = ParamStore()
-        for name in self.names():
-            dup.add(name, self._params[name].data.copy())
+        for name, tensor in self.items():
+            dup.add(name, tensor.data)  # add copies
         return dup
 
 

@@ -72,7 +72,7 @@ def attention_weights(z: Tensor) -> Tensor:
     t = z.shape[-1]
     eye, zero = Tensor(np.eye(t)), Tensor(np.zeros(t))
     return multi_head_attention(z * np.sqrt(t), Tensor(np.eye(t)[None]),
-                                eye, zero, eye, zero, eye, zero, eye, zero, n_heads=1)
+                                eye, zero, eye, eye, zero, eye, zero, n_heads=1)
 
 
 def test_softmax_sum_has_zero_gradient():
@@ -116,6 +116,14 @@ def test_forward_backward_hands_over_gradients_without_aliasing():
     assert all(first[name].tobytes() == kept[name].tobytes() for name in first)
     assert not np.array_equal(second["w"], first["w"])
     assert not np.shares_memory(first["w"], second["w"])
+
+
+def test_tensor_keeps_a_floating_dtype_and_lifts_constants_to_it():
+    x = Tensor(np.array([1.0, 2.0], dtype=np.float32), requires_grad=True)
+    y = (x * 0.5 + np.ones(2) - np.asarray(1.0)).sum()  # scalar, float64 array, 0-d
+    y.backward()
+    assert y.data.dtype == x.grad.dtype == np.float32
+    assert Tensor([1, 2]).data.dtype == Tensor(np.array(True)).data.dtype == np.float64
 
 
 # -- no-grad mode ------------------------------------------------------------------
@@ -245,7 +253,7 @@ def closed_form_softmax(x):
     return out
 
 
-def composed_attention(queries, memory, wq, bq, wk, bk, wv, bv, wo, bo, n_heads):
+def composed_attention(queries, memory, wq, bq, wk, wv, bv, wo, bo, n_heads):
     """multi_head_attention from Tensor-op linears, reshape/transpose head
     split and merge, and closed_form_softmax."""
     b, tq, d = queries.shape
@@ -254,7 +262,7 @@ def composed_attention(queries, memory, wq, bq, wk, bk, wv, bv, wo, bo, n_heads)
     def split(x):
         return x.reshape((b, x.shape[1], n_heads, d_head)).transpose((0, 2, 1, 3))
 
-    q, k, v = split(queries @ wq + bq), split(memory @ wk + bk), split(memory @ wv + bv)
+    q, k, v = split(queries @ wq + bq), split(memory @ wk), split(memory @ wv + bv)
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(d_head))
     heads = closed_form_softmax(scores) @ v
     return heads.transpose((0, 2, 1, 3)).reshape((b, tq, d)) @ wo + bo
@@ -290,10 +298,13 @@ def test_fused_layer_norm_matches_composition(transposed):
         assert_close(got, want, rtol=1e-12)
 
 
+ATTENTION_WEIGHTS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
+
+
 def attention_weight_arrays(rng: PortableRng, d: int) -> list[np.ndarray]:
-    """wq, bq, wk, bk, wv, bv, wo, bo for model width d."""
-    return [rand(rng, d, d, lo=-0.7, hi=0.7) if i % 2 == 0 else rand(rng, d, lo=-0.2, hi=0.2)
-            for i in range(8)]
+    """wq, bq, wk, wv, bv, wo, bo for model width d."""
+    return [rand(rng, d, d, lo=-0.7, hi=0.7) if name.startswith("w")
+            else rand(rng, d, lo=-0.2, hi=0.2) for name in ATTENTION_WEIGHTS]
 
 
 @pytest.mark.parametrize("self_attention", [False, True], ids=["cross", "self"])
@@ -311,7 +322,7 @@ def test_fused_attention_matches_composition(self_attention):
     fused, fused_grads = grads_of(bind(multi_head_attention), arrays, weight)
     ref, ref_grads = grads_of(bind(composed_attention), arrays, weight)
     assert fused.tobytes() == ref.tobytes()
-    assert len(fused_grads) == 9 + len(memory)
+    assert len(fused_grads) == 8 + len(memory)
     assert all(got.tobytes() == want.tobytes() for got, want in zip(fused_grads, ref_grads))
 
 
@@ -347,7 +358,7 @@ def test_fused_layers_build_no_graph_under_no_grad():
     x, w, b = leaf(rand(rng, 2, 3, 4)), leaf(rand(rng, 4, 4)), leaf(rand(rng, 4))
     with no_grad():
         outs = [linear(x, w, b), mlp2(x, w, b, w, b), layer_norm(x, b, b),
-                multi_head_attention(x, x, w, b, w, b, w, b, w, b, n_heads=2)]
+                multi_head_attention(x, x, w, b, w, w, b, w, b, n_heads=2)]
     for out in outs:
         assert not out.requires_grad and out._parents == () and out._backward is None
 
@@ -420,9 +431,6 @@ def test_mlp_gradients():
                          ** 2.0).sum(), p)
 
 
-ATTENTION_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
-
-
 def _attention_params(rng: PortableRng, p: ParamStore, d: int):
     for name, array in zip(ATTENTION_WEIGHTS, attention_weight_arrays(rng, d)):
         p.add(name, array)
@@ -483,9 +491,8 @@ def test_attention_single_kv_position_ignores_query():
 def test_attention_two_position_hand_computed():
     # d_model = 1, one head: identity projections, zero biases
     p = ParamStore()
-    for name in ("wq", "wk", "wv", "wo"):
-        p.add(name, np.array([[1.0]]))
-        p.add(name.replace("w", "b"), np.array([0.0]))
+    for name in ATTENTION_WEIGHTS:
+        p.add(name, np.array([[1.0]]) if name.startswith("w") else np.array([0.0]))
     q = Tensor(np.array([[[0.5]]]))          # single query
     k = Tensor(np.array([[[1.0], [-1.0]]]))  # two keys = values
     out = _mha(p, q, k, n_heads=1).data
@@ -647,10 +654,23 @@ def test_checkpoint_is_a_manifest_and_one_float64_array_per_parameter(tmp_path):
     assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json",
                                                                    "params.npz"]
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest == {"format_version": 2, "optimizer_step": 7, "extra": {}}
+    assert manifest == {"format_version": 3, "dtype": "float64", "optimizer_step": 7,
+                        "extra": {}}
     with np.load(tmp_path / "ck" / "params.npz", allow_pickle=False) as archive:
         assert sorted(archive.files) == ["enc.b", "enc.w"]
         assert archive["enc.w"].dtype == np.float64 and archive["enc.w"].shape == (1, 2)
+
+
+def test_save_checkpoint_rejects_mixed_or_unsupported_dtypes(tmp_path):
+    """load_checkpoint accepts one float32 or float64 dtype, so save refuses
+    anything else before it writes."""
+    for name, dtypes in (("mixed", (np.float64, np.float32)), ("half", (np.float16,))):
+        p = ParamStore()
+        for i, dtype in enumerate(dtypes):
+            p.add(f"p{i}", np.zeros(2, dtype=dtype))
+        with pytest.raises(ConfigError, match="float16" if name == "half" else "float32"):
+            save_checkpoint(tmp_path / name, p)
+        assert not (tmp_path / name).exists()
 
 
 def test_checkpoint_bad_magic(tmp_path):
@@ -714,8 +734,10 @@ def _corrupt(ck: Path, case: str) -> None:
         raw = bytearray(archive.read_bytes())
         raw[raw.index(np.array([1.0, 2.0]).tobytes()) + 15] ^= 0x01
         archive.write_bytes(bytes(raw))
-    elif case == "float32_member":
-        _with_member(archive, "c", np.array([1.0], dtype=np.float32))
+    elif case == "member_dtype_not_manifest":  # float64 members
+        manifest["dtype"] = "float32"
+    elif case == "unknown_dtype":
+        manifest["dtype"] = "float16"
     elif case == "object_member":
         _with_member(archive, "c", np.array([None], dtype=object))
     elif case == "no_archive":
@@ -725,7 +747,7 @@ def _corrupt(ck: Path, case: str) -> None:
 
 @pytest.mark.parametrize("case", [
     "not_an_object", "bad_optimizer_step", "duplicate_name", "flipped_byte",
-    "float32_member", "object_member", "no_archive"])
+    "member_dtype_not_manifest", "unknown_dtype", "object_member", "no_archive"])
 def test_corrupt_checkpoint_raises_format_error(tmp_path, case):
     save_checkpoint(tmp_path / "ck", make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]))
     _corrupt(tmp_path / "ck", case)
