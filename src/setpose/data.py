@@ -9,7 +9,9 @@ order-independent across samples.
 
 Rendering: the 20 BONES of the hand skeleton (hand_model) as anti-aliased
 segments plus Gaussian blobs (zero-length segments) at the 21 joints,
-drawn onto one canvas per hand. The left-hand canvas lands in channel 0,
+drawn onto one canvas per hand as the maximum of all 41, evaluated in
+one vectorized pass and each set to 0 outside its own window (_WINDOW
+pixels beyond its bounding box). The left-hand canvas lands in channel 0,
 the right-hand canvas in channel 1, and their maximum in channel 2; this
 side-coded palette is what lets a desk-scale backbone learn hand
 classification. Pixel (row r, col c) samples the continuous image point
@@ -190,10 +192,9 @@ def template_hand() -> JointSet3D:
     return JointSet3D(joints)
 
 
-def _mirror_x(pose: JointSet3D) -> JointSet3D:
-    out = pose.joints.copy()
-    out[:, 0] = -out[:, 0]
-    return JointSet3D(out)
+# Each side's shape, built once; a left hand mirrors the right across x = 0.
+_RIGHT = template_hand()
+_SHAPES = {HandSide.RIGHT: _RIGHT, HandSide.LEFT: JointSet3D(_RIGHT.joints * [-1, 1, 1])}
 
 
 def _rotation(rng: PortableRng, jitter_deg: float) -> np.ndarray:
@@ -208,8 +209,8 @@ def _rotation(rng: PortableRng, jitter_deg: float) -> np.ndarray:
     return rz @ ry @ rx
 
 
-def _place_hand(rng: PortableRng, cfg: GenConfig, side: HandSide,
-                base: JointSet3D) -> tuple[JointSetUVD, JointSet3D]:
+def _place_hand(rng: PortableRng, cfg: GenConfig,
+                side: HandSide) -> tuple[JointSetUVD, JointSet3D]:
     """Scale/rotate/translate one hand so all joints project in view and
     all depths stay in range.
 
@@ -222,7 +223,7 @@ def _place_hand(rng: PortableRng, cfg: GenConfig, side: HandSide,
     cam = cfg.intrinsics
     h, w = cfg.image_size
     d_lo, d_hi = cfg.depth_range
-    shape = base if side is HandSide.RIGHT else _mirror_x(base)
+    shape = _SHAPES[side]
     for _ in range(_PLACEMENT_ATTEMPTS):
         jitter = rng.uniform(*cfg.scale_jitter)
         scale = cfg.subject_scale_factor * jitter
@@ -263,45 +264,36 @@ def _place_hand(rng: PortableRng, cfg: GenConfig, side: HandSide,
 _SEGMENT_SIGMA = 0.6
 _BLOB_SIGMA = 1.0
 _WINDOW = 3  # pixels beyond the primitive's bounding box
-
-
-def _draw_segment(canvas: np.ndarray, p: np.ndarray, q: np.ndarray,
-                  sigma: float) -> None:
-    """Max-composite exp(-dist^2 / (2 sigma^2)), dist being a pixel's distance
-    to the segment pq (to the point p when p == q), within _WINDOW pixels of
-    the segment's bounding box. Columns and rows broadcast against each
-    other instead of being tiled into a grid."""
-    h, w = canvas.shape
-    (pu, pv), (qu, qv) = p.tolist(), q.tolist()
-    lo_c = max(math.floor(min(pu, qu)) - _WINDOW, 0)
-    hi_c = min(math.ceil(max(pu, qu)) + _WINDOW, w - 1)
-    lo_r = max(math.floor(min(pv, qv)) - _WINDOW, 0)
-    hi_r = min(math.ceil(max(pv, qv)) + _WINDOW, h - 1)
-    if lo_c > hi_c or lo_r > hi_r:
-        return
-    cc = np.arange(lo_c, hi_c + 1)
-    rr = np.arange(lo_r, hi_r + 1)[:, None]
-    seg = q - p
-    seg_len2 = seg @ seg  # a dot, not su*su + sv*sv, which can round otherwise
-    if seg_len2 == 0.0:
-        dx, dy = cc - pu, rr - pv
-    else:
-        su, sv = seg.tolist()
-        t = np.clip(((cc - pu) * su + (rr - pv) * sv) / seg_len2, 0.0, 1.0)
-        dx = cc - (pu + t * su)
-        dy = rr - (pv + t * sv)
-    val = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
-    region = canvas[lo_r:hi_r + 1, lo_c:hi_c + 1]
-    np.maximum(region, val, out=region)
+# The 41 primitives of a hand: its BONES, then a zero-length segment per joint.
+_FROM = np.array([p for p, _ in BONES] + list(range(N_JOINTS)))
+_TO = np.array([c for _, c in BONES] + list(range(N_JOINTS)))
+_DENOM = np.array([2.0 * _SEGMENT_SIGMA ** 2] * len(BONES)
+                  + [2.0 * _BLOB_SIGMA ** 2] * N_JOINTS)[:, None, None]
 
 
 def _render_hand_canvas(size: tuple[int, int], uvd: JointSetUVD) -> np.ndarray:
+    """Max over the 41 primitives of exp(-dist^2 / (2 sigma^2)), dist being a
+    pixel's distance to the segment pq; each primitive is 0 outside its
+    window (its bounding box grown by _WINDOW pixels, clipped to the canvas)."""
+    h, w = size
+    p, q = uvd.joints[_FROM, :2], uvd.joints[_TO, :2]
+    seg = q - p
+    # a dot, not su*su + sv*sv, which can round otherwise; t = 0 at p == q
+    len2 = seg[:, None, :] @ seg[:, :, None]  # (41, 1, 1)
+    len2[len2 == 0.0] = np.inf
+    lo = np.maximum(np.floor(np.minimum(p, q)) - _WINDOW, 0)
+    hi = np.minimum(np.ceil(np.maximum(p, q)) + _WINDOW, [w - 1, h - 1])
+    (c0, r0), (c1, r1) = lo.min(axis=0).astype(int), hi.max(axis=0).astype(int)
+    cc, rr = np.arange(c0, c1 + 1), np.arange(r0, r1 + 1)[:, None]
+    (pu, pv), (su, sv) = p.T[:, :, None, None], seg.T[:, :, None, None]
+    (lo_c, lo_r), (hi_c, hi_r) = lo.T[:, :, None, None], hi.T[:, :, None, None]
+    t = np.clip(((cc - pu) * su + (rr - pv) * sv) / len2, 0.0, 1.0)
+    dx = cc - (pu + t * su)
+    dy = rr - (pv + t * sv)
+    inside = ((cc >= lo_c) & (cc <= hi_c)) & ((rr >= lo_r) & (rr <= hi_r))
     canvas = np.zeros(size, dtype=np.float64)
-    pts = uvd.joints[:, :2]
-    for parent, child in BONES:
-        _draw_segment(canvas, pts[parent], pts[child], _SEGMENT_SIGMA)
-    for pt in pts:
-        _draw_segment(canvas, pt, pt, _BLOB_SIGMA)
+    canvas[rr, cc] = np.exp(-(dx * dx + dy * dy) / _DENOM, out=np.zeros_like(dx),
+                            where=inside).max(axis=0)
     return canvas
 
 
@@ -312,9 +304,6 @@ def render_scene(
 ) -> np.ndarray:
     """Compose per-side canvases into the (H, W, 3) float32 image."""
     size = cfg.image_size
-    canvases = {side: np.zeros(size, dtype=np.float64) for side in HandSide}
-    for hand in hands:
-        canvases[hand.side] = _render_hand_canvas(size, hand.uvd)
     image = np.zeros(size + (3,), dtype=np.float64)
     if distractor_rect is not None:
         u0, v0, u1, v1 = distractor_rect
@@ -322,10 +311,10 @@ def render_scene(
         c0, c1 = max(int(u0), 0), min(int(u1), size[1] - 1)
         if r0 <= r1 and c0 <= c1:
             image[r0:r1 + 1, c0:c1 + 1, :] = 0.35
-    image[:, :, 0] = np.maximum(image[:, :, 0], canvases[HandSide.LEFT])
-    image[:, :, 1] = np.maximum(image[:, :, 1], canvases[HandSide.RIGHT])
-    both = np.maximum(canvases[HandSide.LEFT], canvases[HandSide.RIGHT])
-    image[:, :, 2] = np.maximum(image[:, :, 2], both)
+    for hand in hands:
+        canvas = _render_hand_canvas(size, hand.uvd)
+        for c in (0 if hand.side is HandSide.LEFT else 1, 2):
+            np.maximum(image[:, :, c], canvas, out=image[:, :, c])
     return image.astype(np.float32)
 
 
@@ -339,12 +328,11 @@ def generate_sample(cfg: GenConfig, index: int) -> SceneSample:
         eu, ev = rng.uniform(2.0, 0.25 * w), rng.uniform(2.0, 0.25 * h)
         rect = (cu - eu, cv - ev, cu + eu, cv + ev)
     present = {side: rng.bernoulli(cfg.hand_presence_prob) for side in HandSide}
-    base = template_hand()
     hands = []
     for side in HandSide:  # fixed order: left, then right
         if not present[side]:
             continue
-        uvd, xyz = _place_hand(rng, cfg, side, base)
+        uvd, xyz = _place_hand(rng, cfg, side)
         hands.append(HandAnnotation(side=side, uvd=uvd, xyz=xyz))
     image = render_scene(cfg, hands, rect)
     return SceneSample(image=image, hands=tuple(hands), camera=cfg.intrinsics)

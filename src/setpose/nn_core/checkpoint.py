@@ -8,6 +8,11 @@ A checkpoint is a directory holding
   params.npz     - uncompressed np.savez archive, one array of that dtype
                    per parameter, stored under the parameter's name
 
+A save writes both files into a new directory inside a temporary sibling
+directory and renames it onto the path, so a save that raises or is
+killed before then leaves the checkpoint already at the path whole. That
+one is moved into the temporary directory, which is always deleted.
+
 Loads read the manifest first, so a checkpoint of another format version
 raises FormatError naming that version before any array is read. Each
 archive member is then read whole, which checks its CRC-32, and parsed
@@ -21,6 +26,7 @@ from __future__ import annotations
 
 import io
 import json
+import tempfile
 import zipfile
 from pathlib import Path
 
@@ -45,11 +51,17 @@ def save_checkpoint(
     if len(dtypes) != 1 or dtypes[0] not in DTYPES:
         raise ConfigError(f"parameters must share one dtype of {DTYPES}, got {dtypes}")
     path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     manifest = {"format_version": FORMAT_VERSION, "dtype": dtypes[0],
                 "optimizer_step": optimizer_step, "extra": extra or {}}
-    (path / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    np.savez(path / ARRAYS_NAME, **{name: tensor.data for name, tensor in params.items()})
+    with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as tmp:
+        new, old = Path(tmp) / "new", Path(tmp) / "old"
+        new.mkdir()
+        (new / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        np.savez(new / ARRAYS_NAME, **{name: tensor.data for name, tensor in params.items()})
+        if path.exists():
+            path.rename(old)
+        new.rename(path)
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:

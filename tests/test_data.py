@@ -10,8 +10,9 @@ from setpose.data import (
     FINGER_BONE_LENGTHS,
     GenConfig,
     SceneSample,
-    _draw_segment,
+    _render_hand_canvas,
     augment,
+    default_intrinsics,
     generate_dataset,
     generate_sample,
     hflip_sample,
@@ -20,7 +21,7 @@ from setpose.data import (
     write_dataset,
 )
 from setpose.errors import ConfigError, FormatError
-from setpose.geometry import CameraIntrinsics, HandSide, xyz_to_uvd
+from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
 
@@ -216,21 +217,92 @@ def test_augment_flip_rate():
     assert 160 < flips < 240
 
 
+# -- rendering ------------------------------------------------------------------
+
+def _reference_canvas(size: tuple[int, int], uvd: JointSetUVD) -> np.ndarray:
+    """The renderer as one call per primitive: each of the 20 bones (sigma
+    0.6), then a blob (a zero-length segment, sigma 1.0) at each joint,
+    max-composited within 3 pixels of the primitive's bounding box."""
+    canvas = np.zeros(size)
+    h, w = size
+    pts = uvd.joints[:, :2]
+    primitives = ([(pts[a], pts[b], 0.6) for a, b in BONES]
+                  + [(pt, pt, 1.0) for pt in pts])
+    for p, q, sigma in primitives:
+        (pu, pv), (qu, qv) = p.tolist(), q.tolist()
+        lo_c = max(math.floor(min(pu, qu)) - 3, 0)
+        hi_c = min(math.ceil(max(pu, qu)) + 3, w - 1)
+        lo_r = max(math.floor(min(pv, qv)) - 3, 0)
+        hi_r = min(math.ceil(max(pv, qv)) + 3, h - 1)
+        if lo_c > hi_c or lo_r > hi_r:
+            continue
+        cc = np.arange(lo_c, hi_c + 1)
+        rr = np.arange(lo_r, hi_r + 1)[:, None]
+        seg = q - p
+        seg_len2 = seg @ seg
+        if seg_len2 == 0.0:
+            dx, dy = cc - pu, rr - pv
+        else:
+            su, sv = seg.tolist()
+            t = np.clip(((cc - pu) * su + (rr - pv) * sv) / seg_len2, 0.0, 1.0)
+            dx = cc - (pu + t * su)
+            dy = rr - (pv + t * sv)
+        val = np.exp(-(dx * dx + dy * dy) / (2.0 * sigma ** 2))
+        region = canvas[lo_r:hi_r + 1, lo_c:hi_c + 1]
+        np.maximum(region, val, out=region)
+    return canvas
+
+
+def _generated_hands(size: tuple[int, int], focal: float, n_hands: int):
+    cfg = GenConfig(seed=size[0] + int(focal), n_samples=n_hands, image_size=size,
+                    intrinsics=default_intrinsics(size, focal))
+    hands = []
+    for i in range(n_hands):
+        hands += generate_sample(cfg, i).hands
+        if len(hands) >= n_hands:
+            return hands
+    raise AssertionError("too few hands")
+
+
+@pytest.mark.parametrize("size, focal, n_hands", [
+    ((32, 32), 24.0, 200), ((48, 48), 36.0, 200), ((48, 48), 72.0, 40)])
+def test_renderer_is_bitwise_equal_to_one_call_per_primitive(size, focal, n_hands):
+    for hand in _generated_hands(size, focal, n_hands):
+        assert (_render_hand_canvas(size, hand.uvd).tobytes()
+                == _reference_canvas(size, hand.uvd).tobytes())
+
+
+def test_renderer_clips_windows_at_the_border_and_draws_zero_length_bones():
+    """A hand pushed against the left and bottom edges, so the windows of
+    the primitives there are cut, and one with joints 1 and 2 coincident,
+    so bone (1, 2) has length 0."""
+    size = (32, 32)
+    joints = _generated_hands(size, 24.0, 1)[0].uvd.joints.copy()
+    pushed = joints.copy()
+    pushed[:, 0] += 0.5 - pushed[:, 0].min()
+    pushed[:, 1] += size[0] - 0.5 - pushed[:, 1].max()
+    coincident = joints.copy()
+    coincident[2] = coincident[1]
+    assert (1, 2) in BONES
+    for uvd in (JointSetUVD(pushed), JointSetUVD(coincident)):
+        assert _render_hand_canvas(size, uvd).tobytes() == _reference_canvas(size, uvd).tobytes()
+    at_edges = _render_hand_canvas(size, JointSetUVD(pushed))
+    assert at_edges[:, 0].any() and at_edges[-1, :].any()
+
+
 @pytest.mark.parametrize("u, v", [(9.3, 6.6), (1.2, 14.8)], ids=["inside", "clipped"])
 def test_zero_length_segment_draws_a_gaussian_blob_in_its_window(u, v):
-    """Within _WINDOW (3) pixels of the point's bounding box, clipped to the
-    canvas, every pixel is exactly the Gaussian of its distance to (u, v);
-    outside it the canvas keeps its values."""
-    sigma = 0.8
-    canvas = np.full((16, 20), -1.0)
-    p = np.array([u, v])
-    _draw_segment(canvas, p, p.copy(), sigma)
+    """All 21 joints at (u, v): within 3 pixels of the point's bounding box,
+    clipped to the canvas, every pixel is exactly the Gaussian (the blob's
+    sigma 1.0) of its distance to (u, v); outside it the canvas stays 0."""
+    sigma = 1.0
+    canvas = _render_hand_canvas((16, 20), JointSetUVD(np.tile([u, v, 700.0], (21, 1))))
     rr, cc = np.mgrid[0:16, 0:20]
     window = ((cc >= math.floor(u) - 3) & (cc <= math.ceil(u) + 3)
               & (rr >= math.floor(v) - 3) & (rr <= math.ceil(v) + 3))
     gauss = np.exp(-((cc - u) ** 2 + (rr - v) ** 2) / (2.0 * sigma ** 2))
     assert np.array_equal(canvas[window], gauss[window])
-    assert np.all(canvas[~window] == -1.0)
+    assert np.all(canvas[~window] == 0.0)
 
 
 # -- dataset I/O ------------------------------------------------------------------

@@ -9,8 +9,9 @@ import hashlib
 
 import numpy as np
 
-from setpose.data import GenConfig, generate_sample
+from setpose.data import GenConfig, generate_dataset, generate_sample
 from setpose.rng import PortableRng, derive_seed
+from setpose.train_eval import scaled_gen_config
 
 
 def test_portable_rng_golden_outputs():
@@ -30,14 +31,29 @@ def test_derive_seed_golden_value():
     assert derive_seed(3, 5, 9) == 8009129431582773580
 
 
-def test_generated_sample_golden_digest():
-    sample = generate_sample(GenConfig(seed=4), 0)
-    h = hashlib.sha256()
+def _hash_sample(h, sample) -> None:
     h.update(np.ascontiguousarray(sample.image).tobytes())
     h.update(np.array(dataclasses.astuple(sample.camera), dtype=np.float64).tobytes())
     for hand in sample.hands:
         h.update(hand.side.value.encode())
         h.update(hand.uvd.joints.tobytes())
         h.update(b"-" if hand.xyz is None else hand.xyz.joints.tobytes())
+
+
+def test_generated_sample_golden_digest():
+    sample = generate_sample(GenConfig(seed=4), 0)
+    h = hashlib.sha256()
+    _hash_sample(h, sample)
     assert [hand.side.value for hand in sample.hands] == ["right"]
     assert h.hexdigest() == "deb90a9e28326c7d1574ecf7425ed45c9ff32bf27741139e6513734681039c20"
+
+
+def test_generated_dataset_golden_digest():
+    """64 samples, 32 at 32x32 and 32 at 48x48 (focal scaled with the image),
+    so a change to the renderer shows in tens of thousands of pixels."""
+    h = hashlib.sha256()
+    for size in ((32, 32), (48, 48)):
+        cfg = scaled_gen_config(GenConfig(), size, seed=11, n_samples=32)
+        for sample in generate_dataset(cfg):
+            _hash_sample(h, sample)
+    assert h.hexdigest() == "a53adbd8806e92046ae4b196a8e2483dd1d1f0b4466d6cdfee7404baf419f4fc"

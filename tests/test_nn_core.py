@@ -673,6 +673,34 @@ def test_save_checkpoint_rejects_mixed_or_unsupported_dtypes(tmp_path):
         assert not (tmp_path / name).exists()
 
 
+def test_a_save_that_raises_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    """The second save to a path fails inside np.savez after writing a cut
+    archive: the first checkpoint still loads bitwise and no other
+    directory is left. A later save replaces it whole."""
+    first = make_store(w=np.arange(6.0).reshape(2, 3) / 7, b=[0.5])
+    save_checkpoint(tmp_path / "ck", first, optimizer_step=3)
+
+    def cut_savez(file, **arrays):
+        Path(file).write_bytes(b"PK\x03\x04")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(np, "savez", cut_savez)
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(tmp_path / "ck", make_store(w=np.zeros((2, 3)), b=[9.0]),
+                        optimizer_step=4)
+    monkeypatch.undo()
+    loaded, step, _ = load_checkpoint(tmp_path / "ck")
+    assert step == 3 and loaded.names() == first.names()
+    for name, tensor in first.items():
+        assert loaded[name].data.tobytes() == tensor.data.tobytes()
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+    save_checkpoint(tmp_path / "ck", make_store(w=[1.0]), optimizer_step=5)
+    loaded, step, _ = load_checkpoint(tmp_path / "ck")
+    assert step == 5 and loaded.names() == ["w"]
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
 def test_checkpoint_bad_magic(tmp_path):
     """params.npz that is not a zip archive."""
     save_checkpoint(tmp_path / "ck", make_store(w=[1.0, 2.0]))
