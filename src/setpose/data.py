@@ -25,26 +25,26 @@ normalized UVD space). The half-pixel gap between the discrete and
 continuous mirrors is accepted; it is sub-pixel and irrelevant at this
 scale.
 
-On-disk layout (format_version 3):
+On-disk layout (format_version 4); meta.json is written last, so it
+commits the dataset:
 
     meta.json       format version, generator-config echo, intrinsics, count,
-                    and the SHA-256 of images.npy
-    samples.jsonl   one object per sample, in image order: id, hands
-                    [{side, uvd 21x3, xyz 21x3 | null}]
+                    and the SHA-256 of each .npy file
     images.npy      every image in one little-endian float32 array of
                     shape (N, H, W, 3), in numpy's .npy format
+    hands.npy       (N, 2) HANDS_DTYPE slots, sample i's hands in row i in
+                    sample.hands order: side 0 left, 1 right, -1 empty;
+                    has_xyz False where xyz is None (a flipped hand)
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
 ConfigError, naming the first sample whose camera differs from sample 0's
 or whose image is not of the camera's size, rather than give that frame
 another camera on reading. read_dataset checks the format version before
-it reads anything else, and raises FormatError, naming the file (and the
-line of samples.jsonl), for JSON that does not parse or is not an object,
-a missing key, an unknown side, joints that are not 21x3, an images.npy
-whose header does not parse or does not describe its bytes exactly, or
-that does not hold meta.json's count of float32 images of the camera's
-size or whose SHA-256 is not meta.json's, and a samples.jsonl of another
-length.
+it reads anything else. It raises FormatError naming the .npy file whose
+SHA-256 is not meta.json's, whose header does not parse, does not describe
+its bytes exactly or holds a pickle, or whose dtype or shape is not what
+meta.json promises; and naming the sample of hands.npy with an unknown
+side code or two hands of one side.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from tokenize import TokenError
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, ShapeError, check_config_keys
+from .errors import ConfigError, FormatError, check_config_keys
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -71,8 +71,13 @@ from .geometry import (
 from .hand_model import BONES, FINGER_SLICES
 from .rng import PortableRng
 
-DATASET_FORMAT_VERSION = 3
+DATASET_FORMAT_VERSION = 4
 IMAGES_NAME = "images.npy"
+HANDS_NAME = "hands.npy"
+HANDS_DTYPE = np.dtype([("side", "i1"), ("uvd", "<f8", (N_JOINTS, 3)),
+                        ("xyz", "<f8", (N_JOINTS, 3)), ("has_xyz", "?")])
+_SIDES = {0: HandSide.LEFT, 1: HandSide.RIGHT}  # hands.npy side codes; -1: no hand
+_SIDE_CODES = {side: code for code, side in _SIDES.items()}
 
 # Canonical right-hand template: per-finger in-plane fan angle (degrees
 # from +y toward +x) and bone lengths (mm), proximal to distal.
@@ -364,17 +369,6 @@ def augment(sample: SceneSample, rng: PortableRng) -> SceneSample:
 
 # -- dataset I/O ------------------------------------------------------------------
 
-def _sample_record(index: int, sample: SceneSample) -> dict:
-    hands = []
-    for hand in sample.hands:
-        hands.append({
-            "side": hand.side.value,
-            "uvd": hand.uvd.joints.tolist(),
-            "xyz": hand.xyz.joints.tolist() if hand.xyz is not None else None,
-        })
-    return {"id": index, "hands": hands}
-
-
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as f:
@@ -402,20 +396,45 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     images = np.empty((len(samples),) + shape, dtype="<f4")
+    hands = np.zeros((len(samples), 2), dtype=HANDS_DTYPE)
+    hands["side"] = -1
     for i, sample in enumerate(samples):
         images[i] = sample.image
+        for k, hand in enumerate(sample.hands):
+            xyz = 0.0 if hand.xyz is None else hand.xyz.joints
+            hands[i, k] = (_SIDE_CODES[hand.side], hand.uvd.joints, xyz, hand.xyz is not None)
     np.save(path / IMAGES_NAME, images)
+    np.save(path / HANDS_NAME, hands)
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_samples": len(samples),
         "intrinsics": cam.to_dict(),
         "gen_config": gen_config.to_dict() if gen_config is not None else None,
         "images_sha256": _sha256(path / IMAGES_NAME),
+        "hands_sha256": _sha256(path / HANDS_NAME),
     }
+    # last: until it is replaced, the old meta.json's digests reject new arrays
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-    lines = [json.dumps(_sample_record(i, sample), sort_keys=True)
-             for i, sample in enumerate(samples)]
-    (path / "samples.jsonl").write_text("\n".join(lines) + ("\n" if lines else ""))
+
+
+def _load_array(path: Path, sha256: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
+    """The array in the .npy file at path, once its SHA-256, header, dtype
+    and shape are the ones meta.json promises."""
+    if _sha256(path) != sha256:
+        raise FormatError(f"{path}: SHA-256 differs from meta.json's {sha256!r}")
+    try:
+        with open(path, "rb") as f:
+            array = np.lib.format.read_array(f, allow_pickle=False)
+            trailing = f.read(1)
+    # SyntaxError and TokenError: a header that does not parse
+    except (ValueError, EOFError, SyntaxError, TokenError) as e:
+        raise FormatError(f"{path}: {e}") from e
+    if trailing:  # e.g. a header length too short, which shifts every value
+        raise FormatError(f"{path}: bytes after the array its header describes")
+    if array.dtype != dtype or array.shape != shape:
+        raise FormatError(f"{path}: holds {array.dtype} of shape {array.shape}, "
+                          f"meta.json promises {dtype} of shape {shape}")
+    return array
 
 
 def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
@@ -433,7 +452,8 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
         raise FormatError(f"{meta_path}: unsupported format version "
                           f"{meta.get('format_version')!r} "
                           f"(expected {DATASET_FORMAT_VERSION})")
-    missing = [k for k in ("intrinsics", "n_samples", "images_sha256") if k not in meta]
+    missing = [k for k in ("intrinsics", "n_samples", "images_sha256", "hands_sha256")
+               if k not in meta]
     if missing:
         raise FormatError(f"{meta_path}: missing keys {missing}")
     n_samples = meta["n_samples"]
@@ -441,43 +461,21 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
         raise FormatError(f"{meta_path}: n_samples must be a non-negative int, "
                           f"got {n_samples!r}")
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
-    images_path = path / IMAGES_NAME
-    try:
-        with open(images_path, "rb") as f:
-            images = np.load(f, allow_pickle=False)
-            trailing = f.read(1)
-    # SyntaxError and TokenError: a header that does not parse
-    except (ValueError, EOFError, SyntaxError, TokenError) as e:
-        raise FormatError(f"{images_path}: {e}") from e
-    if trailing:  # e.g. a header length too short, which shifts every pixel
-        raise FormatError(f"{images_path}: bytes after the array its header describes")
-    expected = (n_samples, int(cam.height), int(cam.width), 3)
-    if images.dtype != np.dtype("<f4") or images.shape != expected:
-        raise FormatError(f"{images_path}: holds {images.dtype} images of shape "
-                          f"{images.shape}, meta.json promises float32 {expected}")
-    if _sha256(images_path) != meta["images_sha256"]:
-        raise FormatError(f"{images_path}: SHA-256 differs from meta.json's "
-                          f"{meta['images_sha256']!r}")
-    jsonl_path = path / "samples.jsonl"
-    lines = jsonl_path.read_text().splitlines()
-    if len(lines) != n_samples:
-        raise FormatError(f"{jsonl_path}: {len(lines)} lines, meta.json promises "
-                          f"{n_samples} samples")
+    images = _load_array(path / IMAGES_NAME, meta["images_sha256"], np.dtype("<f4"),
+                         (n_samples, int(cam.height), int(cam.width), 3))
+    hands_path = path / HANDS_NAME
+    hands = _load_array(hands_path, meta["hands_sha256"], HANDS_DTYPE, (n_samples, 2))
+    sides, has_xyz = hands["side"].tolist(), hands["has_xyz"].tolist()
     samples = []
-    for lineno, (line, image) in enumerate(zip(lines, images), 1):
-        where = f"{jsonl_path} line {lineno}"
+    for i, image in enumerate(images):
         try:
-            rec = json.loads(line)
-            hands = tuple(HandAnnotation(
-                side=HandSide(h["side"]),
-                uvd=JointSetUVD(np.array(h["uvd"])),
-                xyz=JointSet3D(np.array(h["xyz"])) if h["xyz"] is not None else None,
-            ) for h in rec["hands"])
-            samples.append(SceneSample(image=image, hands=hands, camera=cam))
+            annotations = tuple(HandAnnotation(
+                side=_SIDES[code], uvd=JointSetUVD(hands["uvd"][i, k]),
+                xyz=JointSet3D(hands["xyz"][i, k]) if has_xyz[i][k] else None)
+                for k, code in enumerate(sides[i]) if code != -1)
+            samples.append(SceneSample(image=image, hands=annotations, camera=cam))
         except KeyError as e:
-            raise FormatError(f"{where}: missing key {e}") from e
-        except (TypeError, ValueError, ShapeError, ConfigError) as e:
-            # not JSON or not an object, an unknown side, joints that are not
-            # 21x3, two hands of one side
-            raise FormatError(f"{where}: {e}") from e
+            raise FormatError(f"{hands_path} sample {i}: unknown side code {e}") from e
+        except ConfigError as e:  # two hands of one side
+            raise FormatError(f"{hands_path} sample {i}: {e}") from e
     return samples, meta

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.recfunctions import repack_fields
 
 from setpose.data import (
     FINGER_BONE_LENGTHS,
+    HANDS_DTYPE,
     GenConfig,
     SceneSample,
     _render_hand_canvas,
@@ -307,24 +311,65 @@ def test_zero_length_segment_draws_a_gaussian_blob_in_its_window(u, v):
 
 # -- dataset I/O ------------------------------------------------------------------
 
+def _assert_same_samples(written, read):
+    """Bitwise equal images, cameras and hands, hands in the same order."""
+    assert len(written) == len(read)
+    for a, b in zip(written, read):
+        assert np.array_equal(a.image, b.image) and a.camera == b.camera
+        assert [h.side for h in a.hands] == [h.side for h in b.hands]
+        for ha, hb in zip(a.hands, b.hands):
+            assert np.array_equal(ha.uvd.joints, hb.uvd.joints)
+            if ha.xyz is None:
+                assert hb.xyz is None
+            else:
+                assert np.array_equal(ha.xyz.joints, hb.xyz.joints)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _rehash(ds):
+    """Give meta.json the SHA-256 of each array file as it now is, so that a
+    check other than the SHA-256 one has to catch an edit."""
+    meta = json.loads((ds / "meta.json").read_text())
+    meta.update(images_sha256=_sha256(ds / "images.npy"),
+                hands_sha256=_sha256(ds / "hands.npy"))
+    (ds / "meta.json").write_text(json.dumps(meta))
+
+
 def test_round_trip_bitwise(tmp_path):
-    cfg = small_cfg(n_samples=10)
-    samples = generate_dataset(cfg)
+    """Generated samples, flipped ones (no xyz), one holding its right hand
+    first, and ones with one hand or none."""
+    cfg = small_cfg(n_samples=4, hand_presence_prob=1.0)
+    generated = generate_dataset(cfg)
+    flipped = [hflip_sample(s) for s in generated]
+    image, both, camera = generated[0].image, generated[0].hands, generated[0].camera
+    assert [h.side for h in both] == [HandSide.LEFT, HandSide.RIGHT]
+    samples = generated + flipped + [SceneSample(image=image, hands=hands, camera=camera)
+                                     for hands in (both[::-1], both[:1], both[1:], ())]
     write_dataset(samples, tmp_path / "ds", gen_config=cfg)
     loaded, meta = read_dataset(tmp_path / "ds")
-    assert meta["format_version"] == 3
+    assert meta["format_version"] == 4
     images = np.load(tmp_path / "ds" / "images.npy")
-    assert images.dtype == np.dtype("<f4") and images.shape == (10, 32, 32, 3)
+    assert images.dtype == np.dtype("<f4") and images.shape == (12, 32, 32, 3)
+    hands = np.load(tmp_path / "ds" / "hands.npy")
+    assert hands.dtype == HANDS_DTYPE and hands.shape == (12, 2)
+    assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
+        "hands.npy", "images.npy", "meta.json"]
     assert meta["gen_config"]["subject_scale_factor"] == 1.0
-    assert len(loaded) == 10
-    for a, b in zip(samples, loaded):
-        assert np.array_equal(a.image, b.image)
-        assert len(a.hands) == len(b.hands)
-        for ha, hb in zip(a.hands, b.hands):
-            assert ha.side == hb.side
-            assert np.array_equal(ha.uvd.joints, hb.uvd.joints)
-            assert np.array_equal(ha.xyz.joints, hb.xyz.joints)
-        assert a.camera == b.camera
+    _assert_same_samples(samples, loaded)
+    assert [[h.side for h in s.hands] for s in loaded[-4:]] == [
+        [HandSide.RIGHT, HandSide.LEFT], [HandSide.LEFT], [HandSide.RIGHT], []]
+
+
+def test_round_trip_of_an_empty_dataset(tmp_path):
+    cfg = small_cfg(n_samples=0)
+    write_dataset([], tmp_path / "ds", gen_config=cfg)
+    loaded, meta = read_dataset(tmp_path / "ds")
+    assert loaded == [] and meta["n_samples"] == 0
+    assert GenConfig.from_dict(meta["gen_config"]) == cfg
+    assert np.load(tmp_path / "ds" / "hands.npy").shape == (0, 2)
 
 
 def test_write_dataset_rejects_frames_with_different_cameras(tmp_path):
@@ -346,14 +391,37 @@ def test_write_dataset_rejects_an_image_not_of_the_camera_size(tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
+def test_an_overwrite_that_fails_before_meta_json_is_rejected_whole(tmp_path, monkeypatch):
+    """meta.json is written last: new images beside the old annotations
+    fail the old meta.json's SHA-256, so no mix of samples is returned."""
+    ds = tmp_path / "ds"
+    old = small_cfg(n_samples=3)
+    write_dataset(generate_dataset(old), ds, gen_config=old)
+    save = np.save
+
+    def save_but_not_hands(file, array, *args, **kwargs):
+        if Path(file).name == "hands.npy":
+            raise OSError("no space left on device")
+        save(file, array, *args, **kwargs)
+
+    monkeypatch.setattr(np, "save", save_but_not_hands)
+    new = small_cfg(n_samples=3, seed=124)
+    with pytest.raises(OSError, match="no space"):
+        write_dataset(generate_dataset(new), ds, gen_config=new)
+    monkeypatch.undo()
+    with pytest.raises(FormatError, match="images.npy: SHA-256"):
+        read_dataset(ds)
+
+
 def test_truncated_image_raises_named_format_error(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     victim = tmp_path / "ds" / "images.npy"
     victim.write_bytes(victim.read_bytes()[:-10])
+    _rehash(tmp_path / "ds")
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
-    assert "images.npy" in str(err.value)
+    assert "images.npy" in str(err.value) and "SHA-256" not in str(err.value)
 
 
 @pytest.mark.parametrize("edit", [
@@ -366,9 +434,10 @@ def test_images_file_its_header_does_not_describe_raises_format_error(tmp_path, 
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     victim = tmp_path / "ds" / "images.npy"
     victim.write_bytes(edit(victim.read_bytes()))
+    _rehash(tmp_path / "ds")
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
-    assert "images.npy" in str(err.value)
+    assert "images.npy" in str(err.value) and "SHA-256" not in str(err.value)
 
 
 @pytest.mark.parametrize("images", [
@@ -384,20 +453,10 @@ def test_images_that_do_not_fit_meta_raise_format_error_naming_the_file(tmp_path
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     victim = tmp_path / "ds" / "images.npy"
     np.save(victim, images(np.load(victim)))
+    _rehash(tmp_path / "ds")
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
-    assert "images.npy" in str(err.value)
-
-
-@pytest.mark.parametrize("edit", [lambda lines: lines + lines[:1], lambda lines: lines[:-1]],
-                         ids=["more-lines", "fewer-lines"])
-def test_sample_lines_that_do_not_fit_meta_raise_format_error(tmp_path, edit):
-    cfg = small_cfg(n_samples=3)
-    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
-    jsonl = tmp_path / "ds" / "samples.jsonl"
-    jsonl.write_text("\n".join(edit(jsonl.read_text().splitlines())) + "\n")
-    with pytest.raises(FormatError, match="samples.jsonl: .* lines, meta.json promises 3"):
-        read_dataset(tmp_path / "ds")
+    assert "images.npy" in str(err.value) and "SHA-256" not in str(err.value)
 
 
 def test_version_1_dataset_raises_format_error_naming_the_version(tmp_path):
@@ -414,15 +473,29 @@ def test_version_1_dataset_raises_format_error_naming_the_version(tmp_path):
         read_dataset(ds)
 
 
+def _older_dataset(ds, version: int, del_keys: tuple[str, ...]):
+    cfg = small_cfg(n_samples=1)
+    write_dataset(generate_dataset(cfg), ds, gen_config=cfg)
+    meta = json.loads((ds / "meta.json").read_text())
+    for key in del_keys:
+        del meta[key]
+    meta["format_version"] = version
+    (ds / "meta.json").write_text(json.dumps(meta))
+    (ds / "hands.npy").unlink()
+    (ds / "samples.jsonl").write_text(json.dumps({"id": 0, "hands": []}) + "\n")
+
+
 def test_version_2_dataset_raises_format_error_naming_the_version(tmp_path):
     """The layout before meta.json recorded the SHA-256 of images.npy."""
-    cfg = small_cfg(n_samples=1)
-    write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
-    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    del meta["images_sha256"]
-    meta["format_version"] = 2
-    (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+    _older_dataset(tmp_path / "ds", 2, ("images_sha256", "hands_sha256"))
     with pytest.raises(FormatError, match="meta.json: unsupported format version 2 "):
+        read_dataset(tmp_path / "ds")
+
+
+def test_version_3_dataset_raises_format_error_naming_the_version(tmp_path):
+    """The layout before hands.npy: one samples.jsonl object per sample."""
+    _older_dataset(tmp_path / "ds", 3, ("hands_sha256",))
+    with pytest.raises(FormatError, match="meta.json: unsupported format version 3 "):
         read_dataset(tmp_path / "ds")
 
 
@@ -435,6 +508,23 @@ def test_a_flipped_pixel_bit_raises_format_error_naming_images(tmp_path):
     victim.write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="images.npy: SHA-256"):
         read_dataset(tmp_path / "ds")
+
+
+def test_every_flipped_byte_of_hands_raises_format_error(tmp_path):
+    """Header, side codes, joints, has_xyz and empty-slot padding alike."""
+    ds = tmp_path / "ds"
+    cfg = small_cfg(n_samples=1, hand_presence_prob=0.5, seed=0)
+    samples = generate_dataset(cfg)
+    assert len(samples[0].hands) == 1  # slot 1 is empty
+    write_dataset(samples, ds, gen_config=cfg)
+    victim = ds / "hands.npy"
+    raw = victim.read_bytes()
+    for i in range(len(raw)):
+        flipped = bytearray(raw)
+        flipped[i] ^= 0xFF
+        victim.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError, match="hands.npy: SHA-256"):
+            read_dataset(ds)
 
 
 def test_unknown_intrinsics_key_in_dataset_raises_config_error(tmp_path):
@@ -451,13 +541,32 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    meta["format_version"] = 4
+    meta["format_version"] = 5
     (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
-    # also corrupt the images: proves they are never touched
+    # also corrupt the arrays: proves they are never touched
     (tmp_path / "ds" / "images.npy").write_bytes(b"junk")
+    (tmp_path / "ds" / "hands.npy").write_bytes(b"junk")
     with pytest.raises(FormatError) as err:
         read_dataset(tmp_path / "ds")
     assert "meta.json" in str(err.value)
+
+
+def _without(hands, name):
+    return repack_fields(hands[[n for n in hands.dtype.names if n != name]])
+
+
+def _short_uvd(hands):
+    """hands with a (20, 3) uvd field."""
+    names = hands.dtype.names
+    out = np.zeros(hands.shape, [(n, "<f8", (20, 3)) if n == "uvd" else (n, hands.dtype[n])
+                                 for n in names])
+    for n in names:
+        out[n] = hands[n][..., :20, :] if n == "uvd" else hands[n]
+    return out
+
+
+def _set_side(f, slot, code):
+    f["hands"]["side"][1, slot] = code
 
 
 @pytest.mark.parametrize("where, what, corrupt", [
@@ -465,33 +574,47 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     ("meta.json", "intrinsics", lambda f: f["meta"].pop("intrinsics")),
     ("meta.json", "n_samples", lambda f: f["meta"].pop("n_samples")),
     ("meta.json", "images_sha256", lambda f: f["meta"].pop("images_sha256")),
+    ("meta.json", "hands_sha256", lambda f: f["meta"].pop("hands_sha256")),
     ("meta.json", "non-negative int", lambda f: f["meta"].update(n_samples="2")),
-    ("samples.jsonl line 2", "Expecting", lambda f: f["recs"].__setitem__(1, "{not json")),
-    ("samples.jsonl line 2", "hands", lambda f: f["recs"][1].pop("hands")),
-    ("samples.jsonl line 2", "side", lambda f: f["recs"][1]["hands"][0].pop("side")),
-    ("samples.jsonl line 2", "uvd", lambda f: f["recs"][1]["hands"][0].pop("uvd")),
-    ("samples.jsonl line 2", "xyz", lambda f: f["recs"][1]["hands"][0].pop("xyz")),
-    ("samples.jsonl line 2", "middle", lambda f: f["recs"][1]["hands"][0].update(side="middle")),
-    ("samples.jsonl line 2", "(20, 3)",
-     lambda f: f["recs"][1]["hands"][0].update(uvd=f["recs"][1]["hands"][0]["uvd"][:20])),
-    ("samples.jsonl line 2", "one hand per side",
-     lambda f: f["recs"][1]["hands"][1].update(side=f["recs"][1]["hands"][0]["side"])),
+    ("meta.json", "invalid JSON", lambda f: f.update(meta="{not json")),
+    ("hands.npy: holds", "shape (2, 0)", lambda f: f.update(hands=f["hands"][:, :0])),
+    ("hands.npy: holds", "shape (1, 2)", lambda f: f.update(hands=f["hands"][:1])),
+    ("hands.npy: holds", "shape (3, 2)",
+     lambda f: f.update(hands=np.concatenate([f["hands"], f["hands"][:1]]))),
+    ("hands.npy: holds", "meta.json promises",
+     lambda f: f.update(hands=_without(f["hands"], "side"))),
+    ("hands.npy: holds", "meta.json promises",
+     lambda f: f.update(hands=_without(f["hands"], "uvd"))),
+    ("hands.npy: holds", "meta.json promises",
+     lambda f: f.update(hands=_without(f["hands"], "xyz"))),
+    ("hands.npy: holds", "(20, 3)", lambda f: f.update(hands=_short_uvd(f["hands"]))),
+    ("hands.npy: holds", ">f8",
+     lambda f: f.update(hands=f["hands"].astype(f["hands"].dtype.newbyteorder(">")))),
+    ("hands.npy", "allow_pickle",
+     lambda f: f.update(hands=np.array([None] * 2, dtype=object))),
+    ("hands.npy sample 1", "unknown side code 2", lambda f: _set_side(f, 0, 2)),
+    ("hands.npy sample 1", "unknown side code -2", lambda f: _set_side(f, 1, -2)),
+    ("hands.npy sample 1", "one hand per side",
+     lambda f: _set_side(f, 1, f["hands"]["side"][1, 0])),
 ], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-sha256",
-        "meta-n_samples-str",
-        "not-json", "no-hands", "no-side", "no-uvd", "no-xyz", "unknown-side",
-        "short-uvd", "same-side"])
+        "meta-hands-sha256", "meta-n_samples-str", "not-json",
+        "no-hands", "fewer-rows", "more-rows", "no-side", "no-uvd", "no-xyz", "short-uvd",
+        "big-endian", "pickled", "unknown-side", "negative-side", "same-side"])
 def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,
                                                                 corrupt):
+    """The hands.npy edits come with a matching SHA-256 in meta.json, so
+    the check that fires is the one for the edit."""
     cfg = small_cfg(n_samples=2, hand_presence_prob=1.0)
     ds = tmp_path / "ds"
     write_dataset(generate_dataset(cfg), ds, gen_config=cfg)
     files = {"meta": json.loads((ds / "meta.json").read_text()),
-             "recs": [json.loads(line)
-                      for line in (ds / "samples.jsonl").read_text().splitlines()]}
+             "hands": np.load(ds / "hands.npy")}
     corrupt(files)
-    (ds / "meta.json").write_text(json.dumps(files["meta"]))
-    (ds / "samples.jsonl").write_text(
-        "\n".join(r if isinstance(r, str) else json.dumps(r) for r in files["recs"]) + "\n")
+    np.save(ds / "hands.npy", files["hands"])
+    meta = files["meta"]
+    if isinstance(meta, dict) and "hands_sha256" in meta:
+        meta["hands_sha256"] = _sha256(ds / "hands.npy")
+    (ds / "meta.json").write_text(meta if isinstance(meta, str) else json.dumps(meta))
     with pytest.raises(FormatError) as err:
         read_dataset(ds)
     assert where in str(err.value) and what in str(err.value)

@@ -9,7 +9,8 @@ import hashlib
 
 import numpy as np
 
-from setpose.data import GenConfig, generate_dataset, generate_sample
+from setpose.data import (GenConfig, generate_dataset, generate_sample, read_dataset,
+                          write_dataset)
 from setpose.rng import PortableRng, derive_seed
 from setpose.train_eval import scaled_gen_config
 
@@ -48,12 +49,19 @@ def test_generated_sample_golden_digest():
     assert h.hexdigest() == "deb90a9e28326c7d1574ecf7425ed45c9ff32bf27741139e6513734681039c20"
 
 
-def test_generated_dataset_golden_digest():
+def test_generated_dataset_golden_digest(tmp_path):
     """64 samples, 32 at 32x32 and 32 at 48x48 (focal scaled with the image),
-    so a change to the renderer shows in tens of thousands of pixels."""
-    h = hashlib.sha256()
+    so a change to the renderer shows in tens of thousands of pixels; the
+    same samples written and read back digest to the same value."""
+    generated, read_back = hashlib.sha256(), hashlib.sha256()
     for size in ((32, 32), (48, 48)):
         cfg = scaled_gen_config(GenConfig(), size, seed=11, n_samples=32)
-        for sample in generate_dataset(cfg):
-            _hash_sample(h, sample)
-    assert h.hexdigest() == "a53adbd8806e92046ae4b196a8e2483dd1d1f0b4466d6cdfee7404baf419f4fc"
+        samples = generate_dataset(cfg)
+        write_dataset(samples, tmp_path / str(size[0]), cfg)
+        back, _ = read_dataset(tmp_path / str(size[0]))
+        for h, source in ((generated, samples), (read_back, back)):
+            for sample in source:
+                _hash_sample(h, sample)
+    golden = "a53adbd8806e92046ae4b196a8e2483dd1d1f0b4466d6cdfee7404baf419f4fc"
+    assert generated.hexdigest() == golden
+    assert read_back.hexdigest() == golden
