@@ -32,9 +32,11 @@ commits the dataset:
                     and the SHA-256 of each .npy file
     images.npy      every image in one little-endian float32 array of
                     shape (N, H, W, 3), in numpy's .npy format
-    hands.npy       (N, 2) HANDS_DTYPE slots, sample i's hands in row i in
-                    sample.hands order: side 0 left, 1 right, -1 empty;
-                    has_xyz False where xyz is None (a flipped hand)
+    hands.npy       (N, 2) HANDS_DTYPE slots (pack_hands), sample i's hands
+                    in row i in sample.hands order: side 0 left, 1 right
+                    (HandSide.code), -1 empty; has_xyz False where xyz is
+                    None (a flipped hand). The same rows, packed from an
+                    augmented batch, are a training step's ground truth.
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
 ConfigError, naming the first sample whose camera differs from sample 0's
@@ -76,8 +78,7 @@ IMAGES_NAME = "images.npy"
 HANDS_NAME = "hands.npy"
 HANDS_DTYPE = np.dtype([("side", "i1"), ("uvd", "<f8", (N_JOINTS, 3)),
                         ("xyz", "<f8", (N_JOINTS, 3)), ("has_xyz", "?")])
-_SIDES = {0: HandSide.LEFT, 1: HandSide.RIGHT}  # hands.npy side codes; -1: no hand
-_SIDE_CODES = {side: code for code, side in _SIDES.items()}
+_SIDES = {side.code: side for side in HandSide}  # hands.npy side codes; -1: no hand
 
 # Canonical right-hand template: per-finger in-plane fan angle (degrees
 # from +y toward +x) and bone lengths (mm), proximal to distal.
@@ -117,7 +118,6 @@ class GenConfig:
     subject_scale_factor: float = 1.0
     scale_jitter: tuple[float, float] = (0.85, 1.15)
     hand_presence_prob: float = 0.9
-    distractor: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "image_size", tuple(self.image_size))
@@ -151,7 +151,6 @@ class GenConfig:
             "subject_scale_factor": self.subject_scale_factor,
             "scale_jitter": list(self.scale_jitter),
             "hand_presence_prob": self.hand_presence_prob,
-            "distractor": self.distractor,
         }
 
     @classmethod
@@ -302,23 +301,13 @@ def _render_hand_canvas(size: tuple[int, int], uvd: JointSetUVD) -> np.ndarray:
     return canvas
 
 
-def render_scene(
-    cfg: GenConfig,
-    hands: list[HandAnnotation],
-    distractor_rect: tuple[float, float, float, float] | None = None,
-) -> np.ndarray:
+def render_scene(cfg: GenConfig, hands: list[HandAnnotation]) -> np.ndarray:
     """Compose per-side canvases into the (H, W, 3) float32 image."""
     size = cfg.image_size
     image = np.zeros(size + (3,), dtype=np.float64)
-    if distractor_rect is not None:
-        u0, v0, u1, v1 = distractor_rect
-        r0, r1 = max(int(v0), 0), min(int(v1), size[0] - 1)
-        c0, c1 = max(int(u0), 0), min(int(u1), size[1] - 1)
-        if r0 <= r1 and c0 <= c1:
-            image[r0:r1 + 1, c0:c1 + 1, :] = 0.35
     for hand in hands:
         canvas = _render_hand_canvas(size, hand.uvd)
-        for c in (0 if hand.side is HandSide.LEFT else 1, 2):
+        for c in (hand.side.code, 2):
             np.maximum(image[:, :, c], canvas, out=image[:, :, c])
     return image.astype(np.float32)
 
@@ -326,12 +315,6 @@ def render_scene(
 def generate_sample(cfg: GenConfig, index: int) -> SceneSample:
     """Sample `index` of the dataset; draws only from its own RNG stream."""
     rng = PortableRng(cfg.seed, stream=index + 1)
-    rect = None
-    if cfg.distractor:
-        h, w = cfg.image_size
-        cu, cv = rng.uniform(0.2 * w, 0.8 * w), rng.uniform(0.2 * h, 0.8 * h)
-        eu, ev = rng.uniform(2.0, 0.25 * w), rng.uniform(2.0, 0.25 * h)
-        rect = (cu - eu, cv - ev, cu + eu, cv + ev)
     present = {side: rng.bernoulli(cfg.hand_presence_prob) for side in HandSide}
     hands = []
     for side in HandSide:  # fixed order: left, then right
@@ -339,7 +322,7 @@ def generate_sample(cfg: GenConfig, index: int) -> SceneSample:
             continue
         uvd, xyz = _place_hand(rng, cfg, side)
         hands.append(HandAnnotation(side=side, uvd=uvd, xyz=xyz))
-    image = render_scene(cfg, hands, rect)
+    image = render_scene(cfg, hands)
     return SceneSample(image=image, hands=tuple(hands), camera=cfg.intrinsics)
 
 
@@ -377,6 +360,19 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def pack_hands(samples: list[SceneSample]) -> np.ndarray:
+    """The (N, 2) HANDS_DTYPE slots of samples: sample i's hands in row i in
+    sample.hands order, side -1 in an empty slot. The rows of hands.npy and
+    the ground-truth layout of a training step."""
+    hands = np.zeros((len(samples), 2), dtype=HANDS_DTYPE)
+    hands["side"] = -1
+    for i, sample in enumerate(samples):
+        for k, hand in enumerate(sample.hands):
+            xyz = 0.0 if hand.xyz is None else hand.xyz.joints
+            hands[i, k] = (hand.side.code, hand.uvd.joints, xyz, hand.xyz is not None)
+    return hands
+
+
 def write_dataset(samples: list[SceneSample], path: str | Path,
                   gen_config: GenConfig | None = None) -> None:
     if samples:
@@ -396,15 +392,10 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
     images = np.empty((len(samples),) + shape, dtype="<f4")
-    hands = np.zeros((len(samples), 2), dtype=HANDS_DTYPE)
-    hands["side"] = -1
     for i, sample in enumerate(samples):
         images[i] = sample.image
-        for k, hand in enumerate(sample.hands):
-            xyz = 0.0 if hand.xyz is None else hand.xyz.joints
-            hands[i, k] = (_SIDE_CODES[hand.side], hand.uvd.joints, xyz, hand.xyz is not None)
     np.save(path / IMAGES_NAME, images)
-    np.save(path / HANDS_NAME, hands)
+    np.save(path / HANDS_NAME, pack_hands(samples))
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_samples": len(samples),

@@ -17,7 +17,8 @@ All functions are pure; joint arrays inside the pose types are read-only.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+import numbers
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -36,6 +37,12 @@ class HandSide(Enum):
     def opposite(self) -> "HandSide":
         return HandSide.RIGHT if self is HandSide.LEFT else HandSide.LEFT
 
+    @property
+    def code(self) -> int:
+        """0 left, 1 right: the side's class logit column, image channel and
+        hands.npy code."""
+        return 0 if self is HandSide.LEFT else 1
+
 
 @dataclass(frozen=True)
 class CameraIntrinsics:
@@ -47,6 +54,10 @@ class CameraIntrinsics:
     height: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"intrinsics {f.name} must be a number, got {value!r}")
         if not (self.fx > 0 and self.fy > 0):
             raise ConfigError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):

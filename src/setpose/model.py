@@ -308,23 +308,26 @@ def decode_depth(d_norm: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def encode_depth(d: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Millimeters (21,) -> normalized channels; inverse of decode_depth."""
+    """Millimeters (..., 21) -> normalized channels; inverse of decode_depth."""
     z_min, z_max = config.depth_range
     if config.depth_mode is DepthMode.ABSOLUTE_PER_JOINT:
         return (d - z_min) / (z_max - z_min)
-    out = ((d - d[WRIST]) / config.rel_depth_half_range + 1.0) / 2.0
-    out[WRIST] = (d[WRIST] - z_min) / (z_max - z_min)
+    out = ((d - d[..., WRIST, None]) / config.rel_depth_half_range + 1.0) / 2.0
+    out[..., WRIST] = (d[..., WRIST] - z_min) / (z_max - z_min)
     return out
 
 
-def encode_targets(uvd: JointSetUVD, config: ModelConfig) -> np.ndarray:
-    """GT pose -> 63 normalized supervision targets (clipped to [0, 1])."""
+def encode_targets(uvd: np.ndarray, config: ModelConfig) -> np.ndarray:
+    """GT poses (..., 21, 3) UVD -> (..., 63) normalized supervision
+    targets (clipped to [0, 1])."""
+    if uvd.shape[-2:] != (N_JOINTS, 3):
+        raise ShapeError(f"need (..., {N_JOINTS}, 3) UVD joints, got {uvd.shape}")
     h, w = config.image_size
-    out = np.empty((N_JOINTS, 3))
-    out[:, 0] = uvd.u / w
-    out[:, 1] = uvd.v / h
-    out[:, 2] = encode_depth(uvd.d.copy(), config)
-    return np.clip(out.reshape(-1), 0.0, 1.0)
+    out = np.empty(uvd.shape)
+    out[..., 0] = uvd[..., 0] / w
+    out[..., 1] = uvd[..., 1] / h
+    out[..., 2] = encode_depth(uvd[..., 2], config)
+    return np.clip(out.reshape(uvd.shape[:-2] + (N_JOINT_VALUES,)), 0.0, 1.0)
 
 
 @dataclass(frozen=True)

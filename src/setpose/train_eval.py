@@ -3,11 +3,13 @@
 Training follows the two-group AdamW schedule: backbone parameters (the
 patch embedding) at lr_backbone, everything else at lr_transformer, both
 divided by lr_drop_factor from lr_drop_epoch onward. Supervision happens
-in normalized UVD space. Each step runs the batch forward, builds the
-match costs of the whole batch in one build_cost_matrix call, matches
-every image in one batched hungarian call, and makes one set_loss call,
-which averages the per-image losses over the batch. Matching is recomputed
-every step and carries no gradient.
+in normalized UVD space. Each step packs its augmented batch's hands into
+the (B, 2) slots of data.pack_hands, the rows hands.npy stores, and
+encodes their joints in one encode_targets call. It runs the batch
+forward, builds the match costs of the whole batch in one
+build_cost_matrix call, matches every image in one batched hungarian call,
+and makes one set_loss call, which averages the per-image losses over the
+batch. Matching is recomputed every step and carries no gradient.
 
 Evaluation decodes a pose per side (per-side argmax query - a prediction
 is always produced for a present hand), optionally rescales depths toward
@@ -24,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GenConfig, SceneSample, augment, generate_dataset
+from .data import GenConfig, SceneSample, augment, generate_dataset, pack_hands
 from .errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss, check_config_keys
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, mpjpe, uvd_to_xyz
 from .hand_model import ScaleStats, compute_mean_scale, rescale_depth
@@ -66,12 +68,12 @@ class TrainConfig:
     def __post_init__(self):
         if not (0 < self.lr_drop_epoch < self.total_epochs):
             raise ConfigError("need 0 < lr_drop_epoch < total_epochs")
-        for name in ("lr_transformer", "lr_backbone", "weight_decay",
-                     "lr_drop_factor", "lam_cls", "lam_l1", "w_noobj"):
+        for name in ("weight_decay", "lam_cls", "lam_l1", "w_noobj"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
-        if self.lr_transformer <= 0 or self.lr_backbone <= 0:
-            raise ConfigError("learning rates must be > 0")
+        for name in ("lr_transformer", "lr_backbone", "lr_drop_factor"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
 
@@ -110,11 +112,6 @@ class TrainLog:
     epochs: list[EpochRecord] = field(default_factory=list)
 
 
-def sample_targets(sample: SceneSample, model_cfg: ModelConfig):
-    """Ground-truth (side, 63 normalized values) list for one sample."""
-    return [(h.side, encode_targets(h.uvd, model_cfg)) for h in sample.hands]
-
-
 def train(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
@@ -146,7 +143,8 @@ def train(
             batch_idx = order[lo:lo + train_cfg.batch_size]
             batch = [augment(train_samples[i], rng) for i in batch_idx]
             images = np.stack([s.image for s in batch])
-            gts = [sample_targets(s, model_cfg) for s in batch]
+            hands = pack_hands(batch)
+            gt_cls, gt_joints = hands["side"], encode_targets(hands["uvd"], model_cfg)
             step += 1
 
             parts = {}
@@ -154,8 +152,9 @@ def train(
             def loss_fn(ps: ParamStore):
                 det = forward_batch(ps, images, model_cfg)
                 costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data,
-                                          gts, train_cfg.lam_cls, train_cfg.lam_l1)
-                lb = set_loss(det.class_logits, det.joints_norm, gts,
+                                          gt_cls, gt_joints, train_cfg.lam_cls,
+                                          train_cfg.lam_l1)
+                lb = set_loss(det.class_logits, det.joints_norm, gt_cls, gt_joints,
                               hungarian(costs), train_cfg.lam_cls,
                               train_cfg.lam_l1, train_cfg.w_noobj)
                 parts["cls"] = lb.cls_loss.item()

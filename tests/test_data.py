@@ -20,6 +20,7 @@ from setpose.data import (
     generate_dataset,
     generate_sample,
     hflip_sample,
+    pack_hands,
     read_dataset,
     template_hand,
     write_dataset,
@@ -27,6 +28,7 @@ from setpose.data import (
 from setpose.errors import ConfigError, FormatError
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
+from setpose.matching import class_index
 from setpose.rng import PortableRng
 
 TEMPLATE_MEAN_BONE = sum(sum(v) for v in FINGER_BONE_LENGTHS.values()) / 20.0  # 40.5
@@ -145,14 +147,6 @@ def test_scale_shifted_split_ratio():
     assert abs(ratio - 1.3) < 0.03 * 1.3
 
 
-def test_distractor_flag_changes_image_only_visually():
-    plain = small_cfg(seed=9)
-    spiced = small_cfg(seed=9, distractor=True)
-    a = generate_dataset(plain)
-    b = generate_dataset(spiced)
-    assert any(not np.array_equal(x.image, y.image) for x, y in zip(a, b))
-
-
 def test_gen_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(depth_range=(0.0, 100.0))
@@ -165,7 +159,7 @@ def test_gen_config_validation():
 
 
 def test_gen_config_dict_round_trip():
-    cfg = small_cfg(subject_scale_factor=1.3, distractor=True)
+    cfg = small_cfg(subject_scale_factor=1.3)
     assert GenConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -336,6 +330,33 @@ def _rehash(ds):
     meta.update(images_sha256=_sha256(ds / "images.npy"),
                 hands_sha256=_sha256(ds / "hands.npy"))
     (ds / "meta.json").write_text(json.dumps(meta))
+
+
+def one_hand_sample(side: HandSide) -> SceneSample:
+    cfg = small_cfg(hand_presence_prob=1.0)
+    hand = next(h for h in generate_sample(cfg, 0).hands if h.side is side)
+    return SceneSample(image=np.zeros((32, 32, 3)), hands=(hand,), camera=cfg.intrinsics)
+
+
+def test_pack_hands_puts_a_right_only_sample_in_row_0():
+    right = one_hand_sample(HandSide.RIGHT)
+    hands = pack_hands([right])
+    assert hands.dtype == HANDS_DTYPE and hands.shape == (1, 2)
+    assert hands["side"].tolist() == [[HandSide.RIGHT.code, -1]]
+    assert np.array_equal(hands["uvd"][0, 0], right.hands[0].uvd.joints)
+    assert not hands["uvd"][0, 1].any() and hands["has_xyz"].tolist() == [[True, False]]
+
+
+def test_pack_hands_side_codes_are_the_class_columns():
+    """Training feeds hands["side"] to the loss as class logit columns."""
+    samples = [one_hand_sample(HandSide.LEFT), one_hand_sample(HandSide.RIGHT),
+               hflip_sample(generate_sample(small_cfg(hand_presence_prob=1.0), 1))]
+    sides = pack_hands(samples)["side"]
+    for i, sample in enumerate(samples):
+        assert sides[i, :len(sample.hands)].tolist() == [class_index(h.side)
+                                                         for h in sample.hands]
+        assert (sides[i, len(sample.hands):] == -1).all()
+    assert pack_hands([]).shape == (0, 2)
 
 
 def test_round_trip_bitwise(tmp_path):
@@ -530,11 +551,14 @@ def test_every_flipped_byte_of_hands_raises_format_error(tmp_path):
 def test_unknown_intrinsics_key_in_dataset_raises_config_error(tmp_path):
     cfg = small_cfg(n_samples=1)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
-    meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    meta["intrinsics"]["skew"] = 0.0
-    (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
-    with pytest.raises(ConfigError, match="skew"):
-        read_dataset(tmp_path / "ds")
+    written = json.loads((tmp_path / "ds" / "meta.json").read_text())
+    # an unknown key, and a known one that is not a number
+    for key, value in (("skew", 0.0), ("fx", "24")):
+        meta = json.loads(json.dumps(written))
+        meta["intrinsics"][key] = value
+        (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ConfigError, match=key):
+            read_dataset(tmp_path / "ds")
 
 
 def test_unknown_dataset_version_rejected_before_load(tmp_path):

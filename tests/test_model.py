@@ -330,7 +330,7 @@ def test_encode_decode_depth_round_trip():
         joints[:, 2] = [wrist_d + rng.uniform(-60, 60) for _ in range(N_JOINTS)]
         joints[0, 2] = wrist_d
         pose = JointSetUVD(joints)
-        targets = encode_targets(pose, cfg).reshape(N_JOINTS, 3)
+        targets = encode_targets(pose.joints, cfg).reshape(N_JOINTS, 3)
         u = targets[:, 0] * cam.width
         v = targets[:, 1] * cam.height
         from setpose.model import decode_depth
@@ -340,23 +340,38 @@ def test_encode_decode_depth_round_trip():
         assert np.allclose(d, pose.d, rtol=1e-10)
 
 
+def test_encode_targets_of_a_batch_is_bitwise_the_per_pose_encoding():
+    rng = PortableRng(97)
+    n = 3 * 2 * N_JOINTS
+    poses = np.stack([np.array(rng.uniform_list(n, 0.0, 32.0)),
+                      np.array(rng.uniform_list(n, 0.0, 32.0)),
+                      np.array(rng.uniform_list(n, 600.0, 1000.0))], axis=-1)
+    poses = poses.reshape(3, 2, N_JOINTS, 3)
+    for mode in ("absolute", "root_relative"):
+        cfg = ModelConfig(**{**TINY.to_dict(), "depth_mode": mode})
+        batch = encode_targets(poses, cfg)
+        assert batch.shape == (3, 2, 63)
+        for b, k in np.ndindex(3, 2):
+            assert np.array_equal(batch[b, k], encode_targets(poses[b, k], cfg))
+    with pytest.raises(ShapeError):
+        encode_targets(poses[..., :2], TINY)
+
+
 # -- gradients through the full model (sampled; full sweep in acceptance) -------
 
 def test_set_loss_through_forward_gradcheck_sampled():
     params = float64_copy(build_model(TINY, seed=11))  # float32 is too coarse for FD
     rng = PortableRng(99)
     imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
-    gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95))),
-            (HandSide.RIGHT, np.array(rng.uniform_list(63, 0.05, 0.95)))],
-           []]  # the second image holds no hand
+    gts = packed_gts(rng, [HandSide.LEFT, HandSide.RIGHT], [])  # image 1 holds no hand
 
     det0 = forward_batch(params, imgs, TINY)
-    costs = build_cost_matrix(det0.class_logits.data, det0.joints_norm.data, gts)
+    costs = build_cost_matrix(det0.class_logits.data, det0.joints_norm.data, *gts)
     query = hungarian(costs)  # frozen: the loss is piecewise in the matching
 
     def loss_fn(ps: ParamStore) -> Tensor:
         det = forward_batch(ps, imgs, TINY)
-        return set_loss(det.class_logits, det.joints_norm, gts, query).total
+        return set_loss(det.class_logits, det.joints_norm, *gts, query).total
 
     _, grads = forward_backward(loss_fn, params)
 
@@ -384,13 +399,24 @@ def test_set_loss_through_forward_gradcheck_sampled():
     assert worst < 1e-3, f"worst sampled rel err {worst}"
 
 
+def packed_gts(rng: PortableRng, *images) -> tuple[np.ndarray, np.ndarray]:
+    """The packed (B, 2) side codes and (B, 2, 63) normalized joints of one
+    image per list of sides; empty slots hold -1 and zeros."""
+    gt_cls = np.full((len(images), 2), -1, dtype=np.int8)
+    gt_joints = np.zeros((len(images), 2, 63))
+    for b, sides in enumerate(images):
+        for k, side in enumerate(sides):
+            gt_cls[b, k] = side.code
+            gt_joints[b, k] = rng.uniform_list(63, 0.05, 0.95)
+    return gt_cls, gt_joints
+
+
 def default_batch(n_images: int = 16):
-    """Random float32 images at the default config, and ground truths
-    holding 0, 1 and 2 hands in turn."""
+    """Random float32 images at the default config, and the packed ground
+    truth of images holding 0, 1 and 2 hands in turn."""
     rng = PortableRng(105)
     imgs = np.stack([random_image(rng, ModelConfig()) for _ in range(n_images)])
-    gts = [[(side, np.array(rng.uniform_list(63, 0.05, 0.95)))
-            for side in list(HandSide)[:b % 3]] for b in range(n_images)]
+    gts = packed_gts(rng, *(list(HandSide)[:b % 3] for b in range(n_images)))
     return imgs.astype(np.float32), gts
 
 
@@ -405,8 +431,8 @@ def test_default_step_runs_in_float32():
 
     def loss_fn(ps: ParamStore) -> Tensor:
         det = forward_batch(ps, imgs, cfg)
-        costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data, gts)
-        total = set_loss(det.class_logits, det.joints_norm, gts, hungarian(costs)).total
+        costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data, *gts)
+        total = set_loss(det.class_logits, det.joints_norm, *gts, hungarian(costs)).total
         dtypes.update(logits=det.class_logits.data.dtype, joints=det.joints_norm.data.dtype,
                       loss=total.data.dtype)
         return total
@@ -427,11 +453,11 @@ def test_float32_step_agrees_with_its_float64_copy():
     imgs, gts = default_batch()
     with no_grad():
         det = forward_batch(double, imgs, cfg)
-    query = hungarian(build_cost_matrix(det.class_logits.data, det.joints_norm.data, gts))
+    query = hungarian(build_cost_matrix(det.class_logits.data, det.joints_norm.data, *gts))
 
     def loss_fn(ps: ParamStore) -> Tensor:
         det = forward_batch(ps, imgs, cfg)
-        return set_loss(det.class_logits, det.joints_norm, gts, query).total
+        return set_loss(det.class_logits, det.joints_norm, *gts, query).total
 
     loss32, grads32 = forward_backward(loss_fn, single)
     loss64, grads64 = forward_backward(loss_fn, double)
@@ -447,12 +473,12 @@ def test_forward_and_backward_leave_no_cyclic_garbage():
     params = build_model(TINY, seed=12)
     rng = PortableRng(101)
     imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
-    gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))], []]
-    query = np.array([1])  # image 0's hand; image 1 holds none
+    gts = packed_gts(rng, [HandSide.LEFT], [])
+    query = np.array([[1, 0], [0, 1]])  # image 0's hand; image 1 holds none
 
     def loss_fn(ps: ParamStore) -> Tensor:
         det = forward_batch(ps, imgs, TINY)
-        return set_loss(det.class_logits, det.joints_norm, gts, query).total
+        return set_loss(det.class_logits, det.joints_norm, *gts, query).total
 
     was_enabled = gc.isenabled()
     gc.collect()
@@ -486,10 +512,10 @@ def test_training_graph_has_one_node_per_attention_block():
     params = build_model(TINY, seed=15)
     rng = PortableRng(104)
     imgs = np.stack([random_image(rng, TINY) for _ in range(2)])
-    gts = [[(HandSide.LEFT, np.array(rng.uniform_list(63, 0.05, 0.95)))], []]
+    gts = packed_gts(rng, [HandSide.LEFT], [])
     det = forward_batch(params, imgs, TINY)
-    costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data, gts)
-    loss = set_loss(det.class_logits, det.joints_norm, gts, hungarian(costs)).total
+    costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data, *gts)
+    loss = set_loss(det.class_logits, det.joints_norm, *gts, hungarian(costs)).total
     census = graph_census(loss)
     assert census["multi_head_attention"] == TINY.n_encoder_layers + 2 * TINY.n_decoder_layers
     assert census["Tensor.reshape"] == census["Tensor.transpose"] == 0

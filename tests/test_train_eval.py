@@ -194,6 +194,13 @@ def test_train_config_dict_round_trip():
     assert set(cfg.to_dict()) == {f.name for f in dataclasses.fields(cfg)}
 
 
+@pytest.mark.parametrize("factor", [0.0, -10.0])
+def test_train_config_rejects_a_non_positive_lr_drop_factor(factor):
+    # lr_at divides by it from the drop epoch on
+    with pytest.raises(ConfigError, match="lr_drop_factor"):
+        tiny_train_cfg(lr_drop_factor=factor)
+
+
 def test_train_config_unknown_key_raises_config_error():
     # "deterministic" is a key of old config dicts; the field no longer exists
     with pytest.raises(ConfigError, match="deterministic"):
