@@ -25,18 +25,19 @@ normalized UVD space). The half-pixel gap between the discrete and
 continuous mirrors is accepted; it is sub-pixel and irrelevant at this
 scale.
 
-On-disk layout (format_version 4); meta.json is written last, so it
+On-disk layout (format_version 5); meta.json is written last, so it
 commits the dataset:
 
     meta.json       format version, generator-config echo, intrinsics, count,
                     and the SHA-256 of each .npy file
     images.npy      every image in one little-endian float32 array of
                     shape (N, H, W, 3), in numpy's .npy format
-    hands.npy       (N, 2) HANDS_DTYPE slots (pack_hands), sample i's hands
-                    in row i in sample.hands order: side 0 left, 1 right
-                    (HandSide.code), -1 empty; has_xyz False where xyz is
-                    None (a flipped hand). The same rows, packed from an
-                    augmented batch, are a training step's ground truth.
+    hands.npy       (N, 2) HANDS_DTYPE slots (pack_hands): sample i's hand
+                    of side s in slot [i, s.code] (0 left, 1 right),
+                    present False where that side has no hand; has_xyz
+                    False where xyz is None (a flipped hand). The same rows,
+                    packed from an augmented batch, are a training step's
+                    ground truth.
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
 ConfigError, naming the first sample whose camera differs from sample 0's
@@ -45,8 +46,8 @@ another camera on reading. read_dataset checks the format version before
 it reads anything else. It raises FormatError naming the .npy file whose
 SHA-256 is not meta.json's, whose header does not parse, does not describe
 its bytes exactly or holds a pickle, or whose dtype or shape is not what
-meta.json promises; and naming the sample of hands.npy with an unknown
-side code or two hands of one side.
+meta.json promises. Since a slot's index is its side, hands.npy cannot
+hold an unknown side or two hands of one side.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from tokenize import TokenError
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_config_keys
+from .errors import ConfigError, FormatError, check_config_keys, check_numbers
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -73,12 +74,11 @@ from .geometry import (
 from .hand_model import BONES, FINGER_SLICES
 from .rng import PortableRng
 
-DATASET_FORMAT_VERSION = 4
+DATASET_FORMAT_VERSION = 5
 IMAGES_NAME = "images.npy"
 HANDS_NAME = "hands.npy"
-HANDS_DTYPE = np.dtype([("side", "i1"), ("uvd", "<f8", (N_JOINTS, 3)),
+HANDS_DTYPE = np.dtype([("present", "?"), ("uvd", "<f8", (N_JOINTS, 3)),
                         ("xyz", "<f8", (N_JOINTS, 3)), ("has_xyz", "?")])
-_SIDES = {side.code: side for side in HandSide}  # hands.npy side codes; -1: no hand
 
 # Canonical right-hand template: per-finger in-plane fan angle (degrees
 # from +y toward +x) and bone lengths (mm), proximal to distal.
@@ -126,6 +126,9 @@ class GenConfig:
         if isinstance(self.intrinsics, dict):
             object.__setattr__(self, "intrinsics",
                                CameraIntrinsics.from_dict(self.intrinsics))
+        check_numbers(self, ints=("seed", "n_samples", "image_size"),
+                      reals=("depth_range", "rotation_jitter_deg", "subject_scale_factor",
+                             "scale_jitter", "hand_presence_prob"))
         h, w = self.image_size
         if (self.intrinsics.width, self.intrinsics.height) != (float(w), float(h)):
             raise ConfigError("intrinsics width/height must match image_size")
@@ -168,17 +171,17 @@ class HandAnnotation:
 @dataclass(frozen=True)
 class SceneSample:
     image: np.ndarray  # (H, W, 3) float32 in [0, 1]
-    hands: tuple[HandAnnotation, ...]
+    hands: tuple[HandAnnotation, ...]  # at most one per side; kept left, then right
     camera: CameraIntrinsics
 
     def __post_init__(self):
         img = np.asarray(self.image, dtype=np.float32)
         img.setflags(write=False)
         object.__setattr__(self, "image", img)
-        object.__setattr__(self, "hands", tuple(self.hands))
-        sides = [h.side for h in self.hands]
-        if len(set(sides)) != len(sides):
+        hands = tuple(sorted(self.hands, key=lambda h: h.side.code))
+        if len({h.side for h in hands}) != len(hands):
             raise ConfigError("at most one hand per side")
+        object.__setattr__(self, "hands", hands)
 
 
 def template_hand() -> JointSet3D:
@@ -227,6 +230,7 @@ def _place_hand(rng: PortableRng, cfg: GenConfig,
     cam = cfg.intrinsics
     h, w = cfg.image_size
     d_lo, d_hi = cfg.depth_range
+    uvd_lo, uvd_hi = np.array([0.5, 0.5, d_lo]), np.array([w - 0.5, h - 0.5, d_hi])
     shape = _SHAPES[side]
     for _ in range(_PLACEMENT_ATTEMPTS):
         jitter = rng.uniform(*cfg.scale_jitter)
@@ -254,9 +258,7 @@ def _place_hand(rng: PortableRng, cfg: GenConfig,
                           (v_w - cam.cy) * d / cam.fy, d])
         xyz = JointSet3D(local + wrist)
         uvd = xyz_to_uvd(xyz, cam)
-        if (np.all(uvd.u >= 0.5) and np.all(uvd.u <= w - 0.5)
-                and np.all(uvd.v >= 0.5) and np.all(uvd.v <= h - 0.5)
-                and np.all(uvd.d >= d_lo) and np.all(uvd.d <= d_hi)):
+        if np.all((uvd.joints >= uvd_lo) & (uvd.joints <= uvd_hi)):
             return uvd, xyz
     raise ConfigError(
         f"could not place a {side.value} hand after {_PLACEMENT_ATTEMPTS} "
@@ -333,14 +335,15 @@ def generate_dataset(cfg: GenConfig) -> list[SceneSample]:
 # -- augmentation ------------------------------------------------------------------
 
 def hflip_sample(sample: SceneSample) -> SceneSample:
-    """Deterministic horizontal flip; see module docstring for semantics."""
+    """Deterministic horizontal flip (see the module docstring): each hand
+    becomes the other side's, and SceneSample puts the swapped hands back in
+    left-then-right order."""
     flipped_img = np.ascontiguousarray(sample.image[:, ::-1, :][:, :, [1, 0, 2]])
     hands = []
     for hand in sample.hands:
         uvd, side = hflip_uvd(hand.uvd, hand.side, sample.camera.width)
         hands.append(HandAnnotation(side=side, uvd=uvd, xyz=None))
-    hands.sort(key=lambda h: h.side.value)
-    return SceneSample(image=flipped_img, hands=tuple(hands), camera=sample.camera)
+    return SceneSample(image=flipped_img, hands=hands, camera=sample.camera)
 
 
 def augment(sample: SceneSample, rng: PortableRng) -> SceneSample:
@@ -361,15 +364,14 @@ def _sha256(path: Path) -> str:
 
 
 def pack_hands(samples: list[SceneSample]) -> np.ndarray:
-    """The (N, 2) HANDS_DTYPE slots of samples: sample i's hands in row i in
-    sample.hands order, side -1 in an empty slot. The rows of hands.npy and
-    the ground-truth layout of a training step."""
+    """The (N, 2) HANDS_DTYPE slots of samples: sample i's hand of side s in
+    slot [i, s.code], present False (and zeros) where the side has no hand.
+    The rows of hands.npy and the ground-truth layout of a training step."""
     hands = np.zeros((len(samples), 2), dtype=HANDS_DTYPE)
-    hands["side"] = -1
     for i, sample in enumerate(samples):
-        for k, hand in enumerate(sample.hands):
+        for hand in sample.hands:
             xyz = 0.0 if hand.xyz is None else hand.xyz.joints
-            hands[i, k] = (hand.side.code, hand.uvd.joints, xyz, hand.xyz is not None)
+            hands[i, hand.side.code] = (True, hand.uvd.joints, xyz, hand.xyz is not None)
     return hands
 
 
@@ -454,19 +456,14 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
     images = _load_array(path / IMAGES_NAME, meta["images_sha256"], np.dtype("<f4"),
                          (n_samples, int(cam.height), int(cam.width), 3))
-    hands_path = path / HANDS_NAME
-    hands = _load_array(hands_path, meta["hands_sha256"], HANDS_DTYPE, (n_samples, 2))
-    sides, has_xyz = hands["side"].tolist(), hands["has_xyz"].tolist()
+    hands = _load_array(path / HANDS_NAME, meta["hands_sha256"], HANDS_DTYPE,
+                        (n_samples, 2))
+    present, has_xyz = hands["present"].tolist(), hands["has_xyz"].tolist()
     samples = []
     for i, image in enumerate(images):
-        try:
-            annotations = tuple(HandAnnotation(
-                side=_SIDES[code], uvd=JointSetUVD(hands["uvd"][i, k]),
-                xyz=JointSet3D(hands["xyz"][i, k]) if has_xyz[i][k] else None)
-                for k, code in enumerate(sides[i]) if code != -1)
-            samples.append(SceneSample(image=image, hands=annotations, camera=cam))
-        except KeyError as e:
-            raise FormatError(f"{hands_path} sample {i}: unknown side code {e}") from e
-        except ConfigError as e:  # two hands of one side
-            raise FormatError(f"{hands_path} sample {i}: {e}") from e
+        annotations = [HandAnnotation(
+            side=side, uvd=JointSetUVD(hands["uvd"][i, side.code]),
+            xyz=JointSet3D(hands["xyz"][i, side.code]) if has_xyz[i][side.code] else None)
+            for side in HandSide if present[i][side.code]]
+        samples.append(SceneSample(image=image, hands=annotations, camera=cam))
     return samples, meta

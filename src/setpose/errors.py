@@ -1,11 +1,13 @@
 """Exception types shared across the package, plus the key check every
-config's from_dict runs.
+config's from_dict runs and the number check every config runs.
 
 Every error raised by library code derives from SetPoseError so callers
 (notably the CLI) can map failures onto exit codes in one place.
 """
 
 import dataclasses
+import math
+import numbers
 
 
 class SetPoseError(Exception):
@@ -78,3 +80,19 @@ def check_config_keys(cls: type, d: dict) -> dict:
     if unknown or missing:
         raise ConfigError(f"{cls.__name__}: unknown keys {unknown}, missing keys {missing}")
     return d
+
+
+def check_numbers(config, ints: tuple[str, ...] = (), reals: tuple[str, ...] = (),
+                  finite: bool = True) -> None:
+    """Raises ConfigError naming the first field of config among ints that is
+    not an int, or among reals that is not a real number (a finite one unless
+    finite is False); a bool is neither, and a tuple is checked per element."""
+    real = "a finite number" if finite else "a number"
+    for names, kind, what in ((ints, numbers.Integral, "an int"), (reals, numbers.Real, real)):
+        for name in names:
+            value = getattr(config, name)
+            for v in value if isinstance(value, tuple) else (value,):
+                if isinstance(v, bool) or not isinstance(v, kind) or (
+                        kind is numbers.Real and finite and not -math.inf < v < math.inf):
+                    raise ConfigError(f"{type(config).__name__}.{name} must be {what}, "
+                                      f"got {value!r}")

@@ -17,13 +17,13 @@ All functions are pure; joint arrays inside the pose types are read-only.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, NonPositiveDepth, ShapeError, check_config_keys
+from .errors import (ConfigError, NonPositiveDepth, ShapeError, check_config_keys,
+                     check_numbers)
 
 N_JOINTS = 21
 WRIST = 0  # joint index of the skeleton root
@@ -40,7 +40,7 @@ class HandSide(Enum):
     @property
     def code(self) -> int:
         """0 left, 1 right: the side's class logit column, image channel and
-        hands.npy code."""
+        slot on axis 1 of every (N, 2) hand array."""
         return 0 if self is HandSide.LEFT else 1
 
 
@@ -54,10 +54,7 @@ class CameraIntrinsics:
     height: float
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"intrinsics {f.name} must be a number, got {value!r}")
+        check_numbers(self, reals=tuple(f.name for f in fields(self)))
         if not (self.fx > 0 and self.fy > 0):
             raise ConfigError(f"focal lengths must be positive, got fx={self.fx}, fy={self.fy}")
         if not (0 <= self.cx <= self.width and 0 <= self.cy <= self.height):

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -29,6 +28,7 @@ from .errors import (
     FormatError,
     NonPositiveScale,
     check_config_keys,
+    check_numbers,
 )
 from .geometry import (
     N_JOINTS,
@@ -79,14 +79,10 @@ class ScaleStats:
     n_right: int
 
     def __post_init__(self):
-        for name in ("mean_scale_left", "mean_scale_right"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ConfigError(f"{name} must be a number, got {value!r}")
-        for name in ("n_left", "n_right"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
-                raise ConfigError(f"{name} must be a non-negative int, got {value!r}")
+        check_numbers(self, ints=("n_left", "n_right"),
+                      reals=("mean_scale_left", "mean_scale_right"), finite=False)
+        if min(self.n_left, self.n_right) < 0:
+            raise ConfigError(f"a negative count in {self}")
         if self.n_left > 0 and not 0 < self.mean_scale_left < math.inf:
             raise ConfigError("mean_scale_left must be finite and > 0 when n_left > 0")
         if self.n_right > 0 and not 0 < self.mean_scale_right < math.inf:

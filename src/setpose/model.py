@@ -19,8 +19,8 @@ Architecture (pre-LN residual blocks, FFN hidden width = 4 * embed_dim):
     joints_norm  = sigmoid(MLP(x)) -> (n_queries, 63)  head_joints.*      (D -> D -> 63)
 
 joints_norm layout: 21 joints x (u, v, d), row-major; values in (0, 1) by
-the sigmoid. Class logit columns follow matching.{CLASS_LEFT,CLASS_RIGHT,
-CLASS_NO_HAND}.
+the sigmoid. Class logit columns are HandSide.code (0 left, 1 right), as is
+axis 1 of decode_predictions' outputs, then matching.CLASS_NO_HAND.
 
 Depth decoding supports two parametrizations:
   * absolute:       d_j = z_min + d_norm_j * (z_max - z_min), every joint
@@ -36,9 +36,9 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, check_config_keys
-from .geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, WRIST
-from .matching import class_index, class_probabilities
+from .errors import ConfigError, ShapeError, check_config_keys, check_numbers
+from .geometry import N_JOINTS, WRIST
+from .matching import class_probabilities
 from .nn_core.layers import glorot_uniform, layer_norm, linear, mlp2, multi_head_attention
 from .nn_core.tensor import ParamStore, Tensor
 from .rng import derive_seed
@@ -79,6 +79,9 @@ class ModelConfig:
             except ValueError:
                 raise ConfigError(f"unknown depth_mode {self.depth_mode!r}, expected one "
                                   f"of {[m.value for m in DepthMode]}") from None
+        check_numbers(self, ints=("image_size", "patch_size", "embed_dim", "n_heads",
+                                  "n_encoder_layers", "n_decoder_layers", "n_queries"),
+                      reals=("depth_range", "rel_depth_half_range"))
         h, w = self.image_size
         if h % self.patch_size or w % self.patch_size:
             raise ConfigError(f"image {h}x{w} not divisible by patch {self.patch_size}")
@@ -296,14 +299,14 @@ def forward_batch(params: ParamStore, images: np.ndarray,
 # -- decoding ------------------------------------------------------------------
 
 def decode_depth(d_norm: np.ndarray, config: ModelConfig) -> np.ndarray:
-    """Normalized depth channels (21,) -> millimeters per the config mode."""
+    """Normalized depth channels (..., 21) -> millimeters per the config mode."""
     z_min, z_max = config.depth_range
     if config.depth_mode is DepthMode.ABSOLUTE_PER_JOINT:
         d = z_min + d_norm * (z_max - z_min)
     else:
-        wrist_d = z_min + d_norm[WRIST] * (z_max - z_min)
-        d = wrist_d + (2.0 * d_norm - 1.0) * config.rel_depth_half_range
-        d[WRIST] = wrist_d
+        wrist_d = z_min + d_norm[..., WRIST] * (z_max - z_min)
+        d = wrist_d[..., None] + (2.0 * d_norm - 1.0) * config.rel_depth_half_range
+        d[..., WRIST] = wrist_d
     return np.maximum(d, DEPTH_FLOOR)
 
 
@@ -330,37 +333,26 @@ def encode_targets(uvd: np.ndarray, config: ModelConfig) -> np.ndarray:
     return np.clip(out.reshape(uvd.shape[:-2] + (N_JOINT_VALUES,)), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class DecodedHand:
-    uvd: JointSetUVD
-    confidence: float
-    query_index: int
-
-
 def decode_predictions(
     class_logits: np.ndarray,
     joints_norm: np.ndarray,
     config: ModelConfig,
-    cam: CameraIntrinsics,
-) -> dict[HandSide, DecodedHand]:
-    """Per side, the maximum-probability query of one image's
-    class_logits (n_queries, 3) and joints_norm (n_queries, 63),
-    un-normalized to UVD.
+    image_sizes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per image and side, the maximum-probability query of class_logits
+    (N, n_queries, 3) and joints_norm (N, n_queries, 63), un-normalized to
+    UVD with that image's (height, width) in image_sizes (N, 2).
 
-    A prediction is always produced for both sides (the metric needs a
-    pose per present hand); confidence reports the side's probability at
-    the selected query. Ties pick the lowest query index.
+    Returns query (N, 2), the selected query; uvd (N, 2, 21, 3), its pose;
+    and confidence (N, 2), the side's probability there; axis 1 is
+    HandSide.code. A pose is always produced for both sides (the metric
+    needs a pose per present hand). Ties pick the lowest query index.
     """
     probs = class_probabilities(np.asarray(class_logits, dtype=np.float64))
-    out = {}
-    for side in HandSide:
-        q = int(np.argmax(probs[:, class_index(side)]))
-        vals = joints_norm[q].reshape(N_JOINTS, 3).astype(np.float64)
-        uvd = np.empty((N_JOINTS, 3))
-        uvd[:, 0] = vals[:, 0] * cam.width
-        uvd[:, 1] = vals[:, 1] * cam.height
-        uvd[:, 2] = decode_depth(vals[:, 2], config)
-        out[side] = DecodedHand(uvd=JointSetUVD(uvd),
-                                confidence=float(probs[q, class_index(side)]),
-                                query_index=q)
-    return out
+    query = np.argmax(probs[..., :2], axis=1)
+    image = np.arange(len(query))[:, None]
+    vals = joints_norm[image, query].reshape(query.shape + (N_JOINTS, 3)).astype(np.float64)
+    height, width = np.asarray(image_sizes, dtype=np.float64).T[..., None, None]
+    uvd = np.stack([vals[..., 0] * width, vals[..., 1] * height,
+                    decode_depth(vals[..., 2], config)], axis=-1)
+    return query, uvd, probs[image, query, np.arange(2)]

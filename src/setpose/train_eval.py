@@ -4,17 +4,19 @@ Training follows the two-group AdamW schedule: backbone parameters (the
 patch embedding) at lr_backbone, everything else at lr_transformer, both
 divided by lr_drop_factor from lr_drop_epoch onward. Supervision happens
 in normalized UVD space. Each step packs its augmented batch's hands into
-the (B, 2) slots of data.pack_hands, the rows hands.npy stores, and
-encodes their joints in one encode_targets call. It runs the batch
-forward, builds the match costs of the whole batch in one
-build_cost_matrix call, matches every image in one batched hungarian call,
-and makes one set_loss call, which averages the per-image losses over the
-batch. Matching is recomputed every step and carries no gradient.
+the (B, 2) slots of data.pack_hands, the rows hands.npy stores, slot k
+holding the hand of side k, and encodes their joints in one encode_targets
+call. It runs the batch forward, builds the match costs of the whole batch
+in one build_cost_matrix call, matches every image in one batched
+hungarian call, and makes one set_loss call, which averages the per-image
+losses over the batch. Matching is recomputed every step and carries no
+gradient.
 
-Evaluation decodes a pose per side (per-side argmax query - a prediction
-is always produced for a present hand), optionally rescales depths toward
-the per-side training mean hand scale, unprojects, and reports global
-MPJPE without any root alignment.
+Evaluation decodes a pose per side for all frames in one
+decode_predictions call (per-side argmax query - a prediction is always
+produced for a present hand), optionally rescales depths toward the
+per-side training mean hand scale, unprojects, and reports global MPJPE
+without any root alignment.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import GenConfig, SceneSample, augment, generate_dataset, pack_hands
-from .errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss, check_config_keys
+from .errors import (ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss,
+                     check_config_keys, check_numbers)
 from .geometry import CameraIntrinsics, HandSide, JointSetUVD, mpjpe, uvd_to_xyz
 from .hand_model import ScaleStats, compute_mean_scale, rescale_depth
-from .matching import build_cost_matrix, class_index, hungarian, set_loss
+from .matching import build_cost_matrix, hungarian, set_loss
 from .model import (
     DepthMode,
     ModelConfig,
@@ -66,6 +69,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_numbers(self, ints=("batch_size", "total_epochs", "lr_drop_epoch", "seed"),
+                      reals=("lr_transformer", "lr_backbone", "weight_decay",
+                             "lr_drop_factor", "lam_cls", "lam_l1", "w_noobj"))
         if not (0 < self.lr_drop_epoch < self.total_epochs):
             raise ConfigError("need 0 < lr_drop_epoch < total_epochs")
         for name in ("weight_decay", "lam_cls", "lam_l1", "w_noobj"):
@@ -144,7 +150,7 @@ def train(
             batch = [augment(train_samples[i], rng) for i in batch_idx]
             images = np.stack([s.image for s in batch])
             hands = pack_hands(batch)
-            gt_cls, gt_joints = hands["side"], encode_targets(hands["uvd"], model_cfg)
+            present, gt_joints = hands["present"], encode_targets(hands["uvd"], model_cfg)
             step += 1
 
             parts = {}
@@ -152,9 +158,9 @@ def train(
             def loss_fn(ps: ParamStore):
                 det = forward_batch(ps, images, model_cfg)
                 costs = build_cost_matrix(det.class_logits.data, det.joints_norm.data,
-                                          gt_cls, gt_joints, train_cfg.lam_cls,
+                                          present, gt_joints, train_cfg.lam_cls,
                                           train_cfg.lam_l1)
-                lb = set_loss(det.class_logits, det.joints_norm, gt_cls, gt_joints,
+                lb = set_loss(det.class_logits, det.joints_norm, present, gt_joints,
                               hungarian(costs), train_cfg.lam_cls,
                               train_cfg.lam_l1, train_cfg.w_noobj)
                 parts["cls"] = lb.cls_loss.item()
@@ -266,26 +272,25 @@ def predict(
     batch_size: int = 32,
 ) -> list[SidePrediction]:
     """Decode both sides of every sample, in index then side order, each
-    with its own camera. Runs under no_grad(), so no autodiff graph is
-    built."""
-    out = []
+    with its own camera's size. The forward passes run in batches under
+    no_grad(), so no autodiff graph is built; one decode_predictions call
+    then decodes every frame."""
+    if not samples:
+        return []
     with no_grad():
-        for lo in range(0, len(samples), batch_size):
-            chunk = samples[lo:lo + batch_size]
-            batch = forward_batch(params, np.stack([s.image for s in chunk]), model_cfg)
-            for b, sample in enumerate(chunk):
-                logits = batch.class_logits.data[b]
-                decoded = decode_predictions(logits, batch.joints_norm.data[b],
-                                             model_cfg, sample.camera)
-                argmax_class = np.argmax(logits, axis=1)
-                for side in HandSide:
-                    dec = decoded[side]
-                    out.append(SidePrediction(
-                        index=lo + b, side=side, uvd=dec.uvd,
-                        confidence=dec.confidence,
-                        predicted_present=bool(
-                            argmax_class[dec.query_index] == class_index(side))))
-    return out
+        batches = [forward_batch(params, np.stack([s.image for s in chunk]), model_cfg)
+                   for chunk in (samples[lo:lo + batch_size]
+                                 for lo in range(0, len(samples), batch_size))]
+    class_logits = np.concatenate([b.class_logits.data for b in batches])
+    joints_norm = np.concatenate([b.joints_norm.data for b in batches])
+    sizes = [(s.camera.height, s.camera.width) for s in samples]
+    query, uvd, confidence = decode_predictions(class_logits, joints_norm, model_cfg, sizes)
+    image = np.arange(len(samples))[:, None]
+    predicted = np.argmax(class_logits[image, query], axis=-1) == np.arange(2)
+    return [SidePrediction(index=i, side=side, uvd=JointSetUVD(uvd[i, side.code]),
+                           confidence=float(confidence[i, side.code]),
+                           predicted_present=bool(predicted[i, side.code]))
+            for i in range(len(samples)) for side in HandSide]
 
 
 def score_predictions(

@@ -10,6 +10,7 @@ import pytest
 from numpy.lib.recfunctions import repack_fields
 
 from setpose.data import (
+    DATASET_FORMAT_VERSION,
     FINGER_BONE_LENGTHS,
     HANDS_DTYPE,
     GenConfig,
@@ -28,7 +29,6 @@ from setpose.data import (
 from setpose.errors import ConfigError, FormatError
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
-from setpose.matching import class_index
 from setpose.rng import PortableRng
 
 TEMPLATE_MEAN_BONE = sum(sum(v) for v in FINGER_BONE_LENGTHS.values()) / 20.0  # 40.5
@@ -156,6 +156,10 @@ def test_gen_config_validation():
         small_cfg(hand_presence_prob=1.5)
     with pytest.raises(ConfigError):
         GenConfig(image_size=(64, 64))  # default intrinsics are 32x32
+    with pytest.raises(ConfigError, match="n_samples"):
+        GenConfig.from_dict({"n_samples": "4"})
+    with pytest.raises(ConfigError, match="hand_presence_prob"):
+        small_cfg(hand_presence_prob=float("nan"))
 
 
 def test_gen_config_dict_round_trip():
@@ -338,30 +342,46 @@ def one_hand_sample(side: HandSide) -> SceneSample:
     return SceneSample(image=np.zeros((32, 32, 3)), hands=(hand,), camera=cfg.intrinsics)
 
 
-def test_pack_hands_puts_a_right_only_sample_in_row_0():
+def test_pack_hands_puts_a_right_only_sample_in_slot_1():
     right = one_hand_sample(HandSide.RIGHT)
     hands = pack_hands([right])
     assert hands.dtype == HANDS_DTYPE and hands.shape == (1, 2)
-    assert hands["side"].tolist() == [[HandSide.RIGHT.code, -1]]
-    assert np.array_equal(hands["uvd"][0, 0], right.hands[0].uvd.joints)
-    assert not hands["uvd"][0, 1].any() and hands["has_xyz"].tolist() == [[True, False]]
+    assert HANDS_DTYPE.itemsize == 1010
+    assert hands["present"].tolist() == [[False, True]]
+    assert np.array_equal(hands["uvd"][0, 1], right.hands[0].uvd.joints)
+    assert not hands["uvd"][0, 0].any() and hands["has_xyz"].tolist() == [[False, True]]
 
 
 def test_pack_hands_side_codes_are_the_class_columns():
-    """Training feeds hands["side"] to the loss as class logit columns."""
+    """Training reads a slot's index as its class logit column: slot k holds
+    the hand whose HandSide.code is k."""
     samples = [one_hand_sample(HandSide.LEFT), one_hand_sample(HandSide.RIGHT),
                hflip_sample(generate_sample(small_cfg(hand_presence_prob=1.0), 1))]
-    sides = pack_hands(samples)["side"]
+    hands = pack_hands(samples)
     for i, sample in enumerate(samples):
-        assert sides[i, :len(sample.hands)].tolist() == [class_index(h.side)
-                                                         for h in sample.hands]
-        assert (sides[i, len(sample.hands):] == -1).all()
+        by_side = {h.side: h for h in sample.hands}
+        assert hands["present"][i].tolist() == [side in by_side for side in HandSide]
+        for side, hand in by_side.items():
+            assert np.array_equal(hands["uvd"][i, side.code], hand.uvd.joints)
+    assert [side.code for side in HandSide] == [0, 1]
     assert pack_hands([]).shape == (0, 2)
 
 
+def test_a_right_first_scene_sample_holds_its_hands_left_first(tmp_path):
+    source = sample_with_both_hands()
+    left, right = source.hands
+    assert (left.side, right.side) == (HandSide.LEFT, HandSide.RIGHT)
+    swapped = SceneSample(image=source.image, hands=(right, left), camera=source.camera)
+    assert swapped.hands[0] is left and swapped.hands[1] is right
+    write_dataset([swapped], tmp_path / "ds")
+    _assert_same_samples([source], read_dataset(tmp_path / "ds")[0])
+    with pytest.raises(ConfigError, match="one hand per side"):
+        SceneSample(image=source.image, hands=(right, right), camera=source.camera)
+
+
 def test_round_trip_bitwise(tmp_path):
-    """Generated samples, flipped ones (no xyz), one holding its right hand
-    first, and ones with one hand or none."""
+    """Generated samples, flipped ones (no xyz), one built with its right
+    hand first, and ones with one hand or none."""
     cfg = small_cfg(n_samples=4, hand_presence_prob=1.0)
     generated = generate_dataset(cfg)
     flipped = [hflip_sample(s) for s in generated]
@@ -371,7 +391,7 @@ def test_round_trip_bitwise(tmp_path):
                                      for hands in (both[::-1], both[:1], both[1:], ())]
     write_dataset(samples, tmp_path / "ds", gen_config=cfg)
     loaded, meta = read_dataset(tmp_path / "ds")
-    assert meta["format_version"] == 4
+    assert meta["format_version"] == DATASET_FORMAT_VERSION == 5
     images = np.load(tmp_path / "ds" / "images.npy")
     assert images.dtype == np.dtype("<f4") and images.shape == (12, 32, 32, 3)
     hands = np.load(tmp_path / "ds" / "hands.npy")
@@ -381,7 +401,7 @@ def test_round_trip_bitwise(tmp_path):
     assert meta["gen_config"]["subject_scale_factor"] == 1.0
     _assert_same_samples(samples, loaded)
     assert [[h.side for h in s.hands] for s in loaded[-4:]] == [
-        [HandSide.RIGHT, HandSide.LEFT], [HandSide.LEFT], [HandSide.RIGHT], []]
+        [HandSide.LEFT, HandSide.RIGHT], [HandSide.LEFT], [HandSide.RIGHT], []]
 
 
 def test_round_trip_of_an_empty_dataset(tmp_path):
@@ -520,6 +540,24 @@ def test_version_3_dataset_raises_format_error_naming_the_version(tmp_path):
         read_dataset(tmp_path / "ds")
 
 
+def test_version_4_dataset_raises_format_error_naming_the_version(tmp_path):
+    """The layout whose hands.npy held a side code per slot, -1 in an empty
+    one, with the hands in sample order."""
+    ds = tmp_path / "ds"
+    cfg = small_cfg(n_samples=1)
+    write_dataset(generate_dataset(cfg), ds, gen_config=cfg)
+    old = np.zeros((1, 2), [("side", "i1"), ("uvd", "<f8", (21, 3)),
+                            ("xyz", "<f8", (21, 3)), ("has_xyz", "?")])
+    old["side"] = -1
+    np.save(ds / "hands.npy", old)
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["format_version"] = 4
+    (ds / "meta.json").write_text(json.dumps(meta))
+    _rehash(ds)
+    with pytest.raises(FormatError, match="meta.json: unsupported format version 4 "):
+        read_dataset(ds)
+
+
 def test_a_flipped_pixel_bit_raises_format_error_naming_images(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
@@ -532,7 +570,7 @@ def test_a_flipped_pixel_bit_raises_format_error_naming_images(tmp_path):
 
 
 def test_every_flipped_byte_of_hands_raises_format_error(tmp_path):
-    """Header, side codes, joints, has_xyz and empty-slot padding alike."""
+    """Header, present flags, joints, has_xyz and empty-slot padding alike."""
     ds = tmp_path / "ds"
     cfg = small_cfg(n_samples=1, hand_presence_prob=0.5, seed=0)
     samples = generate_dataset(cfg)
@@ -565,7 +603,7 @@ def test_unknown_dataset_version_rejected_before_load(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
     meta = json.loads((tmp_path / "ds" / "meta.json").read_text())
-    meta["format_version"] = 5
+    meta["format_version"] = DATASET_FORMAT_VERSION + 1
     (tmp_path / "ds" / "meta.json").write_text(json.dumps(meta))
     # also corrupt the arrays: proves they are never touched
     (tmp_path / "ds" / "images.npy").write_bytes(b"junk")
@@ -589,10 +627,6 @@ def _short_uvd(hands):
     return out
 
 
-def _set_side(f, slot, code):
-    f["hands"]["side"][1, slot] = code
-
-
 @pytest.mark.parametrize("where, what, corrupt", [
     ("meta.json", "object", lambda f: f.update(meta=[])),
     ("meta.json", "intrinsics", lambda f: f["meta"].pop("intrinsics")),
@@ -606,7 +640,7 @@ def _set_side(f, slot, code):
     ("hands.npy: holds", "shape (3, 2)",
      lambda f: f.update(hands=np.concatenate([f["hands"], f["hands"][:1]]))),
     ("hands.npy: holds", "meta.json promises",
-     lambda f: f.update(hands=_without(f["hands"], "side"))),
+     lambda f: f.update(hands=_without(f["hands"], "present"))),
     ("hands.npy: holds", "meta.json promises",
      lambda f: f.update(hands=_without(f["hands"], "uvd"))),
     ("hands.npy: holds", "meta.json promises",
@@ -616,14 +650,10 @@ def _set_side(f, slot, code):
      lambda f: f.update(hands=f["hands"].astype(f["hands"].dtype.newbyteorder(">")))),
     ("hands.npy", "allow_pickle",
      lambda f: f.update(hands=np.array([None] * 2, dtype=object))),
-    ("hands.npy sample 1", "unknown side code 2", lambda f: _set_side(f, 0, 2)),
-    ("hands.npy sample 1", "unknown side code -2", lambda f: _set_side(f, 1, -2)),
-    ("hands.npy sample 1", "one hand per side",
-     lambda f: _set_side(f, 1, f["hands"]["side"][1, 0])),
 ], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-sha256",
         "meta-hands-sha256", "meta-n_samples-str", "not-json",
-        "no-hands", "fewer-rows", "more-rows", "no-side", "no-uvd", "no-xyz", "short-uvd",
-        "big-endian", "pickled", "unknown-side", "negative-side", "same-side"])
+        "no-hands", "fewer-rows", "more-rows", "no-present", "no-uvd", "no-xyz",
+        "short-uvd", "big-endian", "pickled"])
 def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,
                                                                 corrupt):
     """The hands.npy edits come with a matching SHA-256 in meta.json, so

@@ -109,6 +109,8 @@ def test_intrinsics_validation():
         CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=10, height=10)
     with pytest.raises(ConfigError):
         CameraIntrinsics(fx=1.0, fy=1.0, cx=11.0, cy=0.0, width=10, height=10)
+    with pytest.raises(ConfigError, match="width"):  # cx <= width would hold
+        CameraIntrinsics(fx=1.0, fy=1.0, cx=5.0, cy=5.0, width=float("inf"), height=10)
 
 
 def test_intrinsics_from_dict_rejects_unknown_and_missing_keys(cam):

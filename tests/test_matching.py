@@ -15,7 +15,6 @@ from setpose.matching import (
     _TIE_RTOL,
     CLASS_NO_HAND,
     build_cost_matrix,
-    class_index,
     hungarian,
     set_loss,
 )
@@ -122,6 +121,7 @@ def test_hungarian_empty_and_single():
     assert empty.dtype == np.intp and empty.shape == (0, 2)
     # one filled slot takes its cheapest query, the empty one the first other
     assert hungarian(np.array([[[3.0, 1.0, 2.0], [0.0, 0.0, 0.0]]])).tolist() == [[1, 0]]
+    assert hungarian(np.array([[[0.0, 0.0, 0.0], [3.0, 1.0, 2.0]]])).tolist() == [[0, 1]]
 
 
 def test_hungarian_shape_and_finite_errors():
@@ -194,13 +194,14 @@ def test_hungarian_ignores_a_constant_added_to_one_row(batch, image, row, shift)
 def match_cost(side: HandSide, gt: np.ndarray, logits: np.ndarray,
                pred_joints: np.ndarray, lam_cls: float, lam_l1: float) -> float:
     """The cost of one (ground truth, query) pair, as a batch of one image
-    with one query, one filled slot and one empty one."""
-    costs = build_cost_matrix(logits[None, None], pred_joints[None, None],
-                              np.array([[class_index(side), -1]]),
-                              np.stack([gt, np.ones_like(gt)])[None],
-                              lam_cls=lam_cls, lam_l1=lam_l1)
-    assert costs.shape == (1, 2, 1) and costs[0, 1, 0] == 0.0
-    return costs[0, 0, 0]
+    with one query, the side's slot filled and the other one empty."""
+    present = np.array([[side is HandSide.LEFT, side is HandSide.RIGHT]])
+    gt_joints = np.ones((1, 2, 63))
+    gt_joints[0, side.code] = gt
+    costs = build_cost_matrix(logits[None, None], pred_joints[None, None], present,
+                              gt_joints, lam_cls=lam_cls, lam_l1=lam_l1)
+    assert costs.shape == (1, 2, 1) and costs[0, 1 - side.code, 0] == 0.0
+    return costs[0, side.code, 0]
 
 
 def test_match_cost_perfect_prediction():
@@ -229,21 +230,21 @@ def test_cost_matrix_of_a_ragged_batch_matches_a_per_pair_loop():
     rng = PortableRng(56)
     logits, joints = (t.data for t in make_preds(rng, 4, n_images=3))
     sides = [[HandSide.RIGHT, HandSide.LEFT], [], [HandSide.LEFT]]
-    gt_cls, gt_joints = make_gts(rng, *sides)
-    costs = build_cost_matrix(logits, joints, gt_cls, gt_joints, lam_cls=0.5, lam_l1=3.0)
+    present, gt_joints = make_gts(rng, *sides)
+    costs = build_cost_matrix(logits, joints, present, gt_joints, lam_cls=0.5, lam_l1=3.0)
     assert costs.shape == (3, 2, 4)
+    assert not costs[~present].any()  # empty slots cost 0
     for b, image_sides in enumerate(sides):
-        assert not costs[b, len(image_sides):].any()  # empty slots cost 0
-        for g, side in enumerate(image_sides):
+        for side in image_sides:
             for q in range(4):
                 # same arithmetic one pair at a time, so equal to the last bit
                 z = logits[b, q] - logits[b, q].max()
                 p = np.exp(z) / np.exp(z).sum()
-                expected = (0.5 * -p[class_index(side)]
-                            + 3.0 * np.abs(joints[b, q] - gt_joints[b, g]).mean())
-                assert costs[b, g, q] == expected
+                expected = (0.5 * -p[side.code]
+                            + 3.0 * np.abs(joints[b, q] - gt_joints[b, side.code]).mean())
+                assert costs[b, side.code, q] == expected
     with pytest.raises(ShapeError):
-        build_cost_matrix(logits, joints, gt_cls[:2], gt_joints[:2])
+        build_cost_matrix(logits, joints, present[:2], gt_joints[:2])
 
 
 # -- set_loss ------------------------------------------------------------------
@@ -258,32 +259,33 @@ def make_preds(rng: PortableRng, n_queries: int, n_images: int = 1) -> tuple[Ten
 
 
 def make_gts(rng: PortableRng, *images) -> tuple[np.ndarray, np.ndarray]:
-    """The packed ground truth of one image per list of sides: (B, 2) side
-    codes, -1 in an empty slot, and (B, 2, 63) joints, random in a filled
-    slot and 0 in an empty one."""
-    gt_cls = np.full((len(images), 2), -1, dtype=np.int8)
+    """The packed ground truth of one image per list of sides: (B, 2)
+    present flags and (B, 2, 63) joints, random in the slot of each listed
+    side (slot k for HandSide.code k, drawn in list order) and 0 in an
+    empty one."""
+    present = np.zeros((len(images), 2), dtype=bool)
     gt_joints = np.zeros((len(images), 2, 63))
     for b, sides in enumerate(images):
-        for k, side in enumerate(sides):
-            gt_cls[b, k] = class_index(side)
-            gt_joints[b, k] = rng.uniform_list(63, 0, 1)
-    return gt_cls, gt_joints
+        for side in sides:
+            present[b, side.code] = True
+            gt_joints[b, side.code] = rng.uniform_list(63, 0, 1)
+    return present, gt_joints
 
 
 def test_set_loss_zero_l1_on_exact_match():
     rng = PortableRng(50)
-    gt_cls, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
+    present, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
     logits = Tensor(np.zeros((1, 4, 3)), requires_grad=True)
     joints = np.array(rng.uniform_list(4 * 63, 0, 1)).reshape(1, 4, 63)
     joints[0, 2] = gt_joints[0, 0]
     joints[0, 0] = gt_joints[0, 1]
-    loss = set_loss(logits, Tensor(joints, requires_grad=True), gt_cls, gt_joints,
+    loss = set_loss(logits, Tensor(joints, requires_grad=True), present, gt_joints,
                     np.array([[2, 0]]))
     assert loss.l1_loss.item() == 0.0
 
 
 def test_set_loss_confident_correct_ce_is_zero():
-    gt_cls = np.array([[class_index(HandSide.LEFT), -1]])
+    present = np.array([[True, False]])  # a left hand only
     gt_joints = np.zeros((1, 2, 63))
     gt_joints[0, 0] = 0.5
     logits = np.zeros((3, 3))
@@ -291,7 +293,7 @@ def test_set_loss_confident_correct_ce_is_zero():
     logits[0, CLASS_NO_HAND] = 200.0  # unmatched queries confident no-hand
     logits[2, CLASS_NO_HAND] = 200.0
     joints = np.tile(gt_joints[0, 0], (3, 1))
-    loss = set_loss(Tensor(logits[None]), Tensor(joints[None]), gt_cls, gt_joints,
+    loss = set_loss(Tensor(logits[None]), Tensor(joints[None]), present, gt_joints,
                     np.array([[1, 0]]))
     assert loss.cls_loss.item() < 1e-12
     assert loss.total.item() < 1e-11
@@ -304,7 +306,7 @@ def scalar_image_loss(logits, joints, gts, pairs, lam_cls, lam_l1, w_noobj):
     targets = [CLASS_NO_HAND] * n_queries
     weights = [w_noobj] * n_queries
     for row, col in pairs:
-        targets[col] = class_index(gts[row][0])
+        targets[col] = gts[row][0].code
         weights[col] = 1.0
     ce_terms = []
     for q in range(n_queries):
@@ -322,17 +324,17 @@ def test_set_loss_matches_scalar_recomputation():
     n_queries = 4
     logits_t, joints_t = make_preds(rng, n_queries, n_images=3)
     sides = [[HandSide.RIGHT, HandSide.LEFT], [HandSide.LEFT], []]
-    gt_cls, gt_joints = make_gts(rng, *sides)
-    pairs = [((0, 3), (1, 1)), ((0, 2),), ()]
+    present, gt_joints = make_gts(rng, *sides)
+    pairs = [((0, 3), (1, 1)), ((0, 2),), ()]  # (index into sides[b], query)
     lam_cls, lam_l1, w_noobj = 1.0, 5.0, 0.1
     query = np.zeros((3, 2), dtype=np.intp)  # empty slots keep query 0
     for b, image_pairs in enumerate(pairs):
         for row, col in image_pairs:
-            query[b, row] = col
-    loss = set_loss(logits_t, joints_t, gt_cls, gt_joints, query, lam_cls, lam_l1, w_noobj)
+            query[b, sides[b][row].code] = col
+    loss = set_loss(logits_t, joints_t, present, gt_joints, query, lam_cls, lam_l1, w_noobj)
 
     image_terms = [scalar_image_loss(logits_t.data[b], joints_t.data[b],
-                                     [(side, gt_joints[b, k]) for k, side in enumerate(s)],
+                                     [(side, gt_joints[b, side.code]) for side in s],
                                      pairs[b], lam_cls, lam_l1, w_noobj)
                    for b, s in enumerate(sides)]
     assert image_terms[2][1] == 0.0  # the image without hands adds no L1
@@ -346,27 +348,27 @@ def test_set_loss_permutation_invariant():
     rng = PortableRng(52)
     n_queries = 5
     logits_t, joints_t = make_preds(rng, n_queries)
-    gt_cls, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
+    present, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
     query = np.array([[0, 4]])
-    base = set_loss(logits_t, joints_t, gt_cls, gt_joints, query)
+    base = set_loss(logits_t, joints_t, present, gt_joints, query)
 
     perm = [3, 0, 4, 1, 2]  # query q moves to position perm.index(q)
     inv = np.argsort(perm)
     logits_p = Tensor(logits_t.data[:, perm])
     joints_p = Tensor(joints_t.data[:, perm])
-    permuted = set_loss(logits_p, joints_p, gt_cls, gt_joints, inv[query])
+    permuted = set_loss(logits_p, joints_p, present, gt_joints, inv[query])
     assert abs(base.total.item() - permuted.total.item()) < 1e-12
 
 
 def test_set_loss_strictly_decreases_toward_gt():
     rng = PortableRng(53)
     logits_t, joints_t = make_preds(rng, 3)
-    gt_cls, gt_joints = make_gts(rng, [HandSide.LEFT])
+    present, gt_joints = make_gts(rng, [HandSide.LEFT])
     query = np.array([[1, 0]])
-    base = set_loss(logits_t, joints_t, gt_cls, gt_joints, query).total.item()
+    base = set_loss(logits_t, joints_t, present, gt_joints, query).total.item()
     moved = joints_t.data.copy()
     moved[0, 1, 10] += 0.5 * (gt_joints[0, 0, 10] - moved[0, 1, 10])  # halve one residual
-    better = set_loss(logits_t, Tensor(moved), gt_cls, gt_joints, query).total.item()
+    better = set_loss(logits_t, Tensor(moved), present, gt_joints, query).total.item()
     assert better < base
 
 
@@ -377,10 +379,11 @@ def test_matched_cost_is_optimal_over_enumeration():
     for _ in range(20):
         logits = np.array(rng.uniform_list(3 * 4 * 3, -3, 3)).reshape(3, 4, 3)
         joints = np.array(rng.uniform_list(3 * 4 * 63, 0, 1)).reshape(3, 4, 63)
-        sides = ([HandSide.LEFT], [HandSide.RIGHT, HandSide.LEFT], [])
-        costs = build_cost_matrix(logits, joints, *make_gts(rng, *sides))
-        for c, q, image_sides in zip(costs, hungarian(costs), sides):
-            c, queries = c[:len(image_sides)], q[:len(image_sides)]
+        sides = ([HandSide.RIGHT], [HandSide.RIGHT, HandSide.LEFT], [])
+        present, gt_joints = make_gts(rng, *sides)
+        costs = build_cost_matrix(logits, joints, present, gt_joints)
+        for c, q, filled in zip(costs, hungarian(costs), present):
+            c, queries = c[filled], q[filled]
             for perm in itertools.permutations(range(4), len(c)):
                 assert total_cost(c, queries) <= total_cost(c, perm) + 1e-12
 
@@ -388,37 +391,37 @@ def test_matched_cost_is_optimal_over_enumeration():
 def test_set_loss_inconsistent_assignment():
     rng = PortableRng(55)
     logits_t, joints_t = make_preds(rng, 3)
-    gt_cls, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
+    present, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT])
     with pytest.raises(InconsistentAssignment):  # not one query per slot
-        set_loss(logits_t, joints_t, gt_cls, gt_joints, np.array([1, 2]))
+        set_loss(logits_t, joints_t, present, gt_joints, np.array([1, 2]))
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gt_cls, gt_joints, np.array([[1, 7]]))
+        set_loss(logits_t, joints_t, present, gt_joints, np.array([[1, 7]]))
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gt_cls, gt_joints, np.array([[1, -1]]))
+        set_loss(logits_t, joints_t, present, gt_joints, np.array([[1, -1]]))
     # one (B, 2) ground truth and one query per slot
     good = np.array([[1, 2]])
-    set_loss(logits_t, joints_t, gt_cls, gt_joints, good)
+    set_loss(logits_t, joints_t, present, gt_joints, good)
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gt_cls, gt_joints, np.array([[1, 2], [1, 2]]))
+        set_loss(logits_t, joints_t, present, gt_joints, np.array([[1, 2], [1, 2]]))
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gt_cls, gt_joints, np.zeros((0, 2), dtype=np.intp))
+        set_loss(logits_t, joints_t, present, gt_joints, np.zeros((0, 2), dtype=np.intp))
     with pytest.raises(ShapeError):  # two images' ground truth for one image
-        set_loss(logits_t, joints_t, np.concatenate([gt_cls, gt_cls]),
+        set_loss(logits_t, joints_t, np.concatenate([present, present]),
                  np.concatenate([gt_joints, gt_joints]), good)
     with pytest.raises(ShapeError):  # one image without its batch axis
-        set_loss(logits_t[0], joints_t[0], gt_cls, gt_joints, good)
+        set_loss(logits_t[0], joints_t[0], present, gt_joints, good)
     # an empty slot's query is never read, so it may be anything
-    one_hand = gt_cls.copy()
-    one_hand[0, 1] = -1
+    one_hand = present.copy()
+    one_hand[0, 1] = False
     set_loss(logits_t, joints_t, one_hand, gt_joints, np.array([[1, 7]]))
 
 
 def test_set_loss_rejects_a_query_matched_twice_in_one_image():
     rng = PortableRng(57)
     logits_t, joints_t = make_preds(rng, 3, n_images=2)
-    gt_cls, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT], [HandSide.LEFT])
+    present, gt_joints = make_gts(rng, [HandSide.LEFT, HandSide.RIGHT], [HandSide.LEFT])
     with pytest.raises(InconsistentAssignment):
-        set_loss(logits_t, joints_t, gt_cls, gt_joints, np.array([[1, 1], [0, 2]]))
+        set_loss(logits_t, joints_t, present, gt_joints, np.array([[1, 1], [0, 2]]))
     # query 1 of image 0 and query 1 of image 1 are different predictions;
     # image 1's empty slot repeating its query 1 is never read
-    set_loss(logits_t, joints_t, gt_cls, gt_joints, np.array([[1, 0], [1, 1]]))
+    set_loss(logits_t, joints_t, present, gt_joints, np.array([[1, 0], [1, 1]]))

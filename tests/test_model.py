@@ -9,13 +9,7 @@ import pytest
 
 from setpose.errors import ConfigError, ShapeError
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS
-from setpose.matching import (
-    CLASS_LEFT,
-    CLASS_RIGHT,
-    build_cost_matrix,
-    hungarian,
-    set_loss,
-)
+from setpose.matching import build_cost_matrix, hungarian, set_loss
 from setpose.model import (
     BatchDetections,
     DepthMode,
@@ -74,6 +68,12 @@ def test_config_rejects_bad_values():
         ModelConfig(embed_dim=30, n_heads=2)  # not divisible by 4
     with pytest.raises(ConfigError):
         ModelConfig(embed_dim=24, n_heads=5)
+    with pytest.raises(ConfigError, match="embed_dim"):
+        ModelConfig(embed_dim="64")
+    with pytest.raises(ConfigError, match="rel_depth_half_range"):
+        ModelConfig(rel_depth_half_range=float("inf"))
+    with pytest.raises(ConfigError, match="image_size"):
+        ModelConfig.from_dict({**TINY.to_dict(), "image_size": [32.0, 32]})
 
 
 def test_config_round_trips_through_dict():
@@ -240,16 +240,26 @@ def test_forward_shape_errors():
 
 # -- decode ----------------------------------------------------------------
 
+LEFT, RIGHT = HandSide.LEFT.code, HandSide.RIGHT.code
+
+
+def decode_one(logits: np.ndarray, joints: np.ndarray, cfg: ModelConfig):
+    """decode_predictions of one 32x32 image: its query (2,), uvd (2, 21, 3)
+    and confidence (2,), indexed by HandSide.code."""
+    query, uvd, confidence = decode_predictions(logits[None], joints[None], cfg, [(32, 32)])
+    return query[0], uvd[0], confidence[0]
+
+
 def test_decode_absolute_depth_endpoints():
     joints = np.zeros((3, 63))
     joints[0].reshape(21, 3)[:, 2] = 0.0
     joints[1].reshape(21, 3)[:, 2] = 1.0
     logits = np.zeros((3, 3))
-    logits[0, CLASS_LEFT] = 10.0
-    logits[1, CLASS_RIGHT] = 10.0
-    decoded = decode_predictions(logits, joints, TINY, tiny_cam())
-    assert np.all(decoded[HandSide.LEFT].uvd.d == 500.0)
-    assert np.all(decoded[HandSide.RIGHT].uvd.d == 1200.0)
+    logits[0, LEFT] = 10.0
+    logits[1, RIGHT] = 10.0
+    _, uvd, _ = decode_one(logits, joints, TINY)
+    assert np.all(uvd[LEFT, :, 2] == 500.0)
+    assert np.all(uvd[RIGHT, :, 2] == 1200.0)
 
 
 def test_decode_root_relative_zero_offset():
@@ -259,63 +269,79 @@ def test_decode_root_relative_zero_offset():
     vals[:, 2] = 0.5          # all relative channels at midpoint -> wrist depth
     vals[0, 2] = 0.25         # wrist absolute channel
     logits = np.zeros((3, 3))
-    logits[2, CLASS_LEFT] = 9.0
-    decoded = decode_predictions(logits, joints, cfg, tiny_cam())
+    logits[2, LEFT] = 9.0
+    _, uvd, _ = decode_one(logits, joints, cfg)
     wrist_d = 500.0 + 0.25 * 700.0
-    assert np.allclose(decoded[HandSide.LEFT].uvd.d, wrist_d, rtol=0, atol=1e-12)
+    assert np.allclose(uvd[LEFT, :, 2], wrist_d, rtol=0, atol=1e-12)
 
 
 def test_decode_selects_argmax_query_brute_force():
     rng = PortableRng(95)
     logits = np.array(rng.uniform_list(9, -3.0, 3.0)).reshape(3, 3)
     joints = np.array(rng.uniform_list(3 * 63, 0.0, 1.0)).reshape(3, 63)
-    decoded = decode_predictions(logits, joints, TINY, tiny_cam())
+    query, _, confidence = decode_one(logits, joints, TINY)
 
     def softmax(z):
         e = np.exp(z - z.max())
         return e / e.sum()
 
     probs = np.stack([softmax(z) for z in logits])
-    for side, col in ((HandSide.LEFT, CLASS_LEFT), (HandSide.RIGHT, CLASS_RIGHT)):
+    for col in (LEFT, RIGHT):
         best, best_p = 0, -1.0
         for q in range(3):
             if probs[q, col] > best_p:
                 best, best_p = q, probs[q, col]
-        assert decoded[side].query_index == best
-        assert abs(decoded[side].confidence - best_p) < 1e-12
+        assert query[col] == best
+        assert abs(confidence[col] - best_p) < 1e-12
 
 
 def test_decode_invariant_under_monotone_logit_transform():
     rng = PortableRng(96)
     logits = np.array(rng.uniform_list(9, -2.0, 2.0)).reshape(3, 3)
     joints = np.full((3, 63), 0.5)
-    cam = tiny_cam()
-    a = decode_predictions(logits, joints, TINY, cam)
-    b = decode_predictions(3.0 * logits + 11.0, joints, TINY, cam)
-    for side in HandSide:
-        assert a[side].query_index == b[side].query_index
+    a, _, _ = decode_one(logits, joints, TINY)
+    b, _, _ = decode_one(3.0 * logits + 11.0, joints, TINY)
+    assert a.tolist() == b.tolist()
 
 
 def test_decode_tie_prefers_lowest_query():
     logits = np.zeros((3, 3))  # uniform probabilities everywhere
     joints = np.full((3, 63), 0.5)
-    decoded = decode_predictions(logits, joints, TINY, tiny_cam())
-    assert decoded[HandSide.LEFT].query_index == 0
-    assert decoded[HandSide.RIGHT].query_index == 0
+    query, _, _ = decode_one(logits, joints, TINY)
+    assert query.tolist() == [0, 0]
 
 
 def test_decoded_depth_envelope():
     rng = PortableRng(97)
     for cfg in (TINY, ModelConfig(**{**TINY.to_dict(), "depth_mode": "root_relative"})):
         joints = np.array(rng.uniform_list(3 * 63, 0.0, 1.0)).reshape(3, 63)
-        decoded = decode_predictions(np.zeros((3, 3)), joints, cfg, tiny_cam())
+        _, uvd, _ = decode_one(np.zeros((3, 3)), joints, cfg)
         z_min, z_max = cfg.depth_range
         delta = cfg.rel_depth_half_range
-        for side in HandSide:
-            d = decoded[side].uvd.d
-            assert np.all(d >= min(z_min - delta, z_min) - 1e-12)
-            assert np.all(d <= z_max + delta + 1e-12)
-            assert np.all(d > 0)
+        d = uvd[..., 2]
+        assert np.all(d >= min(z_min - delta, z_min) - 1e-12)
+        assert np.all(d <= z_max + delta + 1e-12)
+        assert np.all(d > 0)
+
+
+def test_each_row_of_a_batched_decode_is_bitwise_the_image_decoded_alone():
+    """Five float32 images, each with its own (height, width): u scales by
+    the width and v by the height of that image."""
+    rng = PortableRng(94)
+    logits = np.array(rng.uniform_list(5 * 3 * 3, -3.0, 3.0), np.float32).reshape(5, 3, 3)
+    joints = np.array(rng.uniform_list(5 * 3 * 63, 0.0, 1.0), np.float32).reshape(5, 3, 63)
+    sizes = [(32, 32), (48, 48), (24, 40), (40, 24), (32, 32)]
+    for cfg in (TINY, ModelConfig(**{**TINY.to_dict(), "depth_mode": "root_relative"})):
+        query, uvd, confidence = decode_predictions(logits, joints, cfg, sizes)
+        assert query.shape == confidence.shape == (5, 2) and uvd.shape == (5, 2, 21, 3)
+        for i, (h, w) in enumerate(sizes):
+            alone = decode_predictions(logits[i:i + 1], joints[i:i + 1], cfg, [(h, w)])
+            for batched, single in zip((query, uvd, confidence), alone):
+                assert batched[i].tobytes() == single[0].tobytes()
+            for k in (LEFT, RIGHT):
+                vals = joints[i, query[i, k]].reshape(21, 3).astype(np.float64)
+                assert np.array_equal(uvd[i, k, :, 0], vals[:, 0] * w)
+                assert np.array_equal(uvd[i, k, :, 1], vals[:, 1] * h)
 
 
 def test_encode_decode_depth_round_trip():
@@ -400,15 +426,16 @@ def test_set_loss_through_forward_gradcheck_sampled():
 
 
 def packed_gts(rng: PortableRng, *images) -> tuple[np.ndarray, np.ndarray]:
-    """The packed (B, 2) side codes and (B, 2, 63) normalized joints of one
-    image per list of sides; empty slots hold -1 and zeros."""
-    gt_cls = np.full((len(images), 2), -1, dtype=np.int8)
+    """The packed (B, 2) present flags and (B, 2, 63) normalized joints of
+    one image per list of sides, each hand in the slot of its HandSide.code;
+    empty slots hold False and zeros."""
+    present = np.zeros((len(images), 2), dtype=bool)
     gt_joints = np.zeros((len(images), 2, 63))
     for b, sides in enumerate(images):
-        for k, side in enumerate(sides):
-            gt_cls[b, k] = side.code
-            gt_joints[b, k] = rng.uniform_list(63, 0.05, 0.95)
-    return gt_cls, gt_joints
+        for side in sides:
+            present[b, side.code] = True
+            gt_joints[b, side.code] = rng.uniform_list(63, 0.05, 0.95)
+    return present, gt_joints
 
 
 def default_batch(n_images: int = 16):

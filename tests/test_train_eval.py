@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -177,6 +178,39 @@ def test_seeded_training_reproduces_golden_step_losses():
         assert np.allclose(row, golden, rtol=1e-12, atol=0), step
 
 
+def records_digest(*reports: train_eval.EvalReport) -> str:
+    h = hashlib.sha256()
+    for report in reports:
+        for r in report.records:
+            h.update(f"{r.index} {r.side.value}".encode())
+            h.update(np.array([r.error_mm, r.confidence]).tobytes())
+    return h.hexdigest()
+
+
+# SHA-256 of evaluate's records (index, side, error_mm, confidence), rescaling
+# off then on, per depth mode, for the seeded model and scenes below.
+GOLDEN_EVAL_DIGESTS = {
+    DepthMode.ABSOLUTE_PER_JOINT:
+        "8605bedeb79eb68161a950d962518c3f56336dfd34fea0e8e360a83dc1e29d4a",
+    DepthMode.ROOT_PLUS_RELATIVE:
+        "8e88109f3ed330f59e3456164380b9a106f904eac26540f71bdb77912382c291",
+}
+
+
+@pytest.mark.parametrize("mode", list(DepthMode), ids=lambda m: m.value)
+def test_evaluate_reproduces_golden_records(mode):
+    samples = generate_dataset(GenConfig(seed=5, n_samples=12, hand_presence_prob=0.7))
+    assert {len(s.hands) for s in samples} == {0, 1, 2}
+    stats = train_eval.scale_stats_from_samples(generate_dataset(GenConfig(seed=6,
+                                                                           n_samples=16)))
+    cfg = dataclasses.replace(TINY, depth_mode=mode)
+    params = build_model(cfg, seed=1)
+    off = train_eval.evaluate(params, cfg, samples)
+    on = train_eval.evaluate(params, cfg, samples, rescale=True, scale_stats=stats)
+    assert len(off.records) == len(on.records) == sum(len(s.hands) for s in samples)
+    assert records_digest(off, on) == GOLDEN_EVAL_DIGESTS[mode]
+
+
 def test_training_overfits_eight_samples():
     """The float32 model learns: 80 epochs of one 8-sample batch take the
     loss well below the first step's, in both of its terms."""
@@ -199,6 +233,16 @@ def test_train_config_rejects_a_non_positive_lr_drop_factor(factor):
     # lr_at divides by it from the drop epoch on
     with pytest.raises(ConfigError, match="lr_drop_factor"):
         tiny_train_cfg(lr_drop_factor=factor)
+
+
+@pytest.mark.parametrize("field, make", [
+    ("lam_cls", lambda: tiny_train_cfg(lam_cls=math.nan)),
+    ("batch_size", lambda: tiny_train_cfg(batch_size=2.5)),
+    ("lr_transformer", lambda: train_eval.TrainConfig.from_dict({"lr_transformer": "0.1"})),
+], ids=["nan", "fractional-int", "str"])
+def test_train_config_rejects_a_field_that_is_not_a_finite_number(field, make):
+    with pytest.raises(ConfigError, match=field):
+        make()
 
 
 def test_train_config_unknown_key_raises_config_error():
