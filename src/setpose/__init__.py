@@ -10,7 +10,6 @@ from .geometry import (
     HandSide,
     JointSet3D,
     JointSetUVD,
-    hflip_uvd,
     mpjpe,
     uvd_to_xyz,
     xyz_to_uvd,
@@ -37,7 +36,6 @@ __all__ = [
     "compute_mean_scale",
     "derive_seed",
     "hand_scale",
-    "hflip_uvd",
     "hungarian",
     "mpjpe",
     "rescale_depth",

@@ -17,15 +17,15 @@ side-coded palette is what lets a desk-scale backbone learn hand
 classification. Pixel (row r, col c) samples the continuous image point
 (u=c, v=r); images are float32 in [0, 1].
 
-Horizontal flip augmentation mirrors image columns (discrete index
-W-1-c), swaps the left/right channels so the side coding stays consistent
-with the swapped labels, maps annotations through the continuous mirror
-u' = W - u, and invalidates xyz (flipped samples supervise only in
-normalized UVD space). The half-pixel gap between the discrete and
-continuous mirrors is accepted; it is sub-pixel and irrelevant at this
-scale.
+Horizontal flip augmentation (augment) works on a training batch's
+arrays, the stacked images and their packed hand slots, in place: a
+flipped row mirrors its image columns (discrete index W-1-c), swaps the
+left/right channels and the two hand slots, so the side coding stays
+consistent with the swapped labels, and maps u through the continuous
+mirror u' = W - u. The half-pixel gap between the discrete and continuous
+mirrors is accepted; it is sub-pixel and irrelevant at this scale.
 
-On-disk layout (format_version 5); meta.json is written last, so it
+On-disk layout (format_version 6); meta.json is written last, so it
 commits the dataset:
 
     meta.json       format version, generator-config echo, intrinsics, count,
@@ -33,11 +33,9 @@ commits the dataset:
     images.npy      every image in one little-endian float32 array of
                     shape (N, H, W, 3), in numpy's .npy format
     hands.npy       (N, 2) HANDS_DTYPE slots (pack_hands): sample i's hand
-                    of side s in slot [i, s.code] (0 left, 1 right),
-                    present False where that side has no hand; has_xyz
-                    False where xyz is None (a flipped hand). The same rows,
-                    packed from an augmented batch, are a training step's
-                    ground truth.
+                    of side s, its uvd and xyz joints, in slot [i, s.code]
+                    (0 left, 1 right); present False (and zeros) where that
+                    side has no hand. A batch's rows are its ground truth.
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
 ConfigError, naming the first sample whose camera differs from sample 0's
@@ -68,17 +66,16 @@ from .geometry import (
     JointSet3D,
     JointSetUVD,
     N_JOINTS,
-    hflip_uvd,
     xyz_to_uvd,
 )
 from .hand_model import BONES, FINGER_SLICES
 from .rng import PortableRng
 
-DATASET_FORMAT_VERSION = 5
+DATASET_FORMAT_VERSION = 6
 IMAGES_NAME = "images.npy"
 HANDS_NAME = "hands.npy"
 HANDS_DTYPE = np.dtype([("present", "?"), ("uvd", "<f8", (N_JOINTS, 3)),
-                        ("xyz", "<f8", (N_JOINTS, 3)), ("has_xyz", "?")])
+                        ("xyz", "<f8", (N_JOINTS, 3))])
 
 # Canonical right-hand template: per-finger in-plane fan angle (degrees
 # from +y toward +x) and bone lengths (mm), proximal to distal.
@@ -165,7 +162,11 @@ class GenConfig:
 class HandAnnotation:
     side: HandSide
     uvd: JointSetUVD
-    xyz: JointSet3D | None  # None once flipped: excluded from metric supervision
+    xyz: JointSet3D
+
+    def __post_init__(self):
+        if not isinstance(self.xyz, JointSet3D):
+            raise ConfigError(f"a hand's xyz must be a JointSet3D, got {self.xyz!r}")
 
 
 @dataclass(frozen=True)
@@ -334,23 +335,17 @@ def generate_dataset(cfg: GenConfig) -> list[SceneSample]:
 
 # -- augmentation ------------------------------------------------------------------
 
-def hflip_sample(sample: SceneSample) -> SceneSample:
-    """Deterministic horizontal flip (see the module docstring): each hand
-    becomes the other side's, and SceneSample puts the swapped hands back in
-    left-then-right order."""
-    flipped_img = np.ascontiguousarray(sample.image[:, ::-1, :][:, :, [1, 0, 2]])
-    hands = []
-    for hand in sample.hands:
-        uvd, side = hflip_uvd(hand.uvd, hand.side, sample.camera.width)
-        hands.append(HandAnnotation(side=side, uvd=uvd, xyz=None))
-    return SceneSample(image=flipped_img, hands=hands, camera=sample.camera)
-
-
-def augment(sample: SceneSample, rng: PortableRng) -> SceneSample:
-    """With probability 0.5, the horizontally flipped sample; else unchanged."""
-    if rng.bernoulli(0.5):
-        return hflip_sample(sample)
-    return sample
+def augment(images: np.ndarray, hands: np.ndarray, rng: PortableRng) -> None:
+    """Flips each row of a training batch in place with probability 0.5, one
+    rng.bernoulli(0.5) draw per image in batch order: images (B, H, W, 3) and
+    the samples' (B, 2) HANDS_DTYPE slots, u mapped to W - u with W =
+    images.shape[2] (see the module docstring). An empty slot holds u = W
+    after a flip; nothing reads it. xyz moves with its slot unmirrored: a
+    batch supervises in UVD only."""
+    flip = np.array([rng.bernoulli(0.5) for _ in range(len(images))], dtype=bool)
+    images[flip] = images[flip][:, :, ::-1][..., [1, 0, 2]]
+    hands[flip] = hands[flip][:, ::-1]
+    hands["uvd"][flip, ..., 0] = images.shape[2] - hands["uvd"][flip, ..., 0]
 
 
 # -- dataset I/O ------------------------------------------------------------------
@@ -370,8 +365,7 @@ def pack_hands(samples: list[SceneSample]) -> np.ndarray:
     hands = np.zeros((len(samples), 2), dtype=HANDS_DTYPE)
     for i, sample in enumerate(samples):
         for hand in sample.hands:
-            xyz = 0.0 if hand.xyz is None else hand.xyz.joints
-            hands[i, hand.side.code] = (True, hand.uvd.joints, xyz, hand.xyz is not None)
+            hands[i, hand.side.code] = (True, hand.uvd.joints, hand.xyz.joints)
     return hands
 
 
@@ -458,12 +452,11 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
                          (n_samples, int(cam.height), int(cam.width), 3))
     hands = _load_array(path / HANDS_NAME, meta["hands_sha256"], HANDS_DTYPE,
                         (n_samples, 2))
-    present, has_xyz = hands["present"].tolist(), hands["has_xyz"].tolist()
+    present = hands["present"].tolist()
     samples = []
     for i, image in enumerate(images):
-        annotations = [HandAnnotation(
-            side=side, uvd=JointSetUVD(hands["uvd"][i, side.code]),
-            xyz=JointSet3D(hands["xyz"][i, side.code]) if has_xyz[i][side.code] else None)
-            for side in HandSide if present[i][side.code]]
+        annotations = [HandAnnotation(side=side, uvd=JointSetUVD(hands["uvd"][i, side.code]),
+                                      xyz=JointSet3D(hands["xyz"][i, side.code]))
+                       for side in HandSide if present[i][side.code]]
         samples.append(SceneSample(image=image, hands=annotations, camera=cam))
     return samples, meta

@@ -86,11 +86,14 @@ def check_numbers(config, ints: tuple[str, ...] = (), reals: tuple[str, ...] = (
                   finite: bool = True) -> None:
     """Raises ConfigError naming the first field of config among ints that is
     not an int, or among reals that is not a real number (a finite one unless
-    finite is False); a bool is neither, and a tuple is checked per element."""
+    finite is False); a bool is neither; a tuple is a pair, checked per element."""
     real = "a finite number" if finite else "a number"
     for names, kind, what in ((ints, numbers.Integral, "an int"), (reals, numbers.Real, real)):
         for name in names:
             value = getattr(config, name)
+            if isinstance(value, tuple) and len(value) != 2:
+                raise ConfigError(f"{type(config).__name__}.{name} must be a pair, "
+                                  f"got {value!r}")
             for v in value if isinstance(value, tuple) else (value,):
                 if isinstance(v, bool) or not isinstance(v, kind) or (
                         kind is numbers.Real and finite and not -math.inf < v < math.inf):

@@ -1,4 +1,4 @@
-"""Pinhole camera geometry, pose metric, and horizontal-flip math.
+"""Pinhole camera geometry and the pose metric.
 
 Conventions (OpenCV-style):
   * camera frame: x right, y down, z forward; units are millimeters
@@ -32,10 +32,6 @@ WRIST = 0  # joint index of the skeleton root
 class HandSide(Enum):
     LEFT = "left"
     RIGHT = "right"
-
-    @property
-    def opposite(self) -> "HandSide":
-        return HandSide.RIGHT if self is HandSide.LEFT else HandSide.LEFT
 
     @property
     def code(self) -> int:
@@ -148,18 +144,3 @@ def mpjpe(pred: JointSet3D, gt: JointSet3D) -> float:
     """
     return float(np.mean(np.linalg.norm(pred.joints - gt.joints, axis=1)))
 
-
-def hflip_uvd(
-    pose: JointSetUVD, side: HandSide, image_width: float
-) -> tuple[JointSetUVD, HandSide]:
-    """Mirror a UVD pose about the vertical image centerline.
-
-    u' = W - u (continuous-coordinate mirror, joints are sub-pixel
-    positions rather than pixel indices); v and d are untouched; the
-    hand side swaps.
-    """
-    if image_width <= 0:
-        raise ConfigError(f"image_width must be > 0, got {image_width}")
-    flipped = pose.joints.copy()
-    flipped[:, 0] = image_width - flipped[:, 0]
-    return JointSetUVD(flipped), side.opposite

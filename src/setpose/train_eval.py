@@ -3,14 +3,15 @@
 Training follows the two-group AdamW schedule: backbone parameters (the
 patch embedding) at lr_backbone, everything else at lr_transformer, both
 divided by lr_drop_factor from lr_drop_epoch onward. Supervision happens
-in normalized UVD space. Each step packs its augmented batch's hands into
-the (B, 2) slots of data.pack_hands, the rows hands.npy stores, slot k
-holding the hand of side k, and encodes their joints in one encode_targets
-call. It runs the batch forward, builds the match costs of the whole batch
-in one build_cost_matrix call, matches every image in one batched
-hungarian call, and makes one set_loss call, which averages the per-image
-losses over the batch. Matching is recomputed every step and carries no
-gradient.
+in normalized UVD space. train packs the training set's hands once, into
+the (N, 2) slots of data.pack_hands that hands.npy stores, slot k holding
+the hand of side k. Each step stacks its batch's images, takes its rows of
+those slots, flips both in place in one data.augment call, and encodes the
+joints in one encode_targets call. It runs the batch forward, builds the
+match costs of the whole batch in one build_cost_matrix call, matches
+every image in one batched hungarian call, and makes one set_loss call,
+which averages the per-image losses over the batch. Matching is recomputed
+every step and carries no gradient.
 
 Evaluation decodes a pose per side for all frames in one
 decode_predictions call (per-side argmax query - a prediction is always
@@ -140,6 +141,7 @@ def train(
     log = TrainLog()
     step = 0
     best = (math.inf, None, train_cfg.total_epochs - 1)
+    packed = pack_hands(train_samples)
     n = len(train_samples)
     for epoch in range(train_cfg.total_epochs):
         lr_t, lr_b = train_cfg.lr_at(epoch)
@@ -147,9 +149,9 @@ def train(
         rng.shuffle(order)
         for lo in range(0, n, train_cfg.batch_size):
             batch_idx = order[lo:lo + train_cfg.batch_size]
-            batch = [augment(train_samples[i], rng) for i in batch_idx]
-            images = np.stack([s.image for s in batch])
-            hands = pack_hands(batch)
+            images = np.stack([train_samples[i].image for i in batch_idx])
+            hands = packed[batch_idx]
+            augment(images, hands, rng)
             present, gt_joints = hands["present"], encode_targets(hands["uvd"], model_cfg)
             step += 1
 
@@ -324,8 +326,6 @@ def score_predictions(
             if side not in gt_sides:
                 continue
             hand = gt_sides[side]
-            if hand.xyz is None:
-                raise ConfigError(f"frame {i} lacks xyz ground truth")
             uvd = pred.uvd
             cam = sample.camera
             if rescale:
@@ -364,8 +364,7 @@ def evaluate(
 
 
 def scale_stats_from_samples(samples: list[SceneSample]) -> ScaleStats:
-    poses = [(h.side, h.xyz) for s in samples for h in s.hands if h.xyz is not None]
-    return compute_mean_scale(poses)
+    return compute_mean_scale([(h.side, h.xyz) for s in samples for h in s.hands])
 
 
 # -- ablation ------------------------------------------------------------------

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.lib.recfunctions import repack_fields
 
 from setpose.data import (
@@ -14,20 +17,20 @@ from setpose.data import (
     FINGER_BONE_LENGTHS,
     HANDS_DTYPE,
     GenConfig,
+    HandAnnotation,
     SceneSample,
     _render_hand_canvas,
     augment,
     default_intrinsics,
     generate_dataset,
     generate_sample,
-    hflip_sample,
     pack_hands,
     read_dataset,
     template_hand,
     write_dataset,
 )
 from setpose.errors import ConfigError, FormatError
-from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, xyz_to_uvd
+from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
 
@@ -160,6 +163,11 @@ def test_gen_config_validation():
         GenConfig.from_dict({"n_samples": "4"})
     with pytest.raises(ConfigError, match="hand_presence_prob"):
         small_cfg(hand_presence_prob=float("nan"))
+    # every tuple field is a pair
+    for name, value in (("image_size", (32, 32, 3)), ("depth_range", (500.0,)),
+                        ("scale_jitter", (0.9,))):
+        with pytest.raises(ConfigError, match=f"{name} must be a pair"):
+            small_cfg(**{name: value})
 
 
 def test_gen_config_dict_round_trip():
@@ -185,37 +193,122 @@ def sample_with_both_hands(seed: int = 3) -> SceneSample:
     raise AssertionError("no two-hand sample found")
 
 
+def batch_of(samples: list[SceneSample]) -> tuple[np.ndarray, np.ndarray]:
+    """A training batch's arrays: the stacked images and the packed hands."""
+    return np.stack([s.image for s in samples]), pack_hands(samples)
+
+
+class AlwaysFlip:
+    """An rng whose every bernoulli draw comes out True."""
+
+    def bernoulli(self, p: float) -> bool:
+        return True
+
+
 def test_hflip_swaps_sides_and_mirrors_columns_with_channel_swap():
-    sample = sample_with_both_hands()
-    flipped = hflip_sample(sample)
-    assert {h.side for h in flipped.hands} == {HandSide.LEFT, HandSide.RIGHT}
-    w = int(sample.camera.width)
-    for c in range(w):
-        assert np.array_equal(flipped.image[:, c, 0], sample.image[:, w - 1 - c, 1])
-        assert np.array_equal(flipped.image[:, c, 1], sample.image[:, w - 1 - c, 0])
-        assert np.array_equal(flipped.image[:, c, 2], sample.image[:, w - 1 - c, 2])
-    by_side = {h.side: h for h in sample.hands}
-    for hand in flipped.hands:
-        src = by_side[hand.side.opposite]
-        assert np.allclose(hand.uvd.u, sample.camera.width - src.uvd.u, rtol=0, atol=0)
-        assert np.array_equal(hand.uvd.joints[:, 1:], src.uvd.joints[:, 1:])
-        assert hand.xyz is None  # metric labels are invalidated by flipping
+    """Each flipped row equals a per-sample reference flip: columns mirrored,
+    channels 0 and 1 swapped, the hand of side k in slot 1 - k with
+    u' = W - u and v, d and xyz bitwise unchanged; an empty slot then holds
+    u = W and zeros. Every other row is untouched."""
+    samples = generate_dataset(small_cfg(seed=3, n_samples=16, hand_presence_prob=0.5))
+    assert {len(s.hands) for s in samples} == {0, 1, 2}
+    images, hands = batch_of(samples)
+    augment(images, hands, PortableRng(7))
+    replay = PortableRng(7)
+    flipped = [replay.bernoulli(0.5) for _ in samples]
+    assert 0 < sum(flipped) < len(samples)
+    w = int(samples[0].camera.width)
+    for sample, image, row, flip in zip(samples, images, hands, flipped):
+        if not flip:
+            assert image.tobytes() == sample.image.tobytes()
+            assert row.tobytes() == pack_hands([sample])[0].tobytes()
+            continue
+        for c in range(w):
+            assert np.array_equal(image[:, c, 0], sample.image[:, w - 1 - c, 1])
+            assert np.array_equal(image[:, c, 1], sample.image[:, w - 1 - c, 0])
+            assert np.array_equal(image[:, c, 2], sample.image[:, w - 1 - c, 2])
+        slots = {1 - hand.side.code: hand for hand in sample.hands}
+        assert row["present"].tolist() == [k in slots for k in (0, 1)]
+        for k in (0, 1):
+            if k in slots:
+                uvd, xyz = slots[k].uvd.joints, slots[k].xyz.joints
+                assert np.array_equal(row[k]["uvd"][:, 0], w - uvd[:, 0])
+                assert row[k]["uvd"][:, 1:].tobytes() == uvd[:, 1:].tobytes()
+                assert row[k]["xyz"].tobytes() == xyz.tobytes()
+            else:
+                assert np.all(row[k]["uvd"][:, 0] == w)
+                assert not row[k]["uvd"][:, 1:].any() and not row[k]["xyz"].any()
 
 
 def test_hflip_double_flip_restores_image_and_uvd():
-    sample = sample_with_both_hands(seed=8)
-    twice = hflip_sample(hflip_sample(sample))
-    assert np.array_equal(twice.image, sample.image)
-    assert [h.side for h in twice.hands] == [h.side for h in sample.hands]
-    for ha, hb in zip(twice.hands, sample.hands):
-        assert np.abs(ha.uvd.u - hb.uvd.u).max() < 1e-9
-        assert np.array_equal(ha.uvd.joints[:, 1:], hb.uvd.joints[:, 1:])
+    """Two augment calls with rngs of one seed flip the same rows twice:
+    images and everything but u come back bitwise, u within 1e-9."""
+    samples = generate_dataset(small_cfg(seed=8, n_samples=16))
+    images, hands = batch_of(samples)
+    first = images.copy()
+    augment(images, hands, PortableRng(11))
+    assert images.tobytes() != first.tobytes()
+    augment(images, hands, PortableRng(11))
+    original = pack_hands(samples)
+    assert images.tobytes() == first.tobytes()
+    assert np.abs(hands["uvd"][..., 0] - original["uvd"][..., 0]).max() < 1e-9
+    assert hands["uvd"][..., 1:].tobytes() == original["uvd"][..., 1:].tobytes()
+    assert np.array_equal(hands["present"], original["present"])
+    assert hands["xyz"].tobytes() == original["xyz"].tobytes()
+
+
+def test_hflip_hand_computed():
+    """A left hand at u = 420 in a 1280-wide batch becomes a right hand at
+    u = 860."""
+    images, hands = np.zeros((1, 1, 1280, 3), np.float32), np.zeros((1, 2), HANDS_DTYPE)
+    hands[0, 0] = (True, np.tile([420.0, 340.0, 2000.0], (N_JOINTS, 1)), 1.0)
+    augment(images, hands, AlwaysFlip())
+    assert hands["present"].tolist() == [[False, True]]
+    assert np.array_equal(hands["uvd"][0, 1], np.tile([860.0, 340.0, 2000.0], (N_JOINTS, 1)))
+
+
+def test_hflip_mirror_axis_fixed_point():
+    images, hands = np.zeros((1, 1, 1280, 3), np.float32), np.zeros((1, 2), HANDS_DTYPE)
+    hands["uvd"][0, 0] = np.tile([640.0, 100.0, 500.0], (N_JOINTS, 1))
+    augment(images, hands, AlwaysFlip())
+    assert np.all(hands["uvd"][0, 1, :, 0] == 640.0)
+
+
+@settings(derandomize=True, database=None, deadline=None)
+@given(st.integers(1, 4096),
+       arrays(np.float64, (2, N_JOINTS, 3), elements=st.floats(0.0, 1.0)))
+def test_hflip_twice_property(width, unit):
+    """Any width and any joints with u in [0, W]: one flip swaps the slots,
+    two restore v and d bitwise and u to within an ulp of W."""
+    images, hands = np.zeros((1, 1, width, 3), np.float32), np.zeros((1, 2), HANDS_DTYPE)
+    hands["present"][0, 0] = True
+    hands["uvd"][0] = unit * [width, 1e3, 1e6]
+    original = hands.copy()
+    augment(images, hands, AlwaysFlip())
+    assert hands["present"].tolist() == [[False, True]]
+    augment(images, hands, AlwaysFlip())
+    assert hands["uvd"][..., 1:].tobytes() == original["uvd"][..., 1:].tobytes()
+    # W - (W - u) rounds twice, so u comes back within an ulp of W, not bitwise
+    assert np.abs(hands["uvd"][..., 0] - original["uvd"][..., 0]).max() <= 2 * np.spacing(
+        float(width))
+
+
+def test_augment_makes_one_draw_per_image_in_batch_order():
+    samples = generate_dataset(small_cfg(n_samples=8, hand_presence_prob=1.0))
+    images, hands = batch_of(samples)
+    rng, replay = PortableRng(5), PortableRng(5)
+    augment(images, hands, rng)
+    expected = [replay.bernoulli(0.5) for _ in samples]
+    assert 0 < sum(expected) < len(samples)
+    assert [not np.array_equal(i, s.image) for i, s in zip(images, samples)] == expected
+    assert rng.next_u64() == replay.next_u64()
 
 
 def test_augment_flip_rate():
-    sample = sample_with_both_hands(seed=12)
-    rng = PortableRng(1000)
-    flips = sum(augment(sample, rng) is not sample for _ in range(400))
+    images, hands = np.zeros((400, 1, 2, 3), np.float32), np.zeros((400, 2), HANDS_DTYPE)
+    hands["present"][:, 0] = True
+    augment(images, hands, PortableRng(1000))
+    flips = int(hands["present"][:, 1].sum())
     assert 160 < flips < 240
 
 
@@ -317,10 +410,7 @@ def _assert_same_samples(written, read):
         assert [h.side for h in a.hands] == [h.side for h in b.hands]
         for ha, hb in zip(a.hands, b.hands):
             assert np.array_equal(ha.uvd.joints, hb.uvd.joints)
-            if ha.xyz is None:
-                assert hb.xyz is None
-            else:
-                assert np.array_equal(ha.xyz.joints, hb.xyz.joints)
+            assert np.array_equal(ha.xyz.joints, hb.xyz.joints)
 
 
 def _sha256(path) -> str:
@@ -346,17 +436,24 @@ def test_pack_hands_puts_a_right_only_sample_in_slot_1():
     right = one_hand_sample(HandSide.RIGHT)
     hands = pack_hands([right])
     assert hands.dtype == HANDS_DTYPE and hands.shape == (1, 2)
-    assert HANDS_DTYPE.itemsize == 1010
+    assert HANDS_DTYPE.itemsize == 1009
     assert hands["present"].tolist() == [[False, True]]
     assert np.array_equal(hands["uvd"][0, 1], right.hands[0].uvd.joints)
-    assert not hands["uvd"][0, 0].any() and hands["has_xyz"].tolist() == [[False, True]]
+    assert np.array_equal(hands["xyz"][0, 1], right.hands[0].xyz.joints)
+    assert not hands["uvd"][0, 0].any() and not hands["xyz"][0, 0].any()
+
+
+def test_a_hand_without_xyz_raises_config_error():
+    hand = one_hand_sample(HandSide.LEFT).hands[0]
+    with pytest.raises(ConfigError, match="xyz must be a JointSet3D, got None"):
+        HandAnnotation(side=hand.side, uvd=hand.uvd, xyz=None)
 
 
 def test_pack_hands_side_codes_are_the_class_columns():
     """Training reads a slot's index as its class logit column: slot k holds
     the hand whose HandSide.code is k."""
     samples = [one_hand_sample(HandSide.LEFT), one_hand_sample(HandSide.RIGHT),
-               hflip_sample(generate_sample(small_cfg(hand_presence_prob=1.0), 1))]
+               generate_sample(small_cfg(hand_presence_prob=1.0), 1)]
     hands = pack_hands(samples)
     for i, sample in enumerate(samples):
         by_side = {h.side: h for h in sample.hands}
@@ -380,22 +477,21 @@ def test_a_right_first_scene_sample_holds_its_hands_left_first(tmp_path):
 
 
 def test_round_trip_bitwise(tmp_path):
-    """Generated samples, flipped ones (no xyz), one built with its right
-    hand first, and ones with one hand or none."""
+    """Generated samples, one built with its right hand first, and ones with
+    one hand or none."""
     cfg = small_cfg(n_samples=4, hand_presence_prob=1.0)
     generated = generate_dataset(cfg)
-    flipped = [hflip_sample(s) for s in generated]
     image, both, camera = generated[0].image, generated[0].hands, generated[0].camera
     assert [h.side for h in both] == [HandSide.LEFT, HandSide.RIGHT]
-    samples = generated + flipped + [SceneSample(image=image, hands=hands, camera=camera)
-                                     for hands in (both[::-1], both[:1], both[1:], ())]
+    samples = generated + [SceneSample(image=image, hands=hands, camera=camera)
+                           for hands in (both[::-1], both[:1], both[1:], ())]
     write_dataset(samples, tmp_path / "ds", gen_config=cfg)
     loaded, meta = read_dataset(tmp_path / "ds")
-    assert meta["format_version"] == DATASET_FORMAT_VERSION == 5
+    assert meta["format_version"] == DATASET_FORMAT_VERSION == 6
     images = np.load(tmp_path / "ds" / "images.npy")
-    assert images.dtype == np.dtype("<f4") and images.shape == (12, 32, 32, 3)
+    assert images.dtype == np.dtype("<f4") and images.shape == (8, 32, 32, 3)
     hands = np.load(tmp_path / "ds" / "hands.npy")
-    assert hands.dtype == HANDS_DTYPE and hands.shape == (12, 2)
+    assert hands.dtype == HANDS_DTYPE and hands.shape == (8, 2)
     assert sorted(p.name for p in (tmp_path / "ds").iterdir()) == [
         "hands.npy", "images.npy", "meta.json"]
     assert meta["gen_config"]["subject_scale_factor"] == 1.0
@@ -558,6 +654,22 @@ def test_version_4_dataset_raises_format_error_naming_the_version(tmp_path):
         read_dataset(ds)
 
 
+def test_version_5_dataset_raises_format_error_naming_the_version(tmp_path):
+    """The layout whose hands.npy held a has_xyz flag per slot, False for a
+    flipped hand."""
+    ds = tmp_path / "ds"
+    cfg = small_cfg(n_samples=1)
+    write_dataset(generate_dataset(cfg), ds, gen_config=cfg)
+    np.save(ds / "hands.npy", np.zeros((1, 2), [("present", "?"), ("uvd", "<f8", (21, 3)),
+                                                ("xyz", "<f8", (21, 3)), ("has_xyz", "?")]))
+    meta = json.loads((ds / "meta.json").read_text())
+    meta["format_version"] = 5
+    (ds / "meta.json").write_text(json.dumps(meta))
+    _rehash(ds)
+    with pytest.raises(FormatError, match="meta.json: unsupported format version 5 "):
+        read_dataset(ds)
+
+
 def test_a_flipped_pixel_bit_raises_format_error_naming_images(tmp_path):
     cfg = small_cfg(n_samples=2)
     write_dataset(generate_dataset(cfg), tmp_path / "ds", gen_config=cfg)
@@ -570,7 +682,7 @@ def test_a_flipped_pixel_bit_raises_format_error_naming_images(tmp_path):
 
 
 def test_every_flipped_byte_of_hands_raises_format_error(tmp_path):
-    """Header, present flags, joints, has_xyz and empty-slot padding alike."""
+    """Header, present flags, joints and empty-slot padding alike."""
     ds = tmp_path / "ds"
     cfg = small_cfg(n_samples=1, hand_presence_prob=0.5, seed=0)
     samples = generate_dataset(cfg)

@@ -9,11 +9,9 @@ from hypothesis.extra.numpy import arrays
 from setpose.errors import ConfigError, NonPositiveDepth
 from setpose.geometry import (
     CameraIntrinsics,
-    HandSide,
     JointSet3D,
     JointSetUVD,
     N_JOINTS,
-    hflip_uvd,
     mpjpe,
     uvd_to_xyz,
     xyz_to_uvd,
@@ -193,49 +191,3 @@ def test_round_trip_uvd_property(cam_and_pose):
     # which is rtol 1e-12 for every pixel coordinate away from 0
     assert np.abs(back.u - pose.u).max() <= 1e-12 * cam.width
     assert np.abs(back.v - pose.v).max() <= 1e-12 * cam.height
-
-
-# -- horizontal flip -----------------------------------------------------------
-
-def test_hflip_hand_computed():
-    pose = uniform_pose_uvd(420.0, 340.0, 2000.0)
-    flipped, side = hflip_uvd(pose, HandSide.LEFT, 1280.0)
-    assert side is HandSide.RIGHT
-    assert np.array_equal(flipped.joints,
-                          np.tile([860.0, 340.0, 2000.0], (N_JOINTS, 1)))
-
-
-def test_hflip_involution(cam):
-    rng = PortableRng(20)
-    for _ in range(50):
-        pose = random_uvd(rng, cam)
-        once, s1 = hflip_uvd(pose, HandSide.LEFT, cam.width)
-        twice, s2 = hflip_uvd(once, s1, cam.width)
-        assert s2 is HandSide.LEFT
-        # u suffers two float subtractions; v and d are untouched bitwise
-        assert np.abs(twice.u - pose.u).max() < 1e-9
-        assert np.array_equal(twice.joints[:, 1:], pose.joints[:, 1:])
-
-
-def test_hflip_preserves_v_d_exactly(cam):
-    pose = random_uvd(PortableRng(21), cam)
-    flipped, _ = hflip_uvd(pose, HandSide.RIGHT, cam.width)
-    assert np.array_equal(flipped.joints[:, 1:], pose.joints[:, 1:])
-
-
-def test_hflip_mirror_axis_fixed_point():
-    pose = uniform_pose_uvd(640.0, 100.0, 500.0)
-    flipped, _ = hflip_uvd(pose, HandSide.LEFT, 1280.0)
-    assert np.array_equal(flipped.u, pose.u)
-
-
-@settings(derandomize=True, database=None, deadline=None)
-@given(cameras_and_poses(), st.sampled_from(list(HandSide)))
-def test_hflip_twice_property(cam_and_pose, side):
-    cam, pose = cam_and_pose
-    once, s1 = hflip_uvd(pose, side, cam.width)
-    twice, s2 = hflip_uvd(once, s1, cam.width)
-    assert s1 is side.opposite and s2 is side
-    assert np.array_equal(twice.joints[:, 1:], pose.joints[:, 1:])
-    # W - (W - u) rounds twice, so u comes back within an ulp of W, not bitwise
-    assert np.abs(twice.u - pose.u).max() <= 2 * np.spacing(cam.width)

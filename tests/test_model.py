@@ -74,6 +74,11 @@ def test_config_rejects_bad_values():
         ModelConfig(rel_depth_half_range=float("inf"))
     with pytest.raises(ConfigError, match="image_size"):
         ModelConfig.from_dict({**TINY.to_dict(), "image_size": [32.0, 32]})
+    # every tuple field is a pair
+    with pytest.raises(ConfigError, match="depth_range must be a pair"):
+        ModelConfig(depth_range=(1.0, 2.0, 3.0))
+    with pytest.raises(ConfigError, match="image_size must be a pair"):
+        ModelConfig(image_size=(32,))
 
 
 def test_config_round_trips_through_dict():

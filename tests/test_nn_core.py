@@ -86,7 +86,7 @@ def test_softmax_sum_has_zero_gradient():
 def test_non_finite_loss_raises():
     p = ParamStore()
     p.add("x", np.array(0.0))
-    with pytest.raises(NonFiniteLoss):
+    with np.errstate(divide="ignore"), pytest.raises(NonFiniteLoss):
         forward_backward(lambda ps: ps["x"].log(), p)  # log(0) = -inf
 
 

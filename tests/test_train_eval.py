@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from setpose import train_eval
-from setpose.data import GenConfig, HandAnnotation, SceneSample, generate_dataset
+from setpose.data import (GenConfig, HandAnnotation, SceneSample, generate_dataset,
+                          read_dataset, write_dataset)
 from setpose.errors import ConfigError, NonFinite
 from setpose.geometry import CameraIntrinsics, HandSide, uvd_to_xyz
 from setpose.model import BatchDetections, DepthMode, ModelConfig, build_model, forward_batch
@@ -176,6 +177,37 @@ def test_seeded_training_reproduces_golden_step_losses():
     assert len(got) == len(GOLDEN_STEP_LOSSES)
     for step, (row, golden) in enumerate(zip(got, GOLDEN_STEP_LOSSES), start=1):
         assert np.allclose(row, golden, rtol=1e-12, atol=0), step
+
+
+def test_training_on_a_read_dataset_matches_training_on_its_samples(tmp_path):
+    """The path from disk to the loss: hands.npy's slots train bitwise like
+    the samples they were written from."""
+    samples = generate_dataset(GenConfig(seed=4, n_samples=10, hand_presence_prob=0.5))
+    write_dataset(samples, tmp_path / "ds")
+    cfg = tiny_train_cfg(total_epochs=2, lr_drop_epoch=1)
+    runs = [train_eval.train(TINY, cfg, s) for s in (samples, read_dataset(tmp_path / "ds")[0])]
+    (params, log), (read_params, read_log) = runs
+    assert [dataclasses.astuple(s) for s in log.steps] == [
+        dataclasses.astuple(s) for s in read_log.steps]
+    for name, t in params.items():
+        assert t.data.tobytes() == read_params[name].data.tobytes(), name
+
+
+def test_train_packs_once_and_augments_each_batch_in_one_call(monkeypatch):
+    """No sample is built inside the loop: train packs the training set's
+    hands once and flips each step's arrays in one augment call."""
+    calls = []
+    pack, augment, post_init = (train_eval.pack_hands, train_eval.augment,
+                                SceneSample.__post_init__)
+    monkeypatch.setattr(train_eval, "pack_hands",
+                        lambda samples: calls.append("pack") or pack(samples))
+    monkeypatch.setattr(train_eval, "augment", lambda images, hands, rng: calls.append(
+        ("augment", images.shape[0], hands.shape)) or augment(images, hands, rng))
+    samples = generate_dataset(GenConfig(seed=1, n_samples=6))
+    monkeypatch.setattr(SceneSample, "__post_init__",
+                        lambda self: calls.append("sample") or post_init(self))
+    train_eval.train(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1), samples)
+    assert calls == ["pack"] + [("augment", b, (b, 2)) for b in (4, 2, 4, 2)]
 
 
 def records_digest(*reports: train_eval.EvalReport) -> str:
