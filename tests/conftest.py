@@ -13,6 +13,13 @@ def cam() -> CameraIntrinsics:
                             width=640.0, height=480.0)
 
 
+class AlwaysFlip:
+    """An rng whose every bernoulli draw comes out True."""
+
+    def bernoulli(self, p: float) -> bool:
+        return True
+
+
 def random_uvd(rng: PortableRng, cam: CameraIntrinsics,
                d_lo: float = 1.0, d_hi: float = 1e5) -> JointSetUVD:
     """Random pose with all joints inside the image and positive depth."""

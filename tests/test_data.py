@@ -34,6 +34,8 @@ from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, 
 from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
 
+from conftest import AlwaysFlip
+
 TEMPLATE_MEAN_BONE = sum(sum(v) for v in FINGER_BONE_LENGTHS.values()) / 20.0  # 40.5
 
 
@@ -196,13 +198,6 @@ def sample_with_both_hands(seed: int = 3) -> SceneSample:
 def batch_of(samples: list[SceneSample]) -> tuple[np.ndarray, np.ndarray]:
     """A training batch's arrays: the stacked images and the packed hands."""
     return np.stack([s.image for s in samples]), pack_hands(samples)
-
-
-class AlwaysFlip:
-    """An rng whose every bernoulli draw comes out True."""
-
-    def bernoulli(self, p: float) -> bool:
-        return True
 
 
 def test_hflip_swaps_sides_and_mirrors_columns_with_channel_swap():

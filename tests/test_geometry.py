@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from setpose.data import HANDS_DTYPE, augment
 from setpose.errors import ConfigError, NonPositiveDepth
 from setpose.geometry import (
     CameraIntrinsics,
@@ -18,7 +19,7 @@ from setpose.geometry import (
 )
 from setpose.rng import PortableRng
 
-from conftest import random_uvd, random_xyz, rotation_matrix
+from conftest import AlwaysFlip, random_uvd, random_xyz, rotation_matrix
 
 
 def uniform_pose_uvd(u, v, d) -> JointSetUVD:
@@ -191,3 +192,29 @@ def test_round_trip_uvd_property(cam_and_pose):
     # which is rtol 1e-12 for every pixel coordinate away from 0
     assert np.abs(back.u - pose.u).max() <= 1e-12 * cam.width
     assert np.abs(back.v - pose.v).max() <= 1e-12 * cam.height
+
+
+# -- horizontal flip -----------------------------------------------------------
+
+def test_hflip_involution(cam):
+    rng = PortableRng(20)
+    images, hands = np.zeros((1, 1, int(cam.width), 3), np.float32), np.zeros((1, 2), HANDS_DTYPE)
+    for _ in range(50):
+        pose = random_uvd(rng, cam)
+        hands[0, 0] = (True, pose.joints, 1.0)
+        hands[0, 1] = (False, 0.0, 0.0)
+        augment(images, hands, AlwaysFlip())
+        augment(images, hands, AlwaysFlip())
+        assert hands["present"].tolist() == [[True, False]]
+        # u suffers two float subtractions; v and d are untouched bitwise
+        assert np.abs(hands["uvd"][0, 0, :, 0] - pose.u).max() < 1e-9
+        assert np.array_equal(hands["uvd"][0, 0, :, 1:], pose.joints[:, 1:])
+
+
+def test_hflip_preserves_v_d_exactly(cam):
+    pose = random_uvd(PortableRng(21), cam)
+    images, hands = np.zeros((1, 1, int(cam.width), 3), np.float32), np.zeros((1, 2), HANDS_DTYPE)
+    hands[0, 1] = (True, pose.joints, 1.0)
+    augment(images, hands, AlwaysFlip())
+    assert hands["present"].tolist() == [[True, False]]
+    assert np.array_equal(hands["uvd"][0, 0, :, 1:], pose.joints[:, 1:])
