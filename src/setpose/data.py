@@ -40,12 +40,11 @@ commits the dataset:
 meta.json holds one camera for the whole dataset, so write_dataset raises
 ConfigError, naming the first sample whose camera differs from sample 0's
 or whose image is not of the camera's size, rather than give that frame
-another camera on reading. read_dataset checks the format version before
-it reads anything else. It raises FormatError naming the .npy file whose
-SHA-256 is not meta.json's, whose header does not parse, does not describe
-its bytes exactly or holds a pickle, or whose dtype or shape is not what
-meta.json promises. Since a slot's index is its side, hands.npy cannot
-hold an unknown side or two hands of one side.
+another camera on reading. read_dataset reads meta.json and each .npy
+file with errors.read_manifest and errors.read_npy, and raises FormatError
+naming the .npy file whose SHA-256 is not meta.json's or whose dtype or
+shape is not what meta.json promises. Since a slot's index is its side,
+hands.npy cannot hold an unknown side or two hands of one side.
 """
 
 from __future__ import annotations
@@ -55,11 +54,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from tokenize import TokenError
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, check_config_keys, check_numbers
+from .errors import (ConfigError, FormatError, check_config_keys, check_numbers,
+                     read_manifest, read_npy)
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -405,19 +404,12 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
 
 
 def _load_array(path: Path, sha256: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """The array in the .npy file at path, once its SHA-256, header, dtype
-    and shape are the ones meta.json promises."""
+    """The array in the .npy file at path, once its SHA-256, dtype and
+    shape are the ones meta.json promises."""
     if _sha256(path) != sha256:
         raise FormatError(f"{path}: SHA-256 differs from meta.json's {sha256!r}")
-    try:
-        with open(path, "rb") as f:
-            array = np.lib.format.read_array(f, allow_pickle=False)
-            trailing = f.read(1)
-    # SyntaxError and TokenError: a header that does not parse
-    except (ValueError, EOFError, SyntaxError, TokenError) as e:
-        raise FormatError(f"{path}: {e}") from e
-    if trailing:  # e.g. a header length too short, which shifts every value
-        raise FormatError(f"{path}: bytes after the array its header describes")
+    with open(path, "rb") as f:
+        array = read_npy(f, path)
     if array.dtype != dtype or array.shape != shape:
         raise FormatError(f"{path}: holds {array.dtype} of shape {array.shape}, "
                           f"meta.json promises {dtype} of shape {shape}")
@@ -427,22 +419,8 @@ def _load_array(path: Path, sha256: str, dtype: np.dtype, shape: tuple) -> np.nd
 def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
     path = Path(path)
     meta_path = path / "meta.json"
-    if not meta_path.is_file():
-        raise FileNotFoundError(f"no dataset at {path}")
-    try:
-        meta = json.loads(meta_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{meta_path}: invalid JSON: {e}") from e
-    if not isinstance(meta, dict):
-        raise FormatError(f"{meta_path}: not a JSON object")
-    if meta.get("format_version") != DATASET_FORMAT_VERSION:
-        raise FormatError(f"{meta_path}: unsupported format version "
-                          f"{meta.get('format_version')!r} "
-                          f"(expected {DATASET_FORMAT_VERSION})")
-    missing = [k for k in ("intrinsics", "n_samples", "images_sha256", "hands_sha256")
-               if k not in meta]
-    if missing:
-        raise FormatError(f"{meta_path}: missing keys {missing}")
+    meta = read_manifest(meta_path, "dataset", DATASET_FORMAT_VERSION,
+                         ("intrinsics", "n_samples", "images_sha256", "hands_sha256"))
     n_samples = meta["n_samples"]
     if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 0:
         raise FormatError(f"{meta_path}: n_samples must be a non-negative int, "

@@ -1,13 +1,20 @@
 """Exception types shared across the package, plus the key check every
-config's from_dict runs and the number check every config runs.
+config's from_dict runs, the number check every config runs, and the
+manifest and .npy checks that the dataset and checkpoint readers share.
 
 Every error raised by library code derives from SetPoseError so callers
 (notably the CLI) can map failures onto exit codes in one place.
 """
 
 import dataclasses
+import json
 import math
 import numbers
+from pathlib import Path
+from tokenize import TokenError
+from typing import BinaryIO
+
+import numpy as np
 
 
 class SetPoseError(Exception):
@@ -99,3 +106,43 @@ def check_numbers(config, ints: tuple[str, ...] = (), reals: tuple[str, ...] = (
                         kind is numbers.Real and finite and not -math.inf < v < math.inf):
                     raise ConfigError(f"{type(config).__name__}.{name} must be {what}, "
                                       f"got {value!r}")
+
+
+def read_manifest(path: Path, what: str, version: int, keys: tuple[str, ...]) -> dict:
+    """The JSON object in the manifest file at path (a dataset's meta.json, a
+    checkpoint's manifest.json). Raises FileNotFoundError naming the missing
+    what ("dataset"), and FormatError naming path when the file is not a
+    JSON object, has a format_version other than version, or lacks one of
+    keys; readers call it before they touch any payload."""
+    if not path.is_file():
+        raise FileNotFoundError(f"no {what} at {path.parent}")
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise FormatError(f"{path}: invalid JSON: {e}") from e
+    if not isinstance(manifest, dict):
+        raise FormatError(f"{path}: not a JSON object")
+    if manifest.get("format_version") != version:
+        raise FormatError(f"{path}: unsupported format version "
+                          f"{manifest.get('format_version')!r} (expected {version})")
+    missing = [k for k in keys if k not in manifest]
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    return manifest
+
+
+def read_npy(f: BinaryIO, where: str | Path) -> np.ndarray:
+    """The array in the .npy stream f. Raises FormatError, its message
+    starting with where, when f holds a pickle (never loaded), is cut short,
+    has a header that does not parse, or has bytes after the array its
+    header describes (e.g. a header length too short, which shifts every
+    value). The caller checks the bytes' digest, dtype and shape."""
+    try:
+        array = np.lib.format.read_array(f, allow_pickle=False)
+        trailing = f.read(1)
+    # SyntaxError and TokenError: a header that does not parse
+    except (ValueError, EOFError, SyntaxError, TokenError) as e:
+        raise FormatError(f"{where}: {e}") from e
+    if trailing:
+        raise FormatError(f"{where}: bytes after the array its header describes")
+    return array

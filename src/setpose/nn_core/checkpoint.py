@@ -13,13 +13,13 @@ directory and renames it onto the path, so a save that raises or is
 killed before then leaves the checkpoint already at the path whole. That
 one is moved into the temporary directory, which is always deleted.
 
-Loads read the manifest first, so a checkpoint of another format version
-raises FormatError naming that version before any array is read. Each
-archive member is then read whole, which checks its CRC-32, and parsed
-from those bytes with pickles refused. A CRC mismatch, a truncated or
-non-zip archive, a member comment, a member that is not an array of the
-manifest's dtype and a name stored twice raise FormatError, and nothing
-partial is returned.
+Loads read the manifest first, with errors.read_manifest, so a checkpoint
+of another format version or without a dtype, optimizer_step or extra
+raises FormatError before any array is read. Each archive member is then
+read whole, which checks its CRC-32, and parsed with errors.read_npy. A
+CRC mismatch, a truncated or non-zip archive, a member comment, a member
+that is not an array of the manifest's dtype and a name stored twice
+raise FormatError too, and nothing partial is returned.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError
+from ..errors import ConfigError, FormatError, read_manifest, read_npy
 from .tensor import ParamStore
 
 FORMAT_VERSION = 3
@@ -69,20 +69,9 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     arrays_path = path / ARRAYS_NAME
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no checkpoint at {path}")
-    try:
-        manifest = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{manifest_path}: invalid JSON manifest: {e}") from e
-    if not isinstance(manifest, dict):
-        raise FormatError(f"{manifest_path}: manifest is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise FormatError(
-            f"{manifest_path}: unsupported format version "
-            f"{manifest.get('format_version')!r} (expected {FORMAT_VERSION})")
-    step, extra = manifest.get("optimizer_step", 0), manifest.get("extra", {})
-    dtype = manifest.get("dtype")
+    manifest = read_manifest(manifest_path, "checkpoint", FORMAT_VERSION,
+                             ("dtype", "optimizer_step", "extra"))
+    step, extra, dtype = manifest["optimizer_step"], manifest["extra"], manifest["dtype"]
     if type(step) is not int or not isinstance(extra, dict) or dtype not in DTYPES:
         raise FormatError(f"{manifest_path}: bad optimizer_step {step!r}, extra "
                           f"{extra!r} or dtype {dtype!r}")
@@ -91,7 +80,7 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
         with zipfile.ZipFile(arrays_path) as archive:
             for info in archive.infolist():
                 raw = archive.read(info)  # read whole: checks the CRC-32
-                arr = np.lib.format.read_array(io.BytesIO(raw), allow_pickle=False)
+                arr = read_npy(io.BytesIO(raw), f"{arrays_path}: member {info.filename!r}")
                 # np.savez writes no member comment; one can hide the next entry
                 if info.comment or not info.filename.endswith(".npy") or arr.dtype != dtype:
                     raise FormatError(f"{arrays_path}: corrupt archive: member "

@@ -183,14 +183,8 @@ class Tensor:
     def __sub__(self, other):
         return self + (-self._lift(other))
 
-    def __rsub__(self, other):
-        return self._lift(other) + (-self)
-
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
 
     def __pow__(self, exponent: float):
         out = Tensor(self.data ** exponent, _parents=(self,))

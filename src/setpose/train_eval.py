@@ -302,7 +302,8 @@ def score_predictions(
     scale_stats: ScaleStats | None = None,
 ) -> EvalReport:
     """Per-frame global MPJPE against the GT sides actually present, each
-    frame unprojected (and rescaled) with its own camera.
+    frame unprojected (and rescaled) with its own camera. preds hold both
+    sides of every frame in index then side order, as predict returns them.
 
     Per-side means are exact (fsum) means of the per-frame records.
     Classification accuracy counts (frame, side) pairs whose
@@ -312,40 +313,30 @@ def score_predictions(
         raise MissingScaleStats("rescaling requested without scale statistics")
     if not samples:
         raise ConfigError("evaluation set is empty")
-    by_key = {(p.index, p.side): p for p in preds}
-    records = []
-    errors = {HandSide.LEFT: [], HandSide.RIGHT: []}
-    acc_hits = 0
-    for i, sample in enumerate(samples):
-        gt_sides = {h.side: h for h in sample.hands}
-        for side in HandSide:
-            pred = by_key.get((i, side))
-            if pred is None:
-                raise ConfigError(f"missing prediction for frame {i} {side.value}")
-            acc_hits += int(pred.predicted_present == (side in gt_sides))
-            if side not in gt_sides:
-                continue
-            hand = gt_sides[side]
-            uvd = pred.uvd
-            cam = sample.camera
-            if rescale:
-                uvd = rescale_depth(uvd, cam, scale_stats.mean_for(side))
-            err = mpjpe(uvd_to_xyz(uvd, cam), hand.xyz)
-            errors[side].append(err)
-            records.append(FrameRecord(index=i, side=side, error_mm=err,
-                                       confidence=pred.confidence))
-
-    def side_mean(side: HandSide) -> float:
-        vals = errors[side]
-        return math.fsum(vals) / len(vals) if vals else math.nan
-
+    if [(p.index, p.side) for p in preds] != [(i, side) for i in range(len(samples))
+                                              for side in HandSide]:
+        raise ConfigError("preds must hold both sides of every frame, in index "
+                          "then side order")
+    records, hits = [], 0
+    for pred in preds:
+        sample = samples[pred.index]
+        hand = next((h for h in sample.hands if h.side is pred.side), None)
+        hits += pred.predicted_present == (hand is not None)
+        if hand is not None:
+            uvd = (rescale_depth(pred.uvd, sample.camera, scale_stats.mean_for(pred.side))
+                   if rescale else pred.uvd)
+            records.append(FrameRecord(
+                index=pred.index, side=pred.side, confidence=pred.confidence,
+                error_mm=mpjpe(uvd_to_xyz(uvd, sample.camera), hand.xyz)))
+    errors = [[r.error_mm for r in records if r.side is side] for side in HandSide]
+    left, right = (math.fsum(e) / len(e) if e else math.nan for e in errors)
     return EvalReport(
-        mpjpe_left=side_mean(HandSide.LEFT),
-        mpjpe_right=side_mean(HandSide.RIGHT),
-        n_frames_left=len(errors[HandSide.LEFT]),
-        n_frames_right=len(errors[HandSide.RIGHT]),
+        mpjpe_left=left,
+        mpjpe_right=right,
+        n_frames_left=len(errors[0]),
+        n_frames_right=len(errors[1]),
         rescaling_applied=rescale,
-        cls_accuracy=acc_hits / (2 * len(samples)),
+        cls_accuracy=hits / len(preds),
         records=tuple(records),
     )
 

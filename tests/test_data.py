@@ -165,11 +165,23 @@ def test_gen_config_validation():
         GenConfig.from_dict({"n_samples": "4"})
     with pytest.raises(ConfigError, match="hand_presence_prob"):
         small_cfg(hand_presence_prob=float("nan"))
+    with pytest.raises(ConfigError, match="n_samples must be >= 0"):
+        small_cfg(n_samples=-1)
+    for factor in (0.0, -1.3):
+        with pytest.raises(ConfigError, match="subject_scale_factor must be > 0"):
+            small_cfg(subject_scale_factor=factor)
     # every tuple field is a pair
     for name, value in (("image_size", (32, 32, 3)), ("depth_range", (500.0,)),
                         ("scale_jitter", (0.9,))):
         with pytest.raises(ConfigError, match=f"{name} must be a pair"):
             small_cfg(**{name: value})
+
+
+def test_a_hand_that_cannot_be_placed_raises_config_error():
+    """A 1 mm depth range holds no rotated hand, so every attempt fails."""
+    cfg = small_cfg(n_samples=1, depth_range=(500.0, 501.0), hand_presence_prob=1.0)
+    with pytest.raises(ConfigError, match="could not place a .* hand after 200 attempts"):
+        generate_dataset(cfg)
 
 
 def test_gen_config_dict_round_trip():
@@ -502,6 +514,17 @@ def test_round_trip_of_an_empty_dataset(tmp_path):
     assert loaded == [] and meta["n_samples"] == 0
     assert GenConfig.from_dict(meta["gen_config"]) == cfg
     assert np.load(tmp_path / "ds" / "hands.npy").shape == (0, 2)
+
+
+def test_an_empty_dataset_without_a_config_raises_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="cannot infer intrinsics"):
+        write_dataset([], tmp_path / "ds")
+    assert not (tmp_path / "ds").exists()
+
+
+def test_a_missing_dataset_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no dataset at"):
+        read_dataset(tmp_path / "ds")
 
 
 def test_write_dataset_rejects_frames_with_different_cameras(tmp_path):

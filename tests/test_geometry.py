@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from setpose.data import HANDS_DTYPE, augment
-from setpose.errors import ConfigError, NonPositiveDepth
+from setpose.errors import ConfigError, NonPositiveDepth, ShapeError
 from setpose.geometry import (
     CameraIntrinsics,
     JointSet3D,
@@ -101,6 +101,13 @@ def test_non_positive_depth_raises(cam):
     bad[7, 2] = -3.0
     with pytest.raises(NonPositiveDepth):
         xyz_to_uvd(JointSet3D(bad), cam)
+
+
+@pytest.mark.parametrize("joint_set", [JointSetUVD, JointSet3D])
+@pytest.mark.parametrize("shape", [(N_JOINTS - 1, 3), (N_JOINTS, 2), (N_JOINTS * 3,)])
+def test_a_joint_set_of_the_wrong_shape_raises_shape_error(joint_set, shape):
+    with pytest.raises(ShapeError, match=rf"got \({shape[0]},"):
+        joint_set(np.ones(shape))
 
 
 def test_intrinsics_validation():

@@ -38,7 +38,7 @@ def _hash_sample(h, sample) -> None:
     for hand in sample.hands:
         h.update(hand.side.value.encode())
         h.update(hand.uvd.joints.tobytes())
-        h.update(b"-" if hand.xyz is None else hand.xyz.joints.tobytes())
+        h.update(hand.xyz.joints.tobytes())
 
 
 def test_generated_sample_golden_digest():

@@ -195,6 +195,20 @@ def test_scale_stats_json_round_trip():
         ScaleStats.from_json(json.dumps({**payload, "mean_scale_left": 0.0}))
     with pytest.raises(ConfigError, match="n_left"):  # a count that is a string
         ScaleStats.from_json(json.dumps({**payload, "n_left": "3"}))
+    with pytest.raises(ConfigError, match="negative count"):
+        ScaleStats.from_json(json.dumps({**payload, "n_right": -1}))
+
+
+@pytest.mark.parametrize("side", [HandSide.LEFT, HandSide.RIGHT])
+def test_scale_stats_of_a_side_without_hands_raise_empty_side(side):
+    """A side with no hands has no mean; the other side's stays readable."""
+    counts = {"n_left": 0, "n_right": 5} if side is HandSide.LEFT else {"n_left": 5,
+                                                                         "n_right": 0}
+    stats = ScaleStats(mean_scale_left=41.0, mean_scale_right=42.0, **counts)
+    with pytest.raises(EmptySide, match=f"no {side.value}-hand samples"):
+        stats.mean_for(side)
+    other = HandSide.RIGHT if side is HandSide.LEFT else HandSide.LEFT
+    assert stats.mean_for(other) == (42.0 if other is HandSide.RIGHT else 41.0)
 
 
 @pytest.mark.parametrize("mean", ["Infinity", "-Infinity", "NaN"])

@@ -72,6 +72,11 @@ def test_config_rejects_bad_values():
         ModelConfig(embed_dim="64")
     with pytest.raises(ConfigError, match="rel_depth_half_range"):
         ModelConfig(rel_depth_half_range=float("inf"))
+    with pytest.raises(ConfigError, match="rel_depth_half_range must be > 0"):
+        ModelConfig(rel_depth_half_range=0.0)
+    for layers in ({"n_encoder_layers": 0}, {"n_decoder_layers": 0}):
+        with pytest.raises(ConfigError, match="one encoder and one decoder layer"):
+            ModelConfig(**layers)
     with pytest.raises(ConfigError, match="image_size"):
         ModelConfig.from_dict({**TINY.to_dict(), "image_size": [32.0, 32]})
     # every tuple field is a pair

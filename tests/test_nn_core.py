@@ -749,6 +749,17 @@ def _with_member(archive: Path, name: str, array: np.ndarray) -> None:
             np.lib.format.write_array(f, array, allow_pickle=True)
 
 
+def _rewrite_member(archive: Path, name: str, edit) -> None:
+    """Rewrite archive with member name's bytes passed through edit; every
+    member gets a valid CRC-32, so only the .npy parse can object."""
+    with zipfile.ZipFile(archive) as zf:
+        members = {info.filename: zf.read(info) for info in zf.infolist()}
+    members[name] = edit(members[name])
+    with zipfile.ZipFile(archive, "w") as zf:
+        for member, raw in members.items():
+            zf.writestr(member, raw)
+
+
 def _corrupt(ck: Path, case: str) -> None:
     manifest_path, archive = ck / "manifest.json", ck / "params.npz"
     manifest = json.loads(manifest_path.read_text())
@@ -770,16 +781,35 @@ def _corrupt(ck: Path, case: str) -> None:
         _with_member(archive, "c", np.array([None], dtype=object))
     elif case == "no_archive":
         archive.unlink()
+    elif case == "member_header_does_not_parse":  # a header length 64 short
+        _rewrite_member(archive, "a.npy", lambda raw: raw[:8] + bytes([raw[8] - 64]) + raw[9:])
+    elif case == "member_trailing_bytes":
+        _rewrite_member(archive, "a.npy", lambda raw: raw + bytes(8))
+    elif case == "manifest_missing_keys":
+        del manifest["optimizer_step"], manifest["extra"]
     manifest_path.write_text(json.dumps(manifest))
 
 
-@pytest.mark.parametrize("case", [
-    "not_an_object", "bad_optimizer_step", "duplicate_name", "flipped_byte",
-    "member_dtype_not_manifest", "unknown_dtype", "object_member", "no_archive"])
+# case -> the file its FormatError names
+CORRUPT_CHECKPOINT_CASES = {
+    "not_an_object": "manifest.json", "bad_optimizer_step": "manifest.json",
+    "duplicate_name": "params.npz", "flipped_byte": "params.npz",
+    "member_dtype_not_manifest": "params.npz", "unknown_dtype": "manifest.json",
+    "object_member": "params.npz", "no_archive": "params.npz",
+    "member_header_does_not_parse": "params.npz", "member_trailing_bytes": "params.npz",
+    "manifest_missing_keys": "manifest.json"}
+
+
+@pytest.mark.parametrize("case", CORRUPT_CHECKPOINT_CASES)
 def test_corrupt_checkpoint_raises_format_error(tmp_path, case):
     save_checkpoint(tmp_path / "ck", make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]))
     _corrupt(tmp_path / "ck", case)
-    with pytest.raises(FormatError):
+    with pytest.raises(FormatError, match=CORRUPT_CHECKPOINT_CASES[case]):
+        load_checkpoint(tmp_path / "ck")
+
+
+def test_missing_checkpoint_raises_file_not_found(tmp_path):
+    with pytest.raises(FileNotFoundError, match="no checkpoint at"):
         load_checkpoint(tmp_path / "ck")
 
 

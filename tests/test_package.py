@@ -1,8 +1,8 @@
 """Package hygiene checked with the standard library alone: the public
 names resolve, no module imports a name it never uses, every function and
 class the library defines has a reader, every console script pyproject.toml
-declares resolves, and numpy is the only third-party package the library
-needs."""
+declares resolves, numpy is the only third-party package the library
+needs, and one function parses .npy bytes."""
 
 from __future__ import annotations
 
@@ -88,6 +88,18 @@ def test_reference_scan_finds_a_planted_definition():
 def test_every_library_definition_has_a_reader():
     texts = [path.read_text() for path in SOURCES + BENCH]
     assert unreferenced_definitions([path.read_text() for path in LIBRARY], texts) == []
+
+
+def test_the_library_parses_npy_bytes_in_errors_read_npy_alone():
+    """Datasets and checkpoints share one .npy parse, so its checks (no
+    pickle, a header that parses and describes every byte) cannot drift
+    apart between the two readers."""
+    calls = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in LIBRARY
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "read_array"]
+    assert len(calls) == 1 and calls[0].startswith(os.path.join("src", "setpose",
+                                                                 "errors.py:")), calls
 
 
 def test_every_declared_script_target_imports():

@@ -11,8 +11,9 @@ import pytest
 from setpose import train_eval
 from setpose.data import (GenConfig, HandAnnotation, SceneSample, generate_dataset,
                           read_dataset, write_dataset)
-from setpose.errors import ConfigError, NonFinite
-from setpose.geometry import CameraIntrinsics, HandSide, uvd_to_xyz
+from setpose.errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss
+from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, uvd_to_xyz
+from setpose.matching import set_loss
 from setpose.model import BatchDetections, DepthMode, ModelConfig, build_model, forward_batch
 from setpose.nn_core import load_checkpoint
 
@@ -80,6 +81,48 @@ def test_oracle_predictions_score_zero_with_rescaling_off_and_on():
         assert (report.n_frames_left, report.n_frames_right) == (1, 1)
         assert [r.side for r in report.records] == [HandSide.LEFT, HandSide.RIGHT]
         assert report.cls_accuracy == 1.0
+
+
+def side_predictions(n_frames: int) -> list[train_eval.SidePrediction]:
+    """Both sides of n_frames frames in index then side order, as predict
+    returns them, each at one in-view pose."""
+    uvd = JointSetUVD(np.tile([16.0, 16.0, 800.0], (21, 1)))
+    return [train_eval.SidePrediction(index=i, side=side, uvd=uvd, confidence=0.5,
+                                      predicted_present=True)
+            for i in range(n_frames) for side in HandSide]
+
+
+@pytest.mark.parametrize("reorder", [
+    lambda p: p[:-1],
+    lambda p: [p[1], p[0]] + p[2:],
+    lambda p: p[2:] + p[:2],
+    lambda p: p + side_predictions(3)[4:],
+    lambda p: [dataclasses.replace(x, index=x.index + 1) for x in p],
+], ids=["missing-side", "right-first", "frame-order", "extra-frame", "shifted-index"])
+def test_score_predictions_rejects_preds_not_in_predict_order(reorder):
+    samples = generate_dataset(GenConfig(seed=5, n_samples=2))
+    assert train_eval.score_predictions(side_predictions(2), samples).records
+    with pytest.raises(ConfigError, match="index then side order"):
+        train_eval.score_predictions(reorder(side_predictions(2)), samples)
+
+
+@pytest.mark.parametrize("samples, kw, error, match", [
+    ([], {}, ConfigError, "evaluation set is empty"),
+    (None, {"rescale": True}, MissingScaleStats, "without scale statistics"),
+], ids=["empty", "no-scale-stats"])
+def test_score_predictions_raises_typed_errors(samples, kw, error, match):
+    samples = generate_dataset(GenConfig(seed=5, n_samples=2)) if samples is None else samples
+    with pytest.raises(error, match=match):
+        train_eval.score_predictions(side_predictions(len(samples)), samples, **kw)
+
+
+def test_evaluate_without_scale_stats_raises_before_any_forward_pass(monkeypatch):
+    calls = []
+    monkeypatch.setattr(train_eval, "forward_batch", lambda *args: calls.append(args))
+    samples = generate_dataset(GenConfig(seed=5, n_samples=2))
+    with pytest.raises(MissingScaleStats):
+        train_eval.evaluate(build_model(TINY, seed=1), TINY, samples, rescale=True)
+    assert calls == []
 
 
 def test_predict_builds_no_graph_and_keeps_index_then_side_order(monkeypatch):
@@ -154,6 +197,28 @@ def test_train_raises_on_non_finite_gradient_before_the_update(monkeypatch):
     store = snapshot.pop("store")
     for name, t in store.items():
         assert t.data.tobytes() == snapshot[name].tobytes(), name
+
+
+def test_train_raises_non_finite_loss_naming_its_step(monkeypatch):
+    calls = []
+
+    def poisoned(*args, **kw):
+        losses = set_loss(*args, **kw)
+        calls.append(None)
+        if len(calls) == 2:
+            losses = dataclasses.replace(losses, total=losses.total * math.nan)
+        return losses
+
+    monkeypatch.setattr(train_eval, "set_loss", poisoned)
+    train_set = generate_dataset(GenConfig(seed=1, n_samples=8))
+    with pytest.raises(NonFiniteLoss, match="non-finite loss at step 2$") as err:
+        train_eval.train(TINY, tiny_train_cfg(), train_set)
+    assert err.value.step == 2 and len(calls) == 2
+
+
+def test_train_on_an_empty_training_set_raises_config_error():
+    with pytest.raises(ConfigError, match="training set is empty"):
+        train_eval.train(TINY, tiny_train_cfg(), [])
 
 
 # (total, cls_loss, l1_loss) per step of the seeded run below: 10 scenes
@@ -277,10 +342,30 @@ def test_train_config_rejects_a_field_that_is_not_a_finite_number(field, make):
         make()
 
 
+@pytest.mark.parametrize("kw, match", [
+    ({"lr_drop_epoch": 0}, "0 < lr_drop_epoch < total_epochs"),
+    ({"lr_drop_epoch": 4}, "0 < lr_drop_epoch < total_epochs"),
+    ({"weight_decay": -1e-4}, "weight_decay must be >= 0"),
+    ({"lam_cls": -1.0}, "lam_cls must be >= 0"),
+    ({"lam_l1": -5.0}, "lam_l1 must be >= 0"),
+    ({"w_noobj": -0.1}, "w_noobj must be >= 0"),
+    ({"batch_size": 0}, "batch_size must be >= 1"),
+], ids=["drop-at-0", "drop-at-end", "weight_decay", "lam_cls", "lam_l1", "w_noobj",
+        "batch_size"])
+def test_train_config_rejects_an_out_of_range_value(kw, match):
+    with pytest.raises(ConfigError, match=match):
+        tiny_train_cfg(**kw)
+
+
 def test_train_config_unknown_key_raises_config_error():
     # "deterministic" is a key of old config dicts; the field no longer exists
     with pytest.raises(ConfigError, match="deterministic"):
         train_eval.TrainConfig.from_dict({**tiny_train_cfg().to_dict(), "deterministic": True})
+
+
+def test_scaled_gen_config_rejects_a_changed_aspect_ratio():
+    with pytest.raises(ConfigError, match="aspect ratio"):
+        train_eval.scaled_gen_config(GenConfig(), (32, 48), seed=0, n_samples=1)
 
 
 def test_smoke_ablation_returns_three_finite_rows_in_spec_order():
