@@ -106,12 +106,12 @@ def test_score_predictions_rejects_preds_not_in_predict_order(reorder):
         train_eval.score_predictions(reorder(side_predictions(2)), samples)
 
 
-@pytest.mark.parametrize("samples, kw, error, match", [
-    ([], {}, ConfigError, "evaluation set is empty"),
-    (None, {"rescale": True}, MissingScaleStats, "without scale statistics"),
+@pytest.mark.parametrize("n_samples, kw, error, match", [
+    (0, {}, ConfigError, "evaluation set is empty"),
+    (2, {"rescale": True}, MissingScaleStats, "without scale statistics"),
 ], ids=["empty", "no-scale-stats"])
-def test_score_predictions_raises_typed_errors(samples, kw, error, match):
-    samples = generate_dataset(GenConfig(seed=5, n_samples=2)) if samples is None else samples
+def test_score_predictions_raises_typed_errors(n_samples, kw, error, match):
+    samples = generate_dataset(GenConfig(seed=5, n_samples=n_samples))
     with pytest.raises(error, match=match):
         train_eval.score_predictions(side_predictions(len(samples)), samples, **kw)
 
