@@ -38,18 +38,14 @@ commits the dataset:
                     side has no hand. A batch's rows are its ground truth.
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
-ConfigError, naming the first sample whose camera differs from sample 0's
-or whose image is not of the camera's size, rather than give that frame
-another camera on reading. read_dataset reads meta.json and each .npy
-file with errors.read_manifest and errors.read_npy, and raises FormatError
-naming the .npy file whose SHA-256 is not meta.json's or whose dtype or
-shape is not what meta.json promises. Since a slot's index is its side,
-hands.npy cannot hold an unknown side or two hands of one side.
+ConfigError naming the first sample whose camera differs from sample 0's
+or whose image is not of the camera's size. errors.write_npy writes the
+.npy files, and errors.read_manifest and errors.read_npy check each file.
+A slot's index is its side, so hands.npy cannot hold two hands of a side.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -58,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, FormatError, check_config_keys, check_numbers,
-                     read_manifest, read_npy)
+                     read_manifest, read_npy, write_npy)
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -349,14 +345,6 @@ def augment(images: np.ndarray, hands: np.ndarray, rng: PortableRng) -> None:
 
 # -- dataset I/O ------------------------------------------------------------------
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def pack_hands(samples: list[SceneSample]) -> np.ndarray:
     """The (N, 2) HANDS_DTYPE slots of samples: sample i's hand of side s in
     slot [i, s.code], present False (and zeros) where the side has no hand.
@@ -386,34 +374,18 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
                               f"camera's images are {shape}")
     path = Path(path)
     path.mkdir(parents=True, exist_ok=True)
-    images = np.empty((len(samples),) + shape, dtype="<f4")
-    for i, sample in enumerate(samples):
-        images[i] = sample.image
-    np.save(path / IMAGES_NAME, images)
-    np.save(path / HANDS_NAME, pack_hands(samples))
     meta = {
         "format_version": DATASET_FORMAT_VERSION,
         "n_samples": len(samples),
         "intrinsics": cam.to_dict(),
         "gen_config": gen_config.to_dict() if gen_config is not None else None,
-        "images_sha256": _sha256(path / IMAGES_NAME),
-        "hands_sha256": _sha256(path / HANDS_NAME),
+        "images_sha256": write_npy(path / IMAGES_NAME, [s.image for s in samples], "<f4",
+                                   (len(samples), *shape)),
+        "hands_sha256": write_npy(path / HANDS_NAME, [pack_hands(samples)], HANDS_DTYPE,
+                                  (len(samples), 2)),
     }
     # last: until it is replaced, the old meta.json's digests reject new arrays
     (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
-
-
-def _load_array(path: Path, sha256: str, dtype: np.dtype, shape: tuple) -> np.ndarray:
-    """The array in the .npy file at path, once its SHA-256, dtype and
-    shape are the ones meta.json promises."""
-    if _sha256(path) != sha256:
-        raise FormatError(f"{path}: SHA-256 differs from meta.json's {sha256!r}")
-    with open(path, "rb") as f:
-        array = read_npy(f, path)
-    if array.dtype != dtype or array.shape != shape:
-        raise FormatError(f"{path}: holds {array.dtype} of shape {array.shape}, "
-                          f"meta.json promises {dtype} of shape {shape}")
-    return array
 
 
 def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
@@ -422,14 +394,13 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
     meta = read_manifest(meta_path, "dataset", DATASET_FORMAT_VERSION,
                          ("intrinsics", "n_samples", "images_sha256", "hands_sha256"))
     n_samples = meta["n_samples"]
-    if isinstance(n_samples, bool) or not isinstance(n_samples, int) or n_samples < 0:
-        raise FormatError(f"{meta_path}: n_samples must be a non-negative int, "
-                          f"got {n_samples!r}")
+    if type(n_samples) is not int or n_samples < 0:
+        raise FormatError(f"{meta_path}: n_samples must be a non-negative int, got {n_samples!r}")
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
-    images = _load_array(path / IMAGES_NAME, meta["images_sha256"], np.dtype("<f4"),
-                         (n_samples, int(cam.height), int(cam.width), 3))
-    hands = _load_array(path / HANDS_NAME, meta["hands_sha256"], HANDS_DTYPE,
-                        (n_samples, 2))
+    images = read_npy(path / IMAGES_NAME, meta["images_sha256"], np.dtype("<f4"),
+                      (n_samples, int(cam.height), int(cam.width), 3), "meta.json")
+    hands = read_npy(path / HANDS_NAME, meta["hands_sha256"], HANDS_DTYPE,
+                     (n_samples, 2), "meta.json")
     present = hands["present"].tolist()
     samples = []
     for i, image in enumerate(images):

@@ -1,18 +1,19 @@
 """Exception types shared across the package, plus the key check every
 config's from_dict runs, the number check every config runs, and the
-manifest and .npy checks that the dataset and checkpoint readers share.
+manifest reader and .npy writer and reader of datasets and checkpoints.
 
 Every error raised by library code derives from SetPoseError so callers
 (notably the CLI) can map failures onto exit codes in one place.
 """
 
 import dataclasses
+import hashlib
 import json
 import math
 import numbers
 from pathlib import Path
 from tokenize import TokenError
-from typing import BinaryIO
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -131,18 +132,47 @@ def read_manifest(path: Path, what: str, version: int, keys: tuple[str, ...]) ->
     return manifest
 
 
-def read_npy(f: BinaryIO, where: str | Path) -> np.ndarray:
-    """The array in the .npy stream f. Raises FormatError, its message
-    starting with where, when f holds a pickle (never loaded), is cut short,
-    has a header that does not parse, or has bytes after the array its
-    header describes (e.g. a header length too short, which shifts every
-    value). The caller checks the bytes' digest, dtype and shape."""
-    try:
-        array = np.lib.format.read_array(f, allow_pickle=False)
-        trailing = f.read(1)
-    # SyntaxError and TokenError: a header that does not parse
-    except (ValueError, EOFError, SyntaxError, TokenError) as e:
-        raise FormatError(f"{where}: {e}") from e
-    if trailing:
-        raise FormatError(f"{where}: bytes after the array its header describes")
+def write_npy(path: Path, parts: list[np.ndarray], dtype, shape: tuple) -> str:
+    """Writes the .npy file at path of one C-order array of dtype and shape
+    holding the elements of parts, each cast to dtype, in order: the bytes
+    np.save writes for their concatenation, which is never made. Returns
+    the SHA-256 of the bytes written, hashed on their way to the file."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        out = SimpleNamespace(write=lambda data: digest.update(data) or f.write(data))
+        np.lib.format.write_array_header_1_0(out, {
+            "descr": np.lib.format.dtype_to_descr(np.dtype(dtype)),
+            "fortran_order": False, "shape": shape})
+        for part in parts:
+            out.write(np.ascontiguousarray(part, dtype))
+    return digest.hexdigest()
+
+
+def read_npy(path: Path, sha256: str, dtype: np.dtype, shape: tuple,
+             manifest: str) -> np.ndarray:
+    """The array in the .npy file at path. Raises FormatError naming path
+    when the file is missing or its SHA-256 is not sha256; then, parsing
+    only verified bytes, when it holds a pickle (never loaded), is cut
+    short, or has a header that does not parse or does not describe every
+    byte; last, when the array is not the dtype and shape that the file
+    named manifest promises."""
+    if not path.is_file():
+        raise FormatError(f"{path}: missing")
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            digest.update(chunk)
+        if digest.hexdigest() != sha256:
+            raise FormatError(f"{path}: SHA-256 differs from {manifest}'s {sha256!r}")
+        f.seek(0)
+        try:
+            array = np.lib.format.read_array(f, allow_pickle=False)
+        # SyntaxError and TokenError: a header that does not parse
+        except (ValueError, EOFError, SyntaxError, TokenError) as e:
+            raise FormatError(f"{path}: {e}") from e
+        if f.read(1):
+            raise FormatError(f"{path}: bytes after the array its header describes")
+    if array.dtype != dtype or array.shape != shape:
+        raise FormatError(f"{path}: holds {array.dtype} of shape {array.shape}, "
+                          f"{manifest} promises {dtype} of shape {shape}")
     return array

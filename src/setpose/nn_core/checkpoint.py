@@ -1,44 +1,38 @@
-"""Checkpoint format: JSON manifest + numpy .npz archive.
+"""Checkpoint format: JSON manifest + one flat .npy array.
 
 A checkpoint is a directory holding
 
   manifest.json  - format version, the parameters' dtype ("float32" or
-                   "float64"), optimizer step and a free-form "extra"
-                   payload (e.g. the model config)
-  params.npz     - uncompressed np.savez archive, one array of that dtype
-                   per parameter, stored under the parameter's name
+                   "float64"), optimizer step, a free-form JSON "extra"
+                   object (e.g. the model config), the layout ([name, shape]
+                   per parameter, sorted by name) and params.npy's SHA-256
+  params.npy     - the parameters, flattened and concatenated in layout
+                   order: one 1-D array of that dtype
 
-A save writes both files into a new directory inside a temporary sibling
-directory and renames it onto the path, so a save that raises or is
-killed before then leaves the checkpoint already at the path whole. That
-one is moved into the temporary directory, which is always deleted.
-
-Loads read the manifest first, with errors.read_manifest, so a checkpoint
-of another format version or without a dtype, optimizer_step or extra
-raises FormatError before any array is read. Each archive member is then
-read whole, which checks its CRC-32, and parsed with errors.read_npy. A
-CRC mismatch, a truncated or non-zip archive, a member comment, a member
-that is not an array of the manifest's dtype and a name stored twice
-raise FormatError too, and nothing partial is returned.
+A save checks its inputs, then writes both files into a new directory in
+a temporary sibling directory and renames it onto the path, so a save
+that raises or is killed before then leaves the checkpoint at the path
+whole; that one is moved into the temporary directory, which is always
+deleted. A load checks the manifest, then reads params.npy with
+errors.read_npy, so it raises FormatError naming either file.
 """
 
 from __future__ import annotations
 
-import io
 import json
+import math
 import tempfile
-import zipfile
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, read_manifest, read_npy
+from ..errors import ConfigError, FormatError, read_manifest, read_npy, write_npy
 from .tensor import ParamStore
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 DTYPES = ("float32", "float64")
 MANIFEST_NAME = "manifest.json"
-ARRAYS_NAME = "params.npz"
+ARRAYS_NAME = "params.npy"
 
 
 def save_checkpoint(
@@ -47,18 +41,28 @@ def save_checkpoint(
     optimizer_step: int = 0,
     extra: dict | None = None,
 ) -> None:
-    dtypes = sorted({tensor.data.dtype.name for _, tensor in params.items()})
+    names, arrays = params.names(), [tensor.data for _, tensor in params.items()]
+    dtypes = sorted({array.dtype.name for array in arrays})
     if len(dtypes) != 1 or dtypes[0] not in DTYPES:
         raise ConfigError(f"parameters must share one dtype of {DTYPES}, got {dtypes}")
+    extra = {} if extra is None else extra
+    if type(optimizer_step) is not int or optimizer_step < 0 or not isinstance(extra, dict):
+        raise ConfigError(f"bad optimizer_step {optimizer_step!r} or extra {extra!r}")
+    try:
+        json.dumps(extra, allow_nan=False, sort_keys=True)
+    except (TypeError, ValueError) as e:  # not JSON, NaN or infinity, mixed key types
+        raise ConfigError(f"extra cannot be stored as JSON: {e}") from e
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    manifest = {"format_version": FORMAT_VERSION, "dtype": dtypes[0],
-                "optimizer_step": optimizer_step, "extra": extra or {}}
     with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as tmp:
         new, old = Path(tmp) / "new", Path(tmp) / "old"
         new.mkdir()
+        manifest = {"format_version": FORMAT_VERSION, "dtype": dtypes[0],
+                    "optimizer_step": optimizer_step, "extra": extra,
+                    "layout": [[name, list(a.shape)] for name, a in zip(names, arrays)],
+                    "params_sha256": write_npy(new / ARRAYS_NAME, arrays, dtypes[0],
+                                               (sum(a.size for a in arrays),))}
         (new / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        np.savez(new / ARRAYS_NAME, **{name: tensor.data for name, tensor in params.items()})
         if path.exists():
             path.rename(old)
         new.rename(path)
@@ -68,28 +72,22 @@ def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:
     """Returns (params, optimizer_step, extra)."""
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
-    arrays_path = path / ARRAYS_NAME
     manifest = read_manifest(manifest_path, "checkpoint", FORMAT_VERSION,
-                             ("dtype", "optimizer_step", "extra"))
-    step, extra, dtype = manifest["optimizer_step"], manifest["extra"], manifest["dtype"]
-    if type(step) is not int or not isinstance(extra, dict) or dtype not in DTYPES:
+                             ("dtype", "optimizer_step", "extra", "layout", "params_sha256"))
+    step, extra, dtype, layout = map(manifest.get, ("optimizer_step", "extra", "dtype", "layout"))
+    if type(step) is not int or step < 0 or not isinstance(extra, dict) or dtype not in DTYPES:
         raise FormatError(f"{manifest_path}: bad optimizer_step {step!r}, extra "
                           f"{extra!r} or dtype {dtype!r}")
+    if not isinstance(layout, list) or not all(
+            isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list) and all(type(n) is int and n >= 0 for n in entry[1])
+            for entry in layout) or len({name for name, _ in layout}) != len(layout):
+        raise FormatError(f"{manifest_path}: layout must be a list of [name, list of "
+                          f"non-negative ints] pairs, each name once")
+    sizes = [math.prod(shape) for _, shape in layout]
+    flat = read_npy(path / ARRAYS_NAME, manifest["params_sha256"], np.dtype(dtype),
+                    (sum(sizes),), MANIFEST_NAME)
     params = ParamStore()
-    try:
-        with zipfile.ZipFile(arrays_path) as archive:
-            for info in archive.infolist():
-                raw = archive.read(info)  # read whole: checks the CRC-32
-                arr = read_npy(io.BytesIO(raw), f"{arrays_path}: member {info.filename!r}")
-                # np.savez writes no member comment; one can hide the next entry
-                if info.comment or not info.filename.endswith(".npy") or arr.dtype != dtype:
-                    raise FormatError(f"{arrays_path}: corrupt archive: member "
-                                      f"{info.filename!r} is not a {dtype} array")
-                params.add(info.filename[:-len(".npy")], arr)
-    # OSError and RuntimeError: a missing archive, or a zip directory entry
-    # with a bad offset, version, compression method or encryption flag;
-    # ConfigError: a name stored twice
-    except (zipfile.BadZipFile, ValueError, EOFError, OSError, RuntimeError,
-            ConfigError) as e:
-        raise FormatError(f"{arrays_path}: corrupt archive: {e}") from e
+    for (name, shape), part in zip(layout, np.split(flat, np.cumsum(sizes)[:-1])):
+        params.add(name, part.reshape(shape))
     return params, step, extra

@@ -3,7 +3,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +28,7 @@ from setpose.data import (
     template_hand,
     write_dataset,
 )
-from setpose.errors import ConfigError, FormatError
+from setpose.errors import ConfigError, FormatError, write_npy
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
@@ -552,14 +551,13 @@ def test_an_overwrite_that_fails_before_meta_json_is_rejected_whole(tmp_path, mo
     ds = tmp_path / "ds"
     old = small_cfg(n_samples=3)
     write_dataset(generate_dataset(old), ds, gen_config=old)
-    save = np.save
 
-    def save_but_not_hands(file, array, *args, **kwargs):
-        if Path(file).name == "hands.npy":
+    def write_but_not_hands(path, *args):
+        if path.name == "hands.npy":
             raise OSError("no space left on device")
-        save(file, array, *args, **kwargs)
+        return write_npy(path, *args)
 
-    monkeypatch.setattr(np, "save", save_but_not_hands)
+    monkeypatch.setattr("setpose.data.write_npy", write_but_not_hands)
     new = small_cfg(n_samples=3, seed=124)
     with pytest.raises(OSError, match="no space"):
         write_dataset(generate_dataset(new), ds, gen_config=new)

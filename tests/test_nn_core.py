@@ -1,8 +1,7 @@
 from __future__ import annotations
 
+import hashlib
 import json
-import warnings
-import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -636,29 +635,39 @@ def test_param_store_contract():
 
 
 def test_checkpoint_round_trip(tmp_path):
+    """Bitwise, in both dtypes a checkpoint stores."""
     rng = PortableRng(81)
-    p = make_store(**{"enc.w": rand(rng, 4, 5), "enc.b": rand(rng, 5),
-                      "scalar": rand(rng, 1)})
     extra = {"model": {"embed_dim": 16}}
-    save_checkpoint(tmp_path / "ck", p, optimizer_step=42, extra=extra)
-    loaded, step, extra2 = load_checkpoint(tmp_path / "ck")
-    assert step == 42 and extra2 == extra
-    assert loaded.names() == p.names()
-    for name, tensor in p.items():
-        assert np.array_equal(loaded[name].data, tensor.data)
+    for dtype in (np.float32, np.float64):
+        p = ParamStore()
+        for name, shape in (("enc.w", (4, 5)), ("enc.b", (5,)), ("scalar", ())):
+            p.add(name, rand(rng, *shape).astype(dtype))
+        save_checkpoint(tmp_path / "ck", p, optimizer_step=42, extra=extra)
+        loaded, step, extra2 = load_checkpoint(tmp_path / "ck")
+        assert step == 42 and extra2 == extra
+        assert loaded.names() == p.names()
+        for name, tensor in p.items():
+            assert loaded[name].data.dtype == dtype
+            assert loaded[name].data.shape == tensor.data.shape
+            assert loaded[name].data.tobytes() == tensor.data.tobytes()
 
 
-def test_checkpoint_is_a_manifest_and_one_float64_array_per_parameter(tmp_path):
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_checkpoint_is_a_manifest_and_one_flat_array_in_layout_order(tmp_path):
+    """The manifest's digest, from errors.write_npy, is the file's SHA-256."""
     save_checkpoint(tmp_path / "ck", make_store(**{"enc.w": [[1.0, 2.0]], "enc.b": [3.0]}),
                     optimizer_step=7)
     assert sorted(p.name for p in (tmp_path / "ck").iterdir()) == ["manifest.json",
-                                                                   "params.npz"]
+                                                                   "params.npy"]
     manifest = json.loads((tmp_path / "ck" / "manifest.json").read_text())
-    assert manifest == {"format_version": 3, "dtype": "float64", "optimizer_step": 7,
-                        "extra": {}}
-    with np.load(tmp_path / "ck" / "params.npz", allow_pickle=False) as archive:
-        assert sorted(archive.files) == ["enc.b", "enc.w"]
-        assert archive["enc.w"].dtype == np.float64 and archive["enc.w"].shape == (1, 2)
+    assert manifest == {"format_version": 4, "dtype": "float64", "optimizer_step": 7,
+                        "extra": {}, "layout": [["enc.b", [1]], ["enc.w", [1, 2]]],
+                        "params_sha256": _sha256(tmp_path / "ck" / "params.npy")}
+    flat = np.load(tmp_path / "ck" / "params.npy", allow_pickle=False)
+    assert flat.dtype == np.float64 and flat.tolist() == [3.0, 1.0, 2.0]
 
 
 def test_save_checkpoint_rejects_mixed_or_unsupported_dtypes(tmp_path):
@@ -673,18 +682,37 @@ def test_save_checkpoint_rejects_mixed_or_unsupported_dtypes(tmp_path):
         assert not (tmp_path / name).exists()
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"optimizer_step": 1.5}, {"optimizer_step": True}, {"optimizer_step": -1},
+    {"extra": {"x": np.float32(1)}}, {"extra": {"x": float("nan")}},
+    {"extra": {1: "a", "b": 2}}, {"extra": [1]},
+], ids=["float-step", "bool-step", "negative-step", "numpy-scalar-extra", "nan-extra",
+        "mixed-key-extra", "list-extra"])
+def test_save_checkpoint_rejects_what_load_would_refuse_before_it_writes(tmp_path, kwargs):
+    """The checkpoint already at the path still loads, and a save to a new
+    directory creates nothing."""
+    save_checkpoint(tmp_path / "ck", make_store(w=[1.0]), optimizer_step=2)
+    with pytest.raises(ConfigError):
+        save_checkpoint(tmp_path / "ck", make_store(w=[5.0]), **kwargs)
+    with pytest.raises(ConfigError):
+        save_checkpoint(tmp_path / "new" / "ck", make_store(w=[5.0]), **kwargs)
+    loaded, step, _ = load_checkpoint(tmp_path / "ck")
+    assert step == 2 and loaded["w"].data.tolist() == [1.0]
+    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+
+
 def test_a_save_that_raises_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
-    """The second save to a path fails inside np.savez after writing a cut
-    archive: the first checkpoint still loads bitwise and no other
+    """The second save to a path fails inside the writer after writing a
+    cut .npy header: the first checkpoint still loads bitwise and no other
     directory is left. A later save replaces it whole."""
     first = make_store(w=np.arange(6.0).reshape(2, 3) / 7, b=[0.5])
     save_checkpoint(tmp_path / "ck", first, optimizer_step=3)
 
-    def cut_savez(file, **arrays):
-        Path(file).write_bytes(b"PK\x03\x04")
+    def cut_header(out, header):
+        out.write(b"\x93NUMPY")
         raise OSError("no space left on device")
 
-    monkeypatch.setattr(np, "savez", cut_savez)
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", cut_header)
     with pytest.raises(OSError, match="no space"):
         save_checkpoint(tmp_path / "ck", make_store(w=np.zeros((2, 3)), b=[9.0]),
                         optimizer_step=4)
@@ -701,12 +729,21 @@ def test_a_save_that_raises_keeps_the_previous_checkpoint(tmp_path, monkeypatch)
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
 
+def _rehash(ck: Path) -> None:
+    """Give manifest.json the SHA-256 of params.npy as it now is, so that a
+    check other than the SHA-256 one has to catch an edit."""
+    manifest = json.loads((ck / "manifest.json").read_text())
+    manifest["params_sha256"] = _sha256(ck / "params.npy")
+    (ck / "manifest.json").write_text(json.dumps(manifest))
+
+
 def test_checkpoint_bad_magic(tmp_path):
-    """params.npz that is not a zip archive."""
+    """params.npy that is not a .npy file."""
     save_checkpoint(tmp_path / "ck", make_store(w=[1.0, 2.0]))
-    blob = (tmp_path / "ck" / "params.npz").read_bytes()
-    (tmp_path / "ck" / "params.npz").write_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(FormatError, match="params.npz"):
+    blob = (tmp_path / "ck" / "params.npy").read_bytes()
+    (tmp_path / "ck" / "params.npy").write_bytes(b"XXXX" + blob[4:])
+    _rehash(tmp_path / "ck")
+    with pytest.raises(FormatError, match="params.npy: .*magic"):
         load_checkpoint(tmp_path / "ck")
 
 
@@ -732,72 +769,101 @@ def test_version_1_checkpoint_raises_format_error_naming_the_version(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
-def test_checkpoint_truncated_blob(tmp_path):
-    p = make_store(w=np.arange(16.0))
-    save_checkpoint(tmp_path / "ck", p)
-    blob = (tmp_path / "ck" / "params.npz").read_bytes()
-    (tmp_path / "ck" / "params.npz").write_bytes(blob[:-8])
-    with pytest.raises(FormatError, match="params.npz"):
+def test_version_3_checkpoint_raises_format_error_naming_the_version(tmp_path, monkeypatch):
+    """The layout before params.npy: a zip params.npz from np.savez with one
+    member per parameter. Its manifest refuses it before any array is read."""
+    (tmp_path / "ck").mkdir()
+    manifest = {"format_version": 3, "dtype": "float64", "optimizer_step": 0, "extra": {}}
+    (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest, indent=2,
+                                                              sort_keys=True))
+    np.savez(tmp_path / "ck" / "params.npz", w=np.arange(6.0).reshape(2, 3), b=[0.5])
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an array was read")
+
+    monkeypatch.setattr(np.lib.format, "read_array", no_read)
+    with pytest.raises(FormatError, match="manifest.json: unsupported format version 3 "):
         load_checkpoint(tmp_path / "ck")
 
 
-def _with_member(archive: Path, name: str, array: np.ndarray) -> None:
-    """Append one more .npy member to an existing archive."""
-    with zipfile.ZipFile(archive, "a") as zf, warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # zipfile warns on a name stored twice
-        with zf.open(name + ".npy", "w") as f:
-            np.lib.format.write_array(f, array, allow_pickle=True)
-
-
-def _rewrite_member(archive: Path, name: str, edit) -> None:
-    """Rewrite archive with member name's bytes passed through edit; every
-    member gets a valid CRC-32, so only the .npy parse can object."""
-    with zipfile.ZipFile(archive) as zf:
-        members = {info.filename: zf.read(info) for info in zf.infolist()}
-    members[name] = edit(members[name])
-    with zipfile.ZipFile(archive, "w") as zf:
-        for member, raw in members.items():
-            zf.writestr(member, raw)
+def test_checkpoint_truncated_blob(tmp_path):
+    p = make_store(w=np.arange(16.0))
+    save_checkpoint(tmp_path / "ck", p)
+    blob = (tmp_path / "ck" / "params.npy").read_bytes()
+    (tmp_path / "ck" / "params.npy").write_bytes(blob[:-8])
+    with pytest.raises(FormatError, match="params.npy: SHA-256"):
+        load_checkpoint(tmp_path / "ck")
 
 
 def _corrupt(ck: Path, case: str) -> None:
-    manifest_path, archive = ck / "manifest.json", ck / "params.npz"
+    """Edit the checkpoint of make_store(a=[1.0, 2.0], b=[[3.0, 4.0]]). A
+    params.npy edit other than flipped_byte and no_archive is rehashed."""
+    manifest_path, arrays = ck / "manifest.json", ck / "params.npy"
     manifest = json.loads(manifest_path.read_text())
+    raw = arrays.read_bytes()
     if case == "not_an_object":
         manifest = [manifest]
     elif case == "bad_optimizer_step":
         manifest["optimizer_step"] = "x"
-    elif case == "duplicate_name":
-        _with_member(archive, "a", np.array([5.0, 6.0]))
-    elif case == "flipped_byte":  # the last payload byte of a = [1.0, 2.0]
-        raw = bytearray(archive.read_bytes())
-        raw[raw.index(np.array([1.0, 2.0]).tobytes()) + 15] ^= 0x01
-        archive.write_bytes(bytes(raw))
-    elif case == "member_dtype_not_manifest":  # float64 members
-        manifest["dtype"] = "float32"
+    elif case == "negative_optimizer_step":
+        manifest["optimizer_step"] = -3
     elif case == "unknown_dtype":
         manifest["dtype"] = "float16"
-    elif case == "object_member":
-        _with_member(archive, "c", np.array([None], dtype=object))
-    elif case == "no_archive":
-        archive.unlink()
-    elif case == "member_header_does_not_parse":  # a header length 64 short
-        _rewrite_member(archive, "a.npy", lambda raw: raw[:8] + bytes([raw[8] - 64]) + raw[9:])
-    elif case == "member_trailing_bytes":
-        _rewrite_member(archive, "a.npy", lambda raw: raw + bytes(8))
     elif case == "manifest_missing_keys":
         del manifest["optimizer_step"], manifest["extra"]
+    elif case == "missing_layout":
+        del manifest["layout"]
+    elif case == "missing_digest":
+        del manifest["params_sha256"]
+    elif case == "duplicate_name":
+        manifest["layout"] = [["a", [2]], ["a", [1, 2]]]
+    elif case == "layout_not_a_list":
+        manifest["layout"] = {"a": [2], "b": [1, 2]}
+    elif case == "layout_entry_not_a_pair":
+        manifest["layout"] = [["a", [2], 0], ["b", [1, 2]]]
+    elif case == "layout_name_not_a_string":
+        manifest["layout"] = [[0, [2]], ["b", [1, 2]]]
+    elif case == "layout_negative_dim":
+        manifest["layout"] = [["a", [2]], ["b", [-1, -2]]]
+    elif case == "layout_bool_dim":
+        manifest["layout"] = [["a", [2]], ["b", [True, 2]]]
+    elif case == "layout_total_differs":
+        manifest["layout"] = [["a", [2]], ["b", [1, 3]]]
+    elif case == "flipped_byte":  # the last payload byte of a = [1.0, 2.0]
+        raw = bytearray(raw)
+        raw[raw.index(np.array([1.0, 2.0]).tobytes()) + 15] ^= 0x01
+        arrays.write_bytes(bytes(raw))
+    elif case == "no_archive":
+        arrays.unlink()
+    else:
+        if case == "member_header_does_not_parse":  # a header length 64 short
+            arrays.write_bytes(raw[:8] + bytes([raw[8] - 64]) + raw[9:])
+        elif case == "member_trailing_bytes":
+            arrays.write_bytes(raw + bytes(8))
+        elif case == "cut_short":
+            arrays.write_bytes(raw[:-8])
+        elif case == "object_member":
+            np.save(arrays, np.array([None] * 4, dtype=object))
+        elif case == "member_dtype_not_manifest":  # float32 under a float64 manifest
+            np.save(arrays, np.load(arrays).astype(np.float32))
+        manifest["params_sha256"] = _sha256(arrays)
     manifest_path.write_text(json.dumps(manifest))
 
 
-# case -> the file its FormatError names
+# case -> the file its FormatError names; the member_* and object_member
+# cases edit the one array params.npy holds
 CORRUPT_CHECKPOINT_CASES = {
     "not_an_object": "manifest.json", "bad_optimizer_step": "manifest.json",
-    "duplicate_name": "params.npz", "flipped_byte": "params.npz",
-    "member_dtype_not_manifest": "params.npz", "unknown_dtype": "manifest.json",
-    "object_member": "params.npz", "no_archive": "params.npz",
-    "member_header_does_not_parse": "params.npz", "member_trailing_bytes": "params.npz",
-    "manifest_missing_keys": "manifest.json"}
+    "negative_optimizer_step": "manifest.json", "unknown_dtype": "manifest.json",
+    "manifest_missing_keys": "manifest.json", "missing_layout": "manifest.json",
+    "missing_digest": "manifest.json", "duplicate_name": "manifest.json",
+    "layout_not_a_list": "manifest.json", "layout_entry_not_a_pair": "manifest.json",
+    "layout_name_not_a_string": "manifest.json", "layout_negative_dim": "manifest.json",
+    "layout_bool_dim": "manifest.json", "layout_total_differs": "manifest.json",
+    "flipped_byte": "params.npy", "no_archive": "params.npy",
+    "member_header_does_not_parse": "params.npy", "member_trailing_bytes": "params.npy",
+    "cut_short": "params.npy", "object_member": "params.npy",
+    "member_dtype_not_manifest": "params.npy"}
 
 
 @pytest.mark.parametrize("case", CORRUPT_CHECKPOINT_CASES)
@@ -813,40 +879,32 @@ def test_missing_checkpoint_raises_file_not_found(tmp_path):
         load_checkpoint(tmp_path / "ck")
 
 
-def test_every_flipped_bit_of_params_npz_raises_or_loads_equal_params(tmp_path):
-    """One flipped bit anywhere in the archive (payload, .npy headers, zip
-    headers, central directory) either raises FormatError or leaves every
-    loaded parameter bitwise equal, e.g. a flipped timestamp."""
+def test_every_flipped_bit_of_params_npy_raises_format_error(tmp_path):
+    """One flipped bit anywhere in params.npy, header or payload, fails the
+    SHA-256 that manifest.json records."""
     p = make_store(**{"enc.w": np.arange(20.0).reshape(4, 5), "enc.b": np.arange(5.0) / 3})
     save_checkpoint(tmp_path / "ck", p)
-    archive = tmp_path / "ck" / "params.npz"
-    raw = archive.read_bytes()
-    equal = 0
+    arrays = tmp_path / "ck" / "params.npy"
+    raw = arrays.read_bytes()
     for i in range(len(raw)):
         flipped = bytearray(raw)
         flipped[i] ^= 1 << (i % 8)
-        archive.write_bytes(bytes(flipped))
-        try:
-            loaded, _, _ = load_checkpoint(tmp_path / "ck")
-        except FormatError:
-            continue
-        assert loaded.names() == p.names(), i
-        for name, tensor in p.items():
-            assert loaded[name].data.shape == tensor.data.shape, (i, name)
-            assert loaded[name].data.tobytes() == tensor.data.tobytes(), (i, name)
-        equal += 1
-    assert 0 < equal < len(raw) // 2
+        arrays.write_bytes(bytes(flipped))
+        with pytest.raises(FormatError, match="params.npy: SHA-256"):
+            load_checkpoint(tmp_path / "ck")
 
 
 def test_changed_shape_in_a_large_member_header_raises_format_error(tmp_path):
-    """numpy stops reading a member at the end of the array its header
-    describes, so a shrunk shape alone would read short without a CRC check."""
+    """numpy stops reading at the end of the array its header describes, so
+    a shrunk shape under a matching digest would read short without the
+    check for bytes after the array."""
     save_checkpoint(tmp_path / "ck", make_store(w=np.arange(20000.0).reshape(400, 50)))
-    archive = tmp_path / "ck" / "params.npz"
-    raw = archive.read_bytes()
-    assert raw.count(b"(400, 50)") == 1
-    archive.write_bytes(raw.replace(b"(400, 50)", b"(400, 40)"))
-    with pytest.raises(FormatError, match="corrupt archive"):
+    arrays = tmp_path / "ck" / "params.npy"
+    raw = arrays.read_bytes()
+    assert raw.count(b"(20000,)") == 1
+    arrays.write_bytes(raw.replace(b"(20000,)", b"(16000,)"))
+    _rehash(tmp_path / "ck")
+    with pytest.raises(FormatError, match="params.npy: bytes after the array"):
         load_checkpoint(tmp_path / "ck")
 
 

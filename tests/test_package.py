@@ -2,7 +2,7 @@
 names resolve, no module imports a name it never uses, every function and
 class the library defines has a reader, every console script pyproject.toml
 declares resolves, numpy is the only third-party package the library
-needs, and one function parses .npy bytes."""
+needs, one function parses .npy bytes and one writes them."""
 
 from __future__ import annotations
 
@@ -90,16 +90,40 @@ def test_every_library_definition_has_a_reader():
     assert unreferenced_definitions([path.read_text() for path in LIBRARY], texts) == []
 
 
+def library_calls(*attrs: str) -> list[str]:
+    """"path:line" of every call in src/ of an attribute named one of attrs
+    (np.lib.format.read_array, f.tofile, ...)."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}" for path in LIBRARY
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in attrs]
+
+
 def test_the_library_parses_npy_bytes_in_errors_read_npy_alone():
     """Datasets and checkpoints share one .npy parse, so its checks (no
     pickle, a header that parses and describes every byte) cannot drift
     apart between the two readers."""
-    calls = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in LIBRARY
-             for node in ast.walk(ast.parse(path.read_text()))
-             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-             and node.func.attr == "read_array"]
+    calls = library_calls("read_array")
     assert len(calls) == 1 and calls[0].startswith(os.path.join("src", "setpose",
                                                                  "errors.py:")), calls
+
+
+def test_the_library_writes_npy_files_in_errors_write_npy_alone():
+    """Datasets and checkpoints share one writer, which hashes what it
+    writes, and neither is a zip: numpy's .npy header writer is called at
+    one place in src/, in errors.py, no other numpy writer is called, and
+    zipfile and io are imported nowhere."""
+    calls = library_calls("save", "savez", "savez_compressed", "write_array",
+                          "write_array_header_1_0", "write_array_header_2_0", "tofile")
+    assert len(calls) == 1 and calls[0].startswith(os.path.join("src", "setpose",
+                                                                 "errors.py:")), calls
+    imported = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in LIBRARY
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Import) and any(
+                    alias.name.split(".")[0] in ("zipfile", "io") for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] in ("zipfile", "io")]
+    assert imported == []
 
 
 def test_every_declared_script_target_imports():
