@@ -25,8 +25,7 @@ consistent with the swapped labels, and maps u through the continuous
 mirror u' = W - u. The half-pixel gap between the discrete and continuous
 mirrors is accepted; it is sub-pixel and irrelevant at this scale.
 
-On-disk layout (format_version 6); meta.json is written last, so it
-commits the dataset:
+On-disk layout (format_version 6), committed by errors.write_store:
 
     meta.json       format version, generator-config echo, intrinsics, count,
                     and the SHA-256 of each .npy file
@@ -39,14 +38,13 @@ commits the dataset:
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
 ConfigError naming the first sample whose camera differs from sample 0's
-or whose image is not of the camera's size. errors.write_npy writes the
-.npy files, and errors.read_manifest and errors.read_npy check each file.
+or whose image is not of the camera's size. errors.read_manifest and
+errors.read_npy check each file.
 A slot's index is its side, so hands.npy cannot hold two hands of a side.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -54,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, FormatError, check_config_keys, check_numbers,
-                     read_manifest, read_npy, write_npy)
+                     read_manifest, read_npy, write_store)
 from .geometry import (
     CameraIntrinsics,
     HandSide,
@@ -372,20 +370,12 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
         if sample.image.shape != shape:
             raise ConfigError(f"sample {i} has a {sample.image.shape} image, but its "
                               f"camera's images are {shape}")
-    path = Path(path)
-    path.mkdir(parents=True, exist_ok=True)
-    meta = {
-        "format_version": DATASET_FORMAT_VERSION,
-        "n_samples": len(samples),
-        "intrinsics": cam.to_dict(),
-        "gen_config": gen_config.to_dict() if gen_config is not None else None,
-        "images_sha256": write_npy(path / IMAGES_NAME, [s.image for s in samples], "<f4",
-                                   (len(samples), *shape)),
-        "hands_sha256": write_npy(path / HANDS_NAME, [pack_hands(samples)], HANDS_DTYPE,
-                                  (len(samples), 2)),
-    }
-    # last: until it is replaced, the old meta.json's digests reject new arrays
-    (path / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    meta = {"format_version": DATASET_FORMAT_VERSION, "n_samples": len(samples),
+            "intrinsics": cam.to_dict(),
+            "gen_config": gen_config.to_dict() if gen_config is not None else None}
+    write_store(path, "meta.json", meta, {
+        IMAGES_NAME: ([s.image for s in samples], "<f4", (len(samples), *shape)),
+        HANDS_NAME: ([pack_hands(samples)], HANDS_DTYPE, (len(samples), 2))})
 
 
 def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:

@@ -1,6 +1,6 @@
 """Exception types shared across the package, plus the key check every
 config's from_dict runs, the number check every config runs, and the
-manifest reader and .npy writer and reader of datasets and checkpoints.
+store writer and the manifest and .npy I/O of datasets and checkpoints.
 
 Every error raised by library code derives from SetPoseError so callers
 (notably the CLI) can map failures onto exit codes in one place.
@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import tempfile
 from pathlib import Path
 from tokenize import TokenError
 from types import SimpleNamespace
@@ -146,6 +147,26 @@ def write_npy(path: Path, parts: list[np.ndarray], dtype, shape: tuple) -> str:
         for part in parts:
             out.write(np.ascontiguousarray(part, dtype))
     return digest.hexdigest()
+
+
+def write_store(path: str | Path, manifest_name: str, manifest: dict, arrays: dict) -> None:
+    """Commits the store at path: one .npy file per name in arrays, written
+    by write_npy from its (parts, dtype, shape), and manifest_name, the JSON
+    of manifest with each file's SHA-256 under "<file stem>_sha256". All go
+    into a new directory in a temporary sibling of path, renamed onto path
+    after any old store is moved into that sibling, which is always deleted;
+    a write that raises or is killed before the renames leaves path as it was."""
+    path = Path(path).resolve()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as tmp:
+        new, old = Path(tmp) / "new", Path(tmp) / "old"
+        new.mkdir()
+        manifest = {**manifest, **{f"{Path(name).stem}_sha256": write_npy(new / name, *array)
+                                   for name, array in arrays.items()}}
+        (new / manifest_name).write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        if path.exists():
+            path.rename(old)
+        new.rename(path)
 
 
 def read_npy(path: Path, sha256: str, dtype: np.dtype, shape: tuple,

@@ -110,7 +110,8 @@ class ModelConfig:
         return gh * gw
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "depth_mode": self.depth_mode.value}
+        return {**asdict(self), "image_size": list(self.image_size),
+                "depth_range": list(self.depth_range), "depth_mode": self.depth_mode.value}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":

@@ -19,7 +19,6 @@ from .layers import (
 )
 from .optim import OptimState, adamw_step, init_optim_state
 from .checkpoint import load_checkpoint, save_checkpoint
-from .gradcheck import max_relative_error, numeric_gradient
 
 __all__ = [
     "Gradients",
@@ -35,10 +34,8 @@ __all__ = [
     "linear",
     "load_checkpoint",
     "log_softmax",
-    "max_relative_error",
     "mlp2",
     "multi_head_attention",
     "no_grad",
-    "numeric_gradient",
     "save_checkpoint",
 ]

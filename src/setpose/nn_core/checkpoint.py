@@ -9,24 +9,21 @@ A checkpoint is a directory holding
   params.npy     - the parameters, flattened and concatenated in layout
                    order: one 1-D array of that dtype
 
-A save checks its inputs, then writes both files into a new directory in
-a temporary sibling directory and renames it onto the path, so a save
-that raises or is killed before then leaves the checkpoint at the path
-whole; that one is moved into the temporary directory, which is always
-deleted. A load checks the manifest, then reads params.npy with
-errors.read_npy, so it raises FormatError naming either file.
+A save checks its inputs, refusing an extra that would not load back
+equal, then commits both files with errors.write_store. A load checks the
+manifest, then reads params.npy with errors.read_npy, so it raises
+FormatError naming either file.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from ..errors import ConfigError, FormatError, read_manifest, read_npy, write_npy
+from ..errors import ConfigError, FormatError, read_manifest, read_npy, write_store
 from .tensor import ParamStore
 
 FORMAT_VERSION = 4
@@ -49,23 +46,16 @@ def save_checkpoint(
     if type(optimizer_step) is not int or optimizer_step < 0 or not isinstance(extra, dict):
         raise ConfigError(f"bad optimizer_step {optimizer_step!r} or extra {extra!r}")
     try:
-        json.dumps(extra, allow_nan=False, sort_keys=True)
+        stored = json.loads(json.dumps(extra, allow_nan=False, sort_keys=True))
     except (TypeError, ValueError) as e:  # not JSON, NaN or infinity, mixed key types
         raise ConfigError(f"extra cannot be stored as JSON: {e}") from e
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as tmp:
-        new, old = Path(tmp) / "new", Path(tmp) / "old"
-        new.mkdir()
-        manifest = {"format_version": FORMAT_VERSION, "dtype": dtypes[0],
-                    "optimizer_step": optimizer_step, "extra": extra,
-                    "layout": [[name, list(a.shape)] for name, a in zip(names, arrays)],
-                    "params_sha256": write_npy(new / ARRAYS_NAME, arrays, dtypes[0],
-                                               (sum(a.size for a in arrays),))}
-        (new / MANIFEST_NAME).write_text(json.dumps(manifest, indent=2, sort_keys=True))
-        if path.exists():
-            path.rename(old)
-        new.rename(path)
+    if stored != extra:  # int keys, tuples
+        raise ConfigError(f"extra {extra!r} would load back as {stored!r}")
+    manifest = {"format_version": FORMAT_VERSION, "dtype": dtypes[0],
+                "optimizer_step": optimizer_step, "extra": extra,
+                "layout": [[name, list(a.shape)] for name, a in zip(names, arrays)]}
+    write_store(path, MANIFEST_NAME, manifest,
+                {ARRAYS_NAME: (arrays, dtypes[0], (sum(a.size for a in arrays),))})
 
 
 def load_checkpoint(path: str | Path) -> tuple[ParamStore, int, dict]:

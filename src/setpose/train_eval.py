@@ -425,8 +425,8 @@ def ablate(
     large_size: tuple[int, int] = (48, 48),
 ) -> AblationTable:
     """Train the three (resolution, depth-parametrization) variants and
-    evaluate each on the scale-shifted split with rescaling off and on
-    (scale stats from that variant's training split)."""
+    score each one's predictions on the scale-shifted split with rescaling
+    off and on (scale stats from that variant's training split)."""
     specs = [
         ("small_relative", small_size, DepthMode.ROOT_PLUS_RELATIVE),
         ("small_absolute", small_size, DepthMode.ABSOLUTE_PER_JOINT),
@@ -447,8 +447,9 @@ def ablate(
         mcfg = ModelConfig(**{**model_cfg.to_dict(),
                               "image_size": size, "depth_mode": mode.value})
         params, _ = train(mcfg, train_cfg, train_set)
-        off = evaluate(params, mcfg, shifted_set)
-        on = evaluate(params, mcfg, shifted_set, rescale=True, scale_stats=stats)
+        preds = predict(params, mcfg, shifted_set)
+        off = score_predictions(preds, shifted_set)
+        on = score_predictions(preds, shifted_set, rescale=True, scale_stats=stats)
         rows.append(AblationRow(
             label=label, resolution=size, depth_mode=mode.value,
             mpjpe_off=(off.mpjpe_left, off.mpjpe_right),

@@ -1,4 +1,4 @@
-"""Central finite-difference gradient verification.
+"""Central finite-difference gradient verification for the tests.
 
 The step size follows h = base_h * max(1, |theta|) per scalar, and the
 relative error is |analytic - numeric| / max(|analytic|, |numeric|).

@@ -28,7 +28,7 @@ from setpose.data import (
     template_hand,
     write_dataset,
 )
-from setpose.errors import ConfigError, FormatError, write_npy
+from setpose.errors import ConfigError, FormatError
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, xyz_to_uvd
 from setpose.hand_model import BONES, hand_scale
 from setpose.rng import PortableRng
@@ -543,27 +543,6 @@ def test_write_dataset_rejects_an_image_not_of_the_camera_size(tmp_path):
     with pytest.raises(ConfigError, match=r"sample 1 has a \(16, 32, 3\) image"):
         write_dataset([sample, small], tmp_path / "ds")
     assert not (tmp_path / "ds").exists()
-
-
-def test_an_overwrite_that_fails_before_meta_json_is_rejected_whole(tmp_path, monkeypatch):
-    """meta.json is written last: new images beside the old annotations
-    fail the old meta.json's SHA-256, so no mix of samples is returned."""
-    ds = tmp_path / "ds"
-    old = small_cfg(n_samples=3)
-    write_dataset(generate_dataset(old), ds, gen_config=old)
-
-    def write_but_not_hands(path, *args):
-        if path.name == "hands.npy":
-            raise OSError("no space left on device")
-        return write_npy(path, *args)
-
-    monkeypatch.setattr("setpose.data.write_npy", write_but_not_hands)
-    new = small_cfg(n_samples=3, seed=124)
-    with pytest.raises(OSError, match="no space"):
-        write_dataset(generate_dataset(new), ds, gen_config=new)
-    monkeypatch.undo()
-    with pytest.raises(FormatError, match="images.npy: SHA-256"):
-        read_dataset(ds)
 
 
 def test_truncated_image_raises_named_format_error(tmp_path):

@@ -1,6 +1,7 @@
 """Golden values of the random streams that data generation, shuffling and
-augmentation draw from. A refactor must not move them: each value below is
-pinned, not compared against another run of the same code."""
+augmentation draw from, and of the bytes that datasets and checkpoints are
+stored as. A refactor must not move them: each value below is pinned, not
+compared against another run of the same code."""
 
 from __future__ import annotations
 
@@ -8,9 +9,12 @@ import dataclasses
 import hashlib
 
 import numpy as np
+import pytest
 
 from setpose.data import (GenConfig, generate_dataset, generate_sample, read_dataset,
                           write_dataset)
+from setpose.model import ModelConfig, build_model
+from setpose.nn_core import save_checkpoint
 from setpose.rng import PortableRng, derive_seed
 from setpose.train_eval import scaled_gen_config
 
@@ -65,3 +69,26 @@ def test_generated_dataset_golden_digest(tmp_path):
     golden = "a53adbd8806e92046ae4b196a8e2483dd1d1f0b4466d6cdfee7404baf419f4fc"
     assert generated.hexdigest() == golden
     assert read_back.hexdigest() == golden
+
+
+def _write_dataset(path):
+    cfg = GenConfig(seed=3, n_samples=4)
+    write_dataset(generate_dataset(cfg), path, cfg)
+
+
+def _save_checkpoint(path):
+    save_checkpoint(path, build_model(ModelConfig(), 0), optimizer_step=7, extra={"epoch": 1})
+
+
+@pytest.mark.parametrize("write, manifest, golden", [
+    (_write_dataset, "meta.json",
+     "eab54cc3a2b997aa0fe72bc81092b72ba447285f0f54190991e9e5d4503da22d"),
+    (_save_checkpoint, "manifest.json",
+     "2382be6e67c0d71ada565890105c1cd12694cae79f3e919ae6e4ef6b3563a203"),
+], ids=["dataset", "checkpoint"])
+def test_stored_manifest_golden_digest(tmp_path, write, manifest, golden):
+    """Each manifest records the SHA-256 of its .npy files, so its digest
+    pins every byte of the store: images.npy and hands.npy of a dataset
+    (format 6), params.npy of a checkpoint (format 4)."""
+    write(tmp_path / "store")
+    assert hashlib.sha256((tmp_path / "store" / manifest).read_bytes()).hexdigest() == golden

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from setpose.data import GenConfig, generate_dataset, read_dataset, write_dataset
 from setpose.errors import (
     ConfigError,
     FormatError,
@@ -14,6 +15,7 @@ from setpose.errors import (
     NonFinite,
     NonFiniteLoss,
     ShapeError,
+    write_npy,
 )
 from setpose.nn_core import (
     ParamStore,
@@ -27,14 +29,14 @@ from setpose.nn_core import (
     linear,
     load_checkpoint,
     log_softmax,
-    max_relative_error,
     mlp2,
     multi_head_attention,
     no_grad,
-    numeric_gradient,
     save_checkpoint,
 )
 from setpose.rng import PortableRng
+
+from gradcheck import max_relative_error, numeric_gradient
 
 LAYER_TOL = 1e-6
 
@@ -686,11 +688,13 @@ def test_save_checkpoint_rejects_mixed_or_unsupported_dtypes(tmp_path):
     {"optimizer_step": 1.5}, {"optimizer_step": True}, {"optimizer_step": -1},
     {"extra": {"x": np.float32(1)}}, {"extra": {"x": float("nan")}},
     {"extra": {1: "a", "b": 2}}, {"extra": [1]},
+    {"extra": {"epoch": {1: "a"}}}, {"extra": {"size": (32, 32)}},
 ], ids=["float-step", "bool-step", "negative-step", "numpy-scalar-extra", "nan-extra",
-        "mixed-key-extra", "list-extra"])
+        "mixed-key-extra", "list-extra", "int-key-extra", "tuple-extra"])
 def test_save_checkpoint_rejects_what_load_would_refuse_before_it_writes(tmp_path, kwargs):
     """The checkpoint already at the path still loads, and a save to a new
-    directory creates nothing."""
+    directory creates nothing. An extra that JSON would change (int keys
+    become strings, tuples lists) is refused, as load could not return it."""
     save_checkpoint(tmp_path / "ck", make_store(w=[1.0]), optimizer_step=2)
     with pytest.raises(ConfigError):
         save_checkpoint(tmp_path / "ck", make_store(w=[5.0]), **kwargs)
@@ -701,32 +705,71 @@ def test_save_checkpoint_rejects_what_load_would_refuse_before_it_writes(tmp_pat
     assert [p.name for p in tmp_path.iterdir()] == ["ck"]
 
 
-def test_a_save_that_raises_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
-    """The second save to a path fails inside the writer after writing a
-    cut .npy header: the first checkpoint still loads bitwise and no other
-    directory is left. A later save replaces it whole."""
-    first = make_store(w=np.arange(6.0).reshape(2, 3) / 7, b=[0.5])
-    save_checkpoint(tmp_path / "ck", first, optimizer_step=3)
+def _store(kind: str):
+    """(name, save, load) of one store kind: save(path, k) writes version k
+    of it, load(path) returns (k, every array's bytes) of what it reads."""
+    if kind == "checkpoint":
+        def save(path, k):
+            save_checkpoint(path, make_store(w=np.arange(6.0).reshape(2, 3) / (k + 7), b=[k]),
+                            optimizer_step=k)
 
-    def cut_header(out, header):
-        out.write(b"\x93NUMPY")
-        raise OSError("no space left on device")
+        def load(path):
+            params, step, _ = load_checkpoint(path)
+            return step, [(name, t.data.tobytes()) for name, t in params.items()]
+        return "ck", save, load
 
-    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", cut_header)
+    def save(path, k):
+        cfg = GenConfig(seed=k, n_samples=3)
+        write_dataset(generate_dataset(cfg), path, gen_config=cfg)
+
+    def load(path):
+        samples, meta = read_dataset(path)
+        return meta["gen_config"]["seed"], [
+            (s.image.tobytes(), [(h.side, h.uvd.joints.tobytes(), h.xyz.joints.tobytes())
+                                 for h in s.hands]) for s in samples]
+    return "ds", save, load
+
+
+def _fail_on_last_file(monkeypatch):
+    """Makes errors.write_store's last .npy write (params.npy, hands.npy)
+    leave a cut header and raise, after any file before it was written whole."""
+    def write_npy_but_not_the_last(path, *args):
+        if path.name in ("params.npy", "hands.npy"):
+            path.write_bytes(b"\x93NUMPY")
+            raise OSError("no space left on device")
+        return write_npy(path, *args)
+
+    monkeypatch.setattr("setpose.errors.write_npy", write_npy_but_not_the_last)
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
+def test_a_save_that_raises_keeps_the_previous_checkpoint(tmp_path, monkeypatch, kind):
+    """The second save of a store to a path fails in its last .npy file:
+    the first store still reads back bitwise and no other directory is
+    left. A later save replaces it whole."""
+    name, save, load = _store(kind)
+    save(tmp_path / name, 3)
+    first = load(tmp_path / name)
+    _fail_on_last_file(monkeypatch)
     with pytest.raises(OSError, match="no space"):
-        save_checkpoint(tmp_path / "ck", make_store(w=np.zeros((2, 3)), b=[9.0]),
-                        optimizer_step=4)
+        save(tmp_path / name, 4)
     monkeypatch.undo()
-    loaded, step, _ = load_checkpoint(tmp_path / "ck")
-    assert step == 3 and loaded.names() == first.names()
-    for name, tensor in first.items():
-        assert loaded[name].data.tobytes() == tensor.data.tobytes()
-    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    assert load(tmp_path / name) == first
+    assert [p.name for p in tmp_path.iterdir()] == [name]
 
-    save_checkpoint(tmp_path / "ck", make_store(w=[1.0]), optimizer_step=5)
-    loaded, step, _ = load_checkpoint(tmp_path / "ck")
-    assert step == 5 and loaded.names() == ["w"]
-    assert [p.name for p in tmp_path.iterdir()] == ["ck"]
+    save(tmp_path / name, 5)
+    assert load(tmp_path / name)[0] == 5
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
+def test_a_save_to_a_fresh_path_that_raises_leaves_nothing(tmp_path, monkeypatch, kind):
+    """Neither the path nor a temporary sibling of it is left."""
+    name, save, _ = _store(kind)
+    _fail_on_last_file(monkeypatch)
+    with pytest.raises(OSError, match="no space"):
+        save(tmp_path / name, 4)
+    assert list(tmp_path.iterdir()) == []
 
 
 def _rehash(ck: Path) -> None:

@@ -2,7 +2,8 @@
 names resolve, no module imports a name it never uses, every function and
 class the library defines has a reader, every console script pyproject.toml
 declares resolves, numpy is the only third-party package the library
-needs, one function parses .npy bytes and one writes them."""
+needs, one function parses .npy bytes, one writes them and one commits a
+store."""
 
 from __future__ import annotations
 
@@ -124,6 +125,21 @@ def test_the_library_writes_npy_files_in_errors_write_npy_alone():
                 or isinstance(node, ast.ImportFrom) and node.level == 0
                 and node.module.split(".")[0] in ("zipfile", "io")]
     assert imported == []
+
+
+def test_the_library_commits_stores_in_errors_write_store_alone():
+    """Datasets and checkpoints share one commit: tempfile is imported and
+    a path renamed only in errors.py, where write_store renames a new
+    directory onto the store's path."""
+    errors_py = os.path.join("src", "setpose", "errors.py:")
+    calls = library_calls("rename")
+    assert calls and all(call.startswith(errors_py) for call in calls), calls
+    imported = [f"{path.relative_to(ROOT)}:{node.lineno}" for path in LIBRARY
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Import)
+                and any(alias.name == "tempfile" for alias in node.names)
+                or isinstance(node, ast.ImportFrom) and node.module == "tempfile"]
+    assert len(imported) == 1 and imported[0].startswith(errors_py), imported
 
 
 def test_every_declared_script_target_imports():

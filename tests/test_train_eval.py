@@ -166,7 +166,7 @@ def test_best_checkpoint_records_the_winning_epoch(tmp_path, monkeypatch):
     winner = int(np.argmin(scores))
     assert winner != cfg.total_epochs - 1  # otherwise the test could not tell
     best, _, extra = load_checkpoint(tmp_path / "best")
-    assert extra["epoch"] == winner
+    assert extra == {"model_config": TINY.to_dict(), "epoch": winner}
     epoch_params, _, _ = load_checkpoint(tmp_path / f"epoch_{winner:04d}")
     for name, t in best.items():
         assert t.data.tobytes() == epoch_params[name].data.tobytes()
@@ -368,9 +368,15 @@ def test_scaled_gen_config_rejects_a_changed_aspect_ratio():
         train_eval.scaled_gen_config(GenConfig(), (32, 48), seed=0, n_samples=1)
 
 
-def test_smoke_ablation_returns_three_finite_rows_in_spec_order():
+def test_smoke_ablation_returns_three_finite_rows_in_spec_order(monkeypatch):
+    """One forward pass per variant: its predictions are scored with
+    rescaling off and on."""
+    calls, predict = [], train_eval.predict
+    monkeypatch.setattr(train_eval, "predict",
+                        lambda *args, **kw: calls.append(args) or predict(*args, **kw))
     table = train_eval.ablate(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
                               GenConfig(seed=5, n_samples=8), n_test=6)
+    assert len(calls) == 3
     assert [(r.label, r.resolution, r.depth_mode) for r in table.rows] == [
         ("small_relative", (32, 32), DepthMode.ROOT_PLUS_RELATIVE.value),
         ("small_absolute", (32, 32), DepthMode.ABSOLUTE_PER_JOINT.value),
