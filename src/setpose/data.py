@@ -37,16 +37,16 @@ On-disk layout (format_version 6), committed by errors.write_store:
                     side has no hand. A batch's rows are its ground truth.
 
 meta.json holds one camera for the whole dataset, so write_dataset raises
-ConfigError naming the first sample whose camera differs from sample 0's
-or whose image is not of the camera's size. errors.read_manifest and
-errors.read_npy check each file.
+ConfigError naming the first sample whose camera differs from sample 0's;
+a SceneSample's image is always of its camera's size.
+errors.read_manifest and errors.read_npy check each file.
 A slot's index is its side, so hands.npy cannot hold two hands of a side.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -134,17 +134,8 @@ class GenConfig:
             raise ConfigError("subject_scale_factor must be > 0")
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n_samples": self.n_samples,
-            "image_size": list(self.image_size),
-            "intrinsics": self.intrinsics.to_dict(),
-            "depth_range": list(self.depth_range),
-            "rotation_jitter_deg": self.rotation_jitter_deg,
-            "subject_scale_factor": self.subject_scale_factor,
-            "scale_jitter": list(self.scale_jitter),
-            "hand_presence_prob": self.hand_presence_prob,
-        }
+        return {**asdict(self), "image_size": list(self.image_size),
+                "depth_range": list(self.depth_range), "scale_jitter": list(self.scale_jitter)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GenConfig":
@@ -164,12 +155,16 @@ class HandAnnotation:
 
 @dataclass(frozen=True)
 class SceneSample:
-    image: np.ndarray  # (H, W, 3) float32 in [0, 1]
+    image: np.ndarray  # (H, W, 3) float32 in [0, 1], H and W the camera's
     hands: tuple[HandAnnotation, ...]  # at most one per side; kept left, then right
     camera: CameraIntrinsics
 
     def __post_init__(self):
         img = np.asarray(self.image, dtype=np.float32)
+        shape = (self.camera.height, self.camera.width, 3)
+        if img.shape != shape:
+            raise ConfigError(f"a {img.shape} image, but its camera's images are "
+                              f"({shape[0]:g}, {shape[1]:g}, 3)")
         img.setflags(write=False)
         object.__setattr__(self, "image", img)
         hands = tuple(sorted(self.hands, key=lambda h: h.side.code))
@@ -367,9 +362,6 @@ def write_dataset(samples: list[SceneSample], path: str | Path,
         if sample.camera != cam:
             raise ConfigError(f"sample {i} has camera {sample.camera}, but meta.json "
                               f"holds one camera for all samples, sample 0's {cam}")
-        if sample.image.shape != shape:
-            raise ConfigError(f"sample {i} has a {sample.image.shape} image, but its "
-                              f"camera's images are {shape}")
     meta = {"format_version": DATASET_FORMAT_VERSION, "n_samples": len(samples),
             "intrinsics": cam.to_dict(),
             "gen_config": gen_config.to_dict() if gen_config is not None else None}

@@ -338,11 +338,10 @@ def decode_predictions(
     class_logits: np.ndarray,
     joints_norm: np.ndarray,
     config: ModelConfig,
-    image_sizes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per image and side, the maximum-probability query of class_logits
     (N, n_queries, 3) and joints_norm (N, n_queries, 63), un-normalized to
-    UVD with that image's (height, width) in image_sizes (N, 2).
+    UVD at config.image_size, the inverse of encode_targets.
 
     Returns query (N, 2), the selected query; uvd (N, 2, 21, 3), its pose;
     and confidence (N, 2), the side's probability there; axis 1 is
@@ -353,7 +352,7 @@ def decode_predictions(
     query = np.argmax(probs[..., :2], axis=1)
     image = np.arange(len(query))[:, None]
     vals = joints_norm[image, query].reshape(query.shape + (N_JOINTS, 3)).astype(np.float64)
-    height, width = np.asarray(image_sizes, dtype=np.float64).T[..., None, None]
+    height, width = config.image_size
     uvd = np.stack([vals[..., 0] * width, vals[..., 1] * height,
                     decode_depth(vals[..., 2], config)], axis=-1)
     return query, uvd, probs[image, query, np.arange(2)]

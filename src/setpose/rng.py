@@ -80,10 +80,7 @@ class PortableRng:
         for _ in range(4):
             out, state = _splitmix64(state)
             s.append(out)
-        # xoshiro256 state must not be all-zero; splitmix64 guarantees this
-        # for any seed in practice, but guard anyway.
-        if not any(s):
-            s[0] = _GOLDEN
+        # never all-zero: splitmix64 maps its four distinct states one-to-one
         self._s = s
 
     def next_u64(self) -> int:

@@ -267,26 +267,27 @@ class EvalReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+PREDICT_BATCH = 32  # frames per forward pass in predict
+
+
 def predict(
     params: ParamStore,
     model_cfg: ModelConfig,
     samples: list[SceneSample],
-    batch_size: int = 32,
 ) -> list[SidePrediction]:
-    """Decode both sides of every sample, in index then side order, each
-    with its own camera's size. The forward passes run in batches under
-    no_grad(), so no autodiff graph is built; one decode_predictions call
-    then decodes every frame."""
+    """Decode both sides of every sample, in index then side order. The
+    forward passes run PREDICT_BATCH frames at a time under no_grad(), so
+    no autodiff graph is built; one decode_predictions call then decodes
+    every frame."""
     if not samples:
         return []
     with no_grad():
         batches = [forward_batch(params, np.stack([s.image for s in chunk]), model_cfg)
-                   for chunk in (samples[lo:lo + batch_size]
-                                 for lo in range(0, len(samples), batch_size))]
+                   for chunk in (samples[lo:lo + PREDICT_BATCH]
+                                 for lo in range(0, len(samples), PREDICT_BATCH))]
     class_logits = np.concatenate([b.class_logits.data for b in batches])
     joints_norm = np.concatenate([b.joints_norm.data for b in batches])
-    sizes = [(s.camera.height, s.camera.width) for s in samples]
-    query, uvd, confidence = decode_predictions(class_logits, joints_norm, model_cfg, sizes)
+    query, uvd, confidence = decode_predictions(class_logits, joints_norm, model_cfg)
     image = np.arange(len(samples))[:, None]
     predicted = np.argmax(class_logits[image, query], axis=-1) == np.arange(2)
     return [SidePrediction(index=i, side=side, uvd=JointSetUVD(uvd[i, side.code]),
@@ -412,7 +413,7 @@ def scaled_gen_config(gen_cfg: GenConfig, image_size: tuple[int, int],
                               else subject_scale_factor))
 
 
-ABLATION_SPLIT_STREAMS = {"train": 1, "val": 2, "test": 3, "test-shifted": 4}
+ABLATION_SPLIT_STREAMS = {"train": 1, "test": 3, "test-shifted": 4}
 
 
 def ablate(

@@ -537,12 +537,12 @@ def test_write_dataset_rejects_frames_with_different_cameras(tmp_path):
     assert not (tmp_path / "ds").exists()
 
 
-def test_write_dataset_rejects_an_image_not_of_the_camera_size(tmp_path):
+def test_write_dataset_rejects_an_image_not_of_the_camera_size():
+    """The SceneSample refuses it when built, so write_dataset never sees one."""
     sample = generate_dataset(small_cfg(n_samples=1))[0]
-    small = SceneSample(image=sample.image[:16], hands=sample.hands, camera=sample.camera)
-    with pytest.raises(ConfigError, match=r"sample 1 has a \(16, 32, 3\) image"):
-        write_dataset([sample, small], tmp_path / "ds")
-    assert not (tmp_path / "ds").exists()
+    with pytest.raises(ConfigError, match=r"a \(16, 32, 3\) image, but its camera's "
+                                          r"images are \(32, 32, 3\)"):
+        SceneSample(image=sample.image[:16], hands=sample.hands, camera=sample.camera)
 
 
 def test_truncated_image_raises_named_format_error(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from setpose.errors import ConfigError, ShapeError
-from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS
+from setpose.geometry import HandSide, JointSetUVD, N_JOINTS
 from setpose.matching import build_cost_matrix, hungarian, set_loss
 from setpose.model import (
     BatchDetections,
@@ -35,10 +35,6 @@ from setpose.rng import PortableRng
 TINY = ModelConfig(image_size=(32, 32), patch_size=8, embed_dim=16, n_heads=2,
                    n_encoder_layers=1, n_decoder_layers=1, n_queries=3,
                    depth_range=(500.0, 1200.0))
-
-
-def tiny_cam() -> CameraIntrinsics:
-    return CameraIntrinsics(fx=24.0, fy=24.0, cx=16.0, cy=16.0, width=32.0, height=32.0)
 
 
 def random_image(rng: PortableRng, cfg: ModelConfig) -> np.ndarray:
@@ -254,9 +250,9 @@ LEFT, RIGHT = HandSide.LEFT.code, HandSide.RIGHT.code
 
 
 def decode_one(logits: np.ndarray, joints: np.ndarray, cfg: ModelConfig):
-    """decode_predictions of one 32x32 image: its query (2,), uvd (2, 21, 3)
-    and confidence (2,), indexed by HandSide.code."""
-    query, uvd, confidence = decode_predictions(logits[None], joints[None], cfg, [(32, 32)])
+    """decode_predictions of one image: its query (2,), uvd (2, 21, 3) and
+    confidence (2,), indexed by HandSide.code."""
+    query, uvd, confidence = decode_predictions(logits[None], joints[None], cfg)
     return query[0], uvd[0], confidence[0]
 
 
@@ -335,17 +331,18 @@ def test_decoded_depth_envelope():
 
 
 def test_each_row_of_a_batched_decode_is_bitwise_the_image_decoded_alone():
-    """Five float32 images, each with its own (height, width): u scales by
-    the width and v by the height of that image."""
+    """Five float32 images: u scales by the width and v by the height of
+    the config's image_size, square or not, in both depth modes."""
     rng = PortableRng(94)
     logits = np.array(rng.uniform_list(5 * 3 * 3, -3.0, 3.0), np.float32).reshape(5, 3, 3)
     joints = np.array(rng.uniform_list(5 * 3 * 63, 0.0, 1.0), np.float32).reshape(5, 3, 63)
-    sizes = [(32, 32), (48, 48), (24, 40), (40, 24), (32, 32)]
-    for cfg in (TINY, ModelConfig(**{**TINY.to_dict(), "depth_mode": "root_relative"})):
-        query, uvd, confidence = decode_predictions(logits, joints, cfg, sizes)
+    for cfg in [ModelConfig(**{**TINY.to_dict(), "image_size": size, "depth_mode": mode})
+                for size in ((32, 32), (24, 40)) for mode in ("absolute", "root_relative")]:
+        h, w = cfg.image_size
+        query, uvd, confidence = decode_predictions(logits, joints, cfg)
         assert query.shape == confidence.shape == (5, 2) and uvd.shape == (5, 2, 21, 3)
-        for i, (h, w) in enumerate(sizes):
-            alone = decode_predictions(logits[i:i + 1], joints[i:i + 1], cfg, [(h, w)])
+        for i in range(5):
+            alone = decode_predictions(logits[i:i + 1], joints[i:i + 1], cfg)
             for batched, single in zip((query, uvd, confidence), alone):
                 assert batched[i].tobytes() == single[0].tobytes()
             for k in (LEFT, RIGHT):
@@ -355,25 +352,26 @@ def test_each_row_of_a_batched_decode_is_bitwise_the_image_decoded_alone():
 
 
 def test_encode_decode_depth_round_trip():
+    """decode_predictions inverts encode_targets at a non-square image_size
+    (H 24, W 40), in both depth modes."""
     rng = PortableRng(98)
-    cam = tiny_cam()
     for mode in ("absolute", "root_relative"):
-        cfg = ModelConfig(**{**TINY.to_dict(), "depth_mode": mode})
+        cfg = ModelConfig(**{**TINY.to_dict(), "image_size": (24, 40), "depth_mode": mode})
         joints = np.empty((N_JOINTS, 3))
-        joints[:, 0] = [rng.uniform(0, 32) for _ in range(N_JOINTS)]
-        joints[:, 1] = [rng.uniform(0, 32) for _ in range(N_JOINTS)]
+        joints[:, 0] = [rng.uniform(0, 40) for _ in range(N_JOINTS)]
+        joints[:, 1] = [rng.uniform(0, 24) for _ in range(N_JOINTS)]
         wrist_d = rng.uniform(600.0, 1000.0)
         joints[:, 2] = [wrist_d + rng.uniform(-60, 60) for _ in range(N_JOINTS)]
         joints[0, 2] = wrist_d
         pose = JointSetUVD(joints)
-        targets = encode_targets(pose.joints, cfg).reshape(N_JOINTS, 3)
-        u = targets[:, 0] * cam.width
-        v = targets[:, 1] * cam.height
-        from setpose.model import decode_depth
-        d = decode_depth(targets[:, 2].copy(), cfg)
-        assert np.allclose(u, pose.u, rtol=1e-12)
-        assert np.allclose(v, pose.v, rtol=1e-12)
-        assert np.allclose(d, pose.d, rtol=1e-10)
+        targets = np.zeros((1, cfg.n_queries, 63))
+        targets[0, 0] = encode_targets(pose.joints, cfg)
+        # uniform logits: both sides select query 0, which holds the pose
+        _, uvd, _ = decode_predictions(np.zeros((1, cfg.n_queries, 3)), targets, cfg)
+        for side in (LEFT, RIGHT):
+            assert np.allclose(uvd[0, side, :, 0], pose.u, rtol=1e-12)
+            assert np.allclose(uvd[0, side, :, 1], pose.v, rtol=1e-12)
+            assert np.allclose(uvd[0, side, :, 2], pose.d, rtol=1e-10)
 
 
 def test_encode_targets_of_a_batch_is_bitwise_the_per_pose_encoding():

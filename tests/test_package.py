@@ -22,7 +22,7 @@ SOURCES = LIBRARY + sorted((ROOT / "tests").glob("*.py"))
 BENCH = sorted((ROOT / "perfbench").glob("*.py"))
 
 
-@pytest.mark.parametrize("module", ["setpose", "setpose.nn_core"])
+@pytest.mark.parametrize("module", ["setpose.nn_core"])
 def test_every_exported_name_resolves(module):
     mod = importlib.import_module(module)
     missing = [name for name in mod.__all__ if not hasattr(mod, name)]

@@ -116,6 +116,11 @@ def test_score_predictions_raises_typed_errors(n_samples, kw, error, match):
         train_eval.score_predictions(side_predictions(len(samples)), samples, **kw)
 
 
+def test_evaluate_on_an_empty_sample_list_raises_config_error():
+    with pytest.raises(ConfigError, match="evaluation set is empty"):
+        train_eval.evaluate(build_model(TINY, seed=1), TINY, [])
+
+
 def test_evaluate_without_scale_stats_raises_before_any_forward_pass(monkeypatch):
     calls = []
     monkeypatch.setattr(train_eval, "forward_batch", lambda *args: calls.append(args))
@@ -135,9 +140,10 @@ def test_predict_builds_no_graph_and_keeps_index_then_side_order(monkeypatch):
         return out
 
     monkeypatch.setattr(train_eval, "forward_batch", recording)
+    monkeypatch.setattr(train_eval, "PREDICT_BATCH", 2)
     params = build_model(TINY, seed=3)
     samples = generate_dataset(GenConfig(seed=8, n_samples=5))
-    preds = train_eval.predict(params, TINY, samples, batch_size=2)
+    preds = train_eval.predict(params, TINY, samples)
     assert seen == [(2, False), (2, False), (1, False)]
     assert [(p.index, p.side) for p in preds] == [
         (i, side) for i in range(5) for side in (HandSide.LEFT, HandSide.RIGHT)]
