@@ -379,6 +379,9 @@ def read_dataset(path: str | Path) -> tuple[list[SceneSample], dict]:
     if type(n_samples) is not int or n_samples < 0:
         raise FormatError(f"{meta_path}: n_samples must be a non-negative int, got {n_samples!r}")
     cam = CameraIntrinsics.from_dict(meta["intrinsics"])
+    if not (float(cam.height).is_integer() and float(cam.width).is_integer()):
+        raise FormatError(f"{meta_path}: image height and width must be whole numbers, "
+                          f"got {cam.height} x {cam.width}")
     images = read_npy(path / IMAGES_NAME, meta["images_sha256"], np.dtype("<f4"),
                       (n_samples, int(cam.height), int(cam.width), 3), "meta.json")
     hands = read_npy(path / HANDS_NAME, meta["hands_sha256"], HANDS_DTYPE,

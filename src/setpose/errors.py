@@ -63,6 +63,10 @@ class NonFiniteLoss(SetPoseError):
         self.step = step
 
 
+class SpentGraph(SetPoseError):
+    """backward() reached a graph node that an earlier backward() freed."""
+
+
 class KeyMismatch(SetPoseError):
     """Parameter and gradient (or moment) key sets differ."""
 

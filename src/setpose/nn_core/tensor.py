@@ -7,11 +7,16 @@ no approximation anywhere, which is what the finite-difference checks in
 the test-suite pin down.
 
 A closure captures its operands and plain ndarrays, never the Tensor it is
-stored on, so graphs are acyclic and reference counting frees each one as
-soon as its last Tensor is dropped. Inside `with no_grad():` (a process-
-global flag, so threads started in the block see it) op results get no
-parents and no closure: no graph is built and values are bitwise the same.
-Leaves made with requires_grad=True, such as parameters, keep the flag.
+stored on, so graphs are acyclic and reference counting frees them. backward()
+frees a graph node by node: an interior node that has routed its gradient
+drops that gradient, its closure (with the arrays it saved) and its parents,
+so it dies unless the caller holds it; leaves keep their .grad. A graph is
+backwarded once: a second backward() through it raises SpentGraph.
+
+Inside `with no_grad():` (a process-global flag, so threads started in the
+block see it) op results get no parents and no closure: no graph is built
+and values are bitwise the same. Leaves made with requires_grad=True, such
+as parameters, keep the flag.
 
 A Tensor keeps a floating input's dtype (anything else becomes float64),
 and op results, gradients and AdamW moments take their operands' dtype.
@@ -47,7 +52,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import ConfigError, KeyMismatch, NonFinite, NonFiniteLoss, ShapeError
+from ..errors import ConfigError, KeyMismatch, NonFinite, NonFiniteLoss, ShapeError, SpentGraph
 
 _grad_enabled = True
 
@@ -62,6 +67,10 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def _spent(g: np.ndarray) -> None:
+    """The backward of a node that backward() has freed; never called."""
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -122,14 +131,18 @@ class Tensor:
                 continue
             if id(node) in visited or not node.requires_grad:
                 continue
+            if node._backward is _spent:
+                raise SpentGraph("backward() through a graph already backwarded")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(order):
+        while order:  # reverse topological order; free each node once spent
+            node = order.pop()
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad, node._backward, node._parents = None, _spent, ()
 
     def _lift(self, x) -> "Tensor":
         return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.data.dtype))

@@ -178,6 +178,7 @@ def train(
             adamw_step(params, grads, state,
                        lr=lambda name: lr_b if is_backbone_param(name) else lr_t,
                        weight_decay=train_cfg.weight_decay)
+            del grads  # so the next step's forward does not run beside them
             log.steps.append(StepRecord(step=step, cls_loss=parts["cls"],
                                         l1_loss=parts["l1"], total=loss,
                                         lr_transformer=lr_t, lr_backbone=lr_b))

@@ -742,6 +742,8 @@ def _short_uvd(hands):
     ("meta.json", "hands_sha256", lambda f: f["meta"].pop("hands_sha256")),
     ("meta.json", "non-negative int", lambda f: f["meta"].update(n_samples="2")),
     ("meta.json", "invalid JSON", lambda f: f.update(meta="{not json")),
+    ("meta.json", "whole numbers", lambda f: f["meta"]["intrinsics"].update(height=32.5)),
+    ("meta.json", "whole numbers", lambda f: f["meta"]["intrinsics"].update(width=32.5)),
     ("hands.npy: holds", "shape (2, 0)", lambda f: f.update(hands=f["hands"][:, :0])),
     ("hands.npy: holds", "shape (1, 2)", lambda f: f.update(hands=f["hands"][:1])),
     ("hands.npy: holds", "shape (3, 2)",
@@ -759,6 +761,7 @@ def _short_uvd(hands):
      lambda f: f.update(hands=np.array([None] * 2, dtype=object))),
 ], ids=["meta-not-object", "meta-intrinsics", "meta-n_samples", "meta-sha256",
         "meta-hands-sha256", "meta-n_samples-str", "not-json",
+        "meta-fractional-height", "meta-fractional-width",
         "no-hands", "fewer-rows", "more-rows", "no-present", "no-uvd", "no-xyz",
         "short-uvd", "big-endian", "pickled"])
 def test_malformed_dataset_raises_format_error_naming_the_file(tmp_path, where, what,

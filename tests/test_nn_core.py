@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +17,7 @@ from setpose.errors import (
     NonFinite,
     NonFiniteLoss,
     ShapeError,
+    SpentGraph,
     write_npy,
 )
 from setpose.nn_core import (
@@ -396,6 +399,43 @@ def test_backward_of_a_non_scalar_raises_shape_error():
     x = leaf(np.ones(3))
     with pytest.raises(ShapeError, match="scalar"):
         (x * 2.0).backward()
+
+
+def test_backward_frees_each_interior_node_and_leaves_keep_their_gradients():
+    """With the cyclic collector off, only reference counting can free the
+    graph: an interior node's array (saved by its own exp closure too) dies
+    inside backward(), while the caller still holds the root."""
+    x = leaf(np.array([0.5, -1.0, 2.0]))
+    mid = x * 2.0
+    hidden = mid.exp()
+    saved = weakref.ref(hidden.data)
+    loss = (hidden * x).sum()
+    del hidden
+    gc.disable()
+    try:
+        loss.backward()
+        freed = saved() is None
+    finally:
+        gc.enable()
+    assert freed
+    assert mid.grad is None and loss.grad is None  # interior gradients dropped too
+    e = np.exp(2.0 * x.data)
+    assert_close(x.grad, 2.0 * e * x.data + e, rtol=1e-15)
+
+
+@pytest.mark.parametrize("second_root", [lambda loss, mid: loss,
+                                         lambda loss, mid: (mid * 3.0).sum()],
+                         ids=["same-root", "shared-node"])
+def test_a_second_backward_through_a_spent_graph_raises_and_changes_no_gradient(
+        second_root):
+    x, w = leaf(np.array([1.0, 2.0])), leaf(np.array([3.0, -4.0]))
+    mid = x * w
+    loss = (mid * x).sum()
+    loss.backward()
+    before = [x.grad.copy(), w.grad.copy()]
+    with pytest.raises(SpentGraph, match="already backwarded"):
+        second_root(loss, mid).backward()
+    assert [x.grad.tobytes(), w.grad.tobytes()] == [g.tobytes() for g in before]
 
 
 def test_log_softmax_gradients():

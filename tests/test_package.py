@@ -3,7 +3,7 @@ names resolve, no module imports a name it never uses, every function and
 class the library defines has a reader, every console script pyproject.toml
 declares resolves, numpy is the only third-party package the library
 needs, one function parses .npy bytes, one writes them and one commits a
-store."""
+store, and every name the benchmark's tracer patches exists."""
 
 from __future__ import annotations
 
@@ -140,6 +140,36 @@ def test_the_library_commits_stores_in_errors_write_store_alone():
                 and any(alias.name == "tempfile" for alias in node.names)
                 or isinstance(node, ast.ImportFrom) and node.module == "tempfile"]
     assert len(imported) == 1 and imported[0].startswith(errors_py), imported
+
+
+def tracer_literals() -> dict:
+    """The module-level literals of perfbench/tracing.py, read without
+    importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    return {target.id: ast.literal_eval(node.value) for node in tree.body
+            if isinstance(node, ast.Assign) for target in node.targets
+            if isinstance(target, ast.Name)
+            and target.id in ("LAYER_FUNCTIONS", "BLOCK_LAYERS", "OP_METHODS")}
+
+
+def test_every_name_the_benchmark_tracer_patches_exists():
+    """The tracer wraps each of these by name, reading an owner's own
+    __dict__ where it patches one owner; a missing name would otherwise
+    show only in a traced benchmark run."""
+    literals = tracer_literals()
+    tensor = importlib.import_module("setpose.nn_core.tensor")
+    model = importlib.import_module("setpose.model")
+    rng = importlib.import_module("setpose.rng")
+    missing = [f"{module}.{attr}" for module, attr, _ in literals["LAYER_FUNCTIONS"]
+               if not callable(getattr(importlib.import_module(module), attr, None))]
+    missing += [f"setpose.model.{name}" for name in literals["BLOCK_LAYERS"]
+                if name not in vars(model)]
+    missing += [f"Tensor.{name}" for name in [*literals["OP_METHODS"], "backward"]
+                if name not in vars(tensor.Tensor)]
+    missing += [name for owner, name in ((tensor, "concatenate"),
+                                         (rng.PortableRng, "next_u64"))
+                if name not in vars(owner)]
+    assert missing == []
 
 
 def test_every_declared_script_target_imports():

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -222,6 +223,28 @@ def test_train_raises_non_finite_loss_naming_its_step(monkeypatch):
     assert err.value.step == 2 and len(calls) == 2
 
 
+def test_no_gradient_of_a_step_is_alive_during_the_next_forward(monkeypatch):
+    """train lets go of each step's gradients once AdamW has used them."""
+    grads_of_step, alive_at_forward = [], []
+    fb, forward = train_eval.forward_backward, train_eval.forward_batch
+
+    def recording_forward_backward(loss_fn, params):
+        loss, grads = fb(loss_fn, params)
+        grads_of_step.append([weakref.ref(g) for g in grads.values()])
+        return loss, grads
+
+    def counting_forward(ps, images, cfg):
+        alive_at_forward.append(sum(ref() is not None for refs in grads_of_step
+                                    for ref in refs))
+        return forward(ps, images, cfg)
+
+    monkeypatch.setattr(train_eval, "forward_backward", recording_forward_backward)
+    monkeypatch.setattr(train_eval, "forward_batch", counting_forward)
+    samples = generate_dataset(GenConfig(seed=1, n_samples=8))
+    train_eval.train(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1), samples)
+    assert alive_at_forward == [0, 0, 0, 0]
+
+
 def test_train_on_an_empty_training_set_raises_config_error():
     with pytest.raises(ConfigError, match="training set is empty"):
         train_eval.train(TINY, tiny_train_cfg(), [])
@@ -239,15 +262,26 @@ GOLDEN_STEP_LOSSES = [
 ]
 
 
+# SHA-256 over the trained parameters (sorted names, raw bytes), then the
+# (steps, 3) float64 array of the step losses above, bit for bit.
+GOLDEN_TRAIN_DIGEST = "729b291ffab06835ffd0111ef44a6d493e675a89d93cc92c05d1fd1a8557425d"
+
+
 def test_seeded_training_reproduces_golden_step_losses():
     samples = generate_dataset(GenConfig(seed=4, n_samples=10, hand_presence_prob=0.5))
     assert {len(s.hands) for s in samples} == {0, 1, 2}
-    _, log = train_eval.train(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
-                              samples)
+    params, log = train_eval.train(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
+                                   samples)
     got = [(s.total, s.cls_loss, s.l1_loss) for s in log.steps]
     assert len(got) == len(GOLDEN_STEP_LOSSES)
     for step, (row, golden) in enumerate(zip(got, GOLDEN_STEP_LOSSES), start=1):
         assert np.allclose(row, golden, rtol=1e-12, atol=0), step
+    h = hashlib.sha256()
+    for name, t in params.items():
+        h.update(name.encode())
+        h.update(t.data.tobytes())
+    h.update(np.array(got).tobytes())
+    assert h.hexdigest() == GOLDEN_TRAIN_DIGEST
 
 
 def test_training_on_a_read_dataset_matches_training_on_its_samples(tmp_path):
