@@ -349,19 +349,24 @@ def pack_hands(samples: list[SceneSample]) -> np.ndarray:
     return hands
 
 
+def one_camera(samples: list[SceneSample], holder: str) -> CameraIntrinsics:
+    """Sample 0's camera; raises ConfigError naming the first sample with another."""
+    for i, sample in enumerate(samples):
+        if sample.camera != samples[0].camera:
+            raise ConfigError(f"sample {i} has camera {sample.camera}, but {holder} one "
+                              f"camera for all samples, sample 0's {samples[0].camera}")
+    return samples[0].camera
+
+
 def write_dataset(samples: list[SceneSample], path: str | Path,
                   gen_config: GenConfig | None = None) -> None:
     if samples:
-        cam = samples[0].camera
+        cam = one_camera(samples, "meta.json holds")
     elif gen_config is not None:
         cam = gen_config.intrinsics
     else:
         raise ConfigError("cannot infer intrinsics for an empty dataset")
     shape = (int(cam.height), int(cam.width), 3)
-    for i, sample in enumerate(samples):
-        if sample.camera != cam:
-            raise ConfigError(f"sample {i} has camera {sample.camera}, but meta.json "
-                              f"holds one camera for all samples, sample 0's {cam}")
     meta = {"format_version": DATASET_FORMAT_VERSION, "n_samples": len(samples),
             "intrinsics": cam.to_dict(),
             "gen_config": gen_config.to_dict() if gen_config is not None else None}

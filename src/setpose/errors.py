@@ -11,6 +11,7 @@ import hashlib
 import json
 import math
 import numbers
+import shutil
 import tempfile
 from pathlib import Path
 from tokenize import TokenError
@@ -159,10 +160,19 @@ def write_store(path: str | Path, manifest_name: str, manifest: dict, arrays: di
     of manifest with each file's SHA-256 under "<file stem>_sha256". All go
     into a new directory in a temporary sibling of path, renamed onto path
     after any old store is moved into that sibling, which is always deleted;
-    a write that raises or is killed before the renames leaves path as it was."""
+    a write that raises or is killed before the renames leaves path as it was.
+    First, a sibling that a killed write left is deleted, its complete "new"
+    renamed onto a missing path if it holds "old". One writer per path."""
     path = Path(path).resolve()
     path.parent.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory(prefix=f".{path.name}.", dir=path.parent) as tmp:
+    prefix = f".{path.name}."
+    for sibling in sorted(path.parent.iterdir()):
+        if (sibling.is_dir() and sibling.name.startswith(prefix)
+                and "." not in sibling.name[len(prefix):]):
+            if not path.exists() and (sibling / "old").is_dir():
+                (sibling / "new").rename(path)
+            shutil.rmtree(sibling)
+    with tempfile.TemporaryDirectory(prefix=prefix, dir=path.parent) as tmp:
         new, old = Path(tmp) / "new", Path(tmp) / "old"
         new.mkdir()
         manifest = {**manifest, **{f"{Path(name).stem}_sha256": write_npy(new / name, *array)

@@ -12,7 +12,8 @@ Forward / inverse projection for intrinsics (fx, fy, cx, cy):
     v = fy * y / z + cy        y = (v - cy) * d / fy
     d = z                      z = d
 
-All functions are pure; joint arrays inside the pose types are read-only.
+Pose types hold read-only (..., 21, 3) joints, one hand being (21, 3). All
+functions are pure and broadcast over the leading axes, bitwise per hand.
 """
 
 from __future__ import annotations
@@ -68,16 +69,17 @@ class CameraIntrinsics:
 
 
 def _as_joint_array(joints) -> np.ndarray:
-    arr = np.array(joints, dtype=np.float64, copy=True)
-    if arr.shape != (N_JOINTS, 3):
-        raise ShapeError(f"expected ({N_JOINTS}, 3) joints, got {arr.shape}")
+    # C order, so that each hand's reductions run in the order of its own call
+    arr = np.array(joints, dtype=np.float64, order="C")
+    if arr.shape[-2:] != (N_JOINTS, 3):
+        raise ShapeError(f"expected (..., {N_JOINTS}, 3) joints, got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
 
 @dataclass(frozen=True)
 class JointSetUVD:
-    """21 joints as (u px, v px, d mm) rows.
+    """Hands of 21 joints as (u px, v px, d mm) rows, shape (..., 21, 3).
 
     Depth positivity is a property of camera-visible poses and is enforced
     at the conversion boundary (uvd_to_xyz), not at construction: decoded
@@ -89,22 +91,10 @@ class JointSetUVD:
     def __post_init__(self):
         object.__setattr__(self, "joints", _as_joint_array(self.joints))
 
-    @property
-    def u(self) -> np.ndarray:
-        return self.joints[:, 0]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self.joints[:, 1]
-
-    @property
-    def d(self) -> np.ndarray:
-        return self.joints[:, 2]
-
 
 @dataclass(frozen=True)
 class JointSet3D:
-    """21 joints as (x, y, z) mm rows in the camera frame.
+    """Hands of 21 joints as (x, y, z) mm rows in the camera frame, (..., 21, 3).
 
     z > 0 is required only where a camera actually observes the pose
     (xyz_to_uvd); canonical/template poses may sit at the origin.
@@ -118,29 +108,28 @@ class JointSet3D:
 
 def uvd_to_xyz(pose: JointSetUVD, cam: CameraIntrinsics) -> JointSet3D:
     """Unproject image-plus-depth joints to metric camera space."""
-    d = pose.d
+    u, v, d = pose.joints[..., 0], pose.joints[..., 1], pose.joints[..., 2]
     if np.any(d <= 0):
         raise NonPositiveDepth(f"uvd_to_xyz requires d > 0, min d = {d.min()}")
-    x = (pose.u - cam.cx) * d / cam.fx
-    y = (pose.v - cam.cy) * d / cam.fy
-    return JointSet3D(np.stack([x, y, d], axis=1))
+    x = (u - cam.cx) * d / cam.fx
+    y = (v - cam.cy) * d / cam.fy
+    return JointSet3D(np.stack([x, y, d], axis=-1))
 
 
 def xyz_to_uvd(pose: JointSet3D, cam: CameraIntrinsics) -> JointSetUVD:
     """Project metric camera-space joints to image-plus-depth."""
-    z = pose.joints[:, 2]
+    x, y, z = pose.joints[..., 0], pose.joints[..., 1], pose.joints[..., 2]
     if np.any(z <= 0):
         raise NonPositiveDepth(f"xyz_to_uvd requires z > 0, min z = {z.min()}")
-    u = cam.fx * pose.joints[:, 0] / z + cam.cx
-    v = cam.fy * pose.joints[:, 1] / z + cam.cy
-    return JointSetUVD(np.stack([u, v, z], axis=1))
+    u = cam.fx * x / z + cam.cx
+    v = cam.fy * y / z + cam.cy
+    return JointSetUVD(np.stack([u, v, z], axis=-1))
 
 
-def mpjpe(pred: JointSet3D, gt: JointSet3D) -> float:
-    """Mean per-joint position error in mm.
+def mpjpe(pred: JointSet3D, gt: JointSet3D) -> np.ndarray:
+    """Mean per-joint position error in mm per hand, shape (...) of (..., 21, 3) poses.
 
     Global metric: plain Euclidean distances, no root alignment, no
     Procrustes, no depth alignment.
     """
-    return float(np.mean(np.linalg.norm(pred.joints - gt.joints, axis=1)))
-
+    return np.mean(np.linalg.norm(pred.joints - gt.joints, axis=-1), axis=-1)

@@ -10,7 +10,7 @@ uniform scaling, which makes the depth-rescaling factor exact: multiplying every
     rescale to target:  k = target_scale / hand_scale(unprojected pose)
 
 leaves every (u, v) untouched while the reconstructed 3D hand attains
-exactly the target scale.
+exactly the target scale, for each hand of geometry's (..., 21, 3) poses.
 """
 
 from __future__ import annotations
@@ -60,12 +60,13 @@ FINGER_SLICES = {
 }
 
 
-def hand_scale(pose: JointSet3D) -> float:
-    """Mean bone length (mm) over the 20 BONES."""
-    deltas = pose.joints[_CHILDREN] - pose.joints[_PARENTS]
-    scale = float(np.mean(np.linalg.norm(deltas, axis=1)))
-    if scale < DEGENERATE_SCALE:
-        raise DegeneratePose(f"hand scale {scale} mm below {DEGENERATE_SCALE}")
+def hand_scale(pose: JointSet3D) -> np.ndarray:
+    """Mean bone length (mm) over the 20 BONES per hand, shape (...) of (..., 21, 3)."""
+    # contiguous, so that each hand's mean sums its bones in one order
+    deltas = np.ascontiguousarray(pose.joints[..., _CHILDREN, :] - pose.joints[..., _PARENTS, :])
+    scale = np.mean(np.linalg.norm(deltas, axis=-1), axis=-1)
+    if np.any(scale < DEGENERATE_SCALE):
+        raise DegeneratePose(f"hand scale {np.min(scale)} mm below {DEGENERATE_SCALE}")
     return scale
 
 
@@ -90,13 +91,9 @@ class ScaleStats:
 
     def mean_for(self, side: HandSide) -> float:
         """Target scale for one side: that side's own training mean."""
-        if side is HandSide.LEFT:
-            if self.n_left == 0:
-                raise EmptySide("no left-hand samples in scale stats")
-            return self.mean_scale_left
-        if self.n_right == 0:
-            raise EmptySide("no right-hand samples in scale stats")
-        return self.mean_scale_right
+        if getattr(self, f"n_{side.value}") == 0:
+            raise EmptySide(f"no {side.value}-hand samples in scale stats")
+        return getattr(self, f"mean_scale_{side.value}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -115,37 +112,35 @@ class ScaleStats:
 
 
 def compute_mean_scale(poses: list[tuple[HandSide, JointSet3D]]) -> ScaleStats:
-    """Arithmetic mean of hand_scale per side.
+    """Arithmetic mean of hand_scale per side, one hand_scale call a side.
 
     Uses exactly-rounded summation (math.fsum) so the result is bitwise
     independent of the input ordering.
     """
-    scales = {HandSide.LEFT: [], HandSide.RIGHT: []}
-    for side, pose in poses:
-        scales[side].append(hand_scale(pose))
-    for side, vals in scales.items():
-        if not vals:
+    scales = []
+    for side in HandSide:
+        joints = [pose.joints for s, pose in poses if s is side]
+        if not joints:
             raise EmptySide(f"no {side.value}-hand poses supplied")
-    return ScaleStats(
-        mean_scale_left=math.fsum(scales[HandSide.LEFT]) / len(scales[HandSide.LEFT]),
-        mean_scale_right=math.fsum(scales[HandSide.RIGHT]) / len(scales[HandSide.RIGHT]),
-        n_left=len(scales[HandSide.LEFT]),
-        n_right=len(scales[HandSide.RIGHT]),
-    )
+        scales.append(hand_scale(JointSet3D(joints)).tolist())
+    left, right = scales
+    return ScaleStats(mean_scale_left=math.fsum(left) / len(left),
+                      mean_scale_right=math.fsum(right) / len(right),
+                      n_left=len(left), n_right=len(right))
 
 
 def rescale_depth(pose: JointSetUVD, cam: CameraIntrinsics,
-                  target_scale: float) -> JointSetUVD:
-    """Multiply all depths so the unprojected hand attains target_scale.
+                  target_scale: float | np.ndarray) -> JointSetUVD:
+    """Multiply each hand's depths so that, unprojected, it attains its
+    target_scale, one for all hands or one per hand (shape (...)).
 
     (u, v) columns are copied bitwise; by depth-homogeneity of the pinhole
     unprojection the resulting 3D pose is exactly k times the original one
     with k = target_scale / current scale, so reprojection is unchanged.
     """
-    if not 0 < target_scale < math.inf:
+    target = np.asarray(target_scale, dtype=np.float64)
+    if not np.all((0 < target) & (target < math.inf)):
         raise NonPositiveScale(f"target_scale must be finite and > 0, got {target_scale}")
-    current = hand_scale(uvd_to_xyz(pose, cam))
-    k = target_scale / current
     out = pose.joints.copy()
-    out[:, 2] *= k
+    out[..., 2] *= np.expand_dims(target / hand_scale(uvd_to_xyz(pose, cam)), -1)
     return JointSetUVD(out)

@@ -13,11 +13,11 @@ every image in one batched hungarian call, and makes one set_loss call,
 which averages the per-image losses over the batch. Matching is recomputed
 every step and carries no gradient.
 
-Evaluation decodes a pose per side for all frames in one
-decode_predictions call (per-side argmax query - a prediction is always
-produced for a present hand), optionally rescales depths toward the
-per-side training mean hand scale, unprojects, and reports global MPJPE
-without any root alignment.
+Evaluation decodes a pose per side for all frames in one decode_predictions
+call (per-side argmax query - a prediction is always produced for a present
+hand). Scoring, under the set's one camera, is one pass over the present
+(N, 2) slots of pack_hands: one optional rescale_depth call (toward the
+per-side training mean hand scale), one uvd_to_xyz and one global mpjpe call.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import GenConfig, SceneSample, augment, generate_dataset, pack_hands
+from .data import GenConfig, SceneSample, augment, generate_dataset, one_camera, pack_hands
 from .errors import (ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss,
                      check_config_keys, check_numbers)
-from .geometry import CameraIntrinsics, HandSide, JointSetUVD, mpjpe, uvd_to_xyz
+from .geometry import CameraIntrinsics, HandSide, JointSet3D, JointSetUVD, mpjpe, uvd_to_xyz
 from .hand_model import ScaleStats, compute_mean_scale, rescale_depth
 from .matching import build_cost_matrix, hungarian, set_loss
 from .model import (
@@ -303,9 +303,9 @@ def score_predictions(
     rescale: bool = False,
     scale_stats: ScaleStats | None = None,
 ) -> EvalReport:
-    """Per-frame global MPJPE against the GT sides actually present, each
-    frame unprojected (and rescaled) with its own camera. preds hold both
-    sides of every frame in index then side order, as predict returns them.
+    """Per-frame global MPJPE against the GT sides actually present, under
+    samples' one camera (else ConfigError). preds hold both sides of every
+    frame in index then side order, as predict returns them, as do records.
 
     Per-side means are exact (fsum) means of the per-frame records.
     Classification accuracy counts (frame, side) pairs whose
@@ -315,22 +315,23 @@ def score_predictions(
         raise MissingScaleStats("rescaling requested without scale statistics")
     if not samples:
         raise ConfigError("evaluation set is empty")
+    cam = one_camera(samples, "an evaluation uses")
     if [(p.index, p.side) for p in preds] != [(i, side) for i in range(len(samples))
                                               for side in HandSide]:
         raise ConfigError("preds must hold both sides of every frame, in index "
                           "then side order")
-    records, hits = [], 0
-    for pred in preds:
-        sample = samples[pred.index]
-        hand = next((h for h in sample.hands if h.side is pred.side), None)
-        hits += pred.predicted_present == (hand is not None)
-        if hand is not None:
-            uvd = (rescale_depth(pred.uvd, sample.camera, scale_stats.mean_for(pred.side))
-                   if rescale else pred.uvd)
-            records.append(FrameRecord(
-                index=pred.index, side=pred.side, confidence=pred.confidence,
-                error_mm=mpjpe(uvd_to_xyz(uvd, sample.camera), hand.xyz)))
+    hands = pack_hands(samples)
+    present = hands["present"].ravel()  # index then side order, as preds
+    kept = [p for p, keep in zip(preds, present.tolist()) if keep]
+    pose = JointSetUVD(np.stack([p.uvd.joints for p in preds])[present])
+    if rescale:
+        means = {side: scale_stats.mean_for(side) for side in dict.fromkeys(p.side for p in kept)}
+        pose = rescale_depth(pose, cam, np.array([means[p.side] for p in kept]))
+    errors = mpjpe(uvd_to_xyz(pose, cam), JointSet3D(hands["xyz"][hands["present"]]))
+    records = tuple(FrameRecord(index=p.index, side=p.side, error_mm=e, confidence=p.confidence)
+                    for p, e in zip(kept, errors.tolist()))
     errors = [[r.error_mm for r in records if r.side is side] for side in HandSide]
+    hits = np.count_nonzero(np.equal([p.predicted_present for p in preds], present))
     left, right = (math.fsum(e) / len(e) if e else math.nan for e in errors)
     return EvalReport(
         mpjpe_left=left,
@@ -339,7 +340,7 @@ def score_predictions(
         n_frames_right=len(errors[1]),
         rescaling_applied=rescale,
         cls_accuracy=hits / len(preds),
-        records=tuple(records),
+        records=records,
     )
 
 

@@ -106,10 +106,10 @@ def test_generated_hands_are_consistent_and_in_bounds():
             rel = np.abs(back.joints - hand.uvd.joints) / np.maximum(
                 np.abs(hand.uvd.joints), 1.0)
             assert rel.max() < 1e-9
-            assert np.all(hand.uvd.d >= cfg.depth_range[0])
-            assert np.all(hand.uvd.d <= cfg.depth_range[1])
-            assert np.all(hand.uvd.u >= 0.0) and np.all(hand.uvd.u <= 32.0)
-            assert np.all(hand.uvd.v >= 0.0) and np.all(hand.uvd.v <= 32.0)
+            u, v, d = np.moveaxis(hand.uvd.joints, -1, 0)
+            assert np.all(d >= cfg.depth_range[0]) and np.all(d <= cfg.depth_range[1])
+            assert np.all(u >= 0.0) and np.all(u <= 32.0)
+            assert np.all(v >= 0.0) and np.all(v <= 32.0)
         assert sample.image.dtype == np.float32
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
 

@@ -194,11 +194,11 @@ def cameras_and_poses(draw) -> tuple[CameraIntrinsics, JointSetUVD]:
 def test_round_trip_uvd_property(cam_and_pose):
     cam, pose = cam_and_pose
     back = xyz_to_uvd(uvd_to_xyz(pose, cam), cam)
-    assert np.array_equal(back.d, pose.d)
+    assert np.array_equal(back.joints[:, 2], pose.joints[:, 2])
     # u - cx cancels, so (u, v) come back within 1e-12 of the image size,
     # which is rtol 1e-12 for every pixel coordinate away from 0
-    assert np.abs(back.u - pose.u).max() <= 1e-12 * cam.width
-    assert np.abs(back.v - pose.v).max() <= 1e-12 * cam.height
+    assert np.abs(back.joints[:, 0] - pose.joints[:, 0]).max() <= 1e-12 * cam.width
+    assert np.abs(back.joints[:, 1] - pose.joints[:, 1]).max() <= 1e-12 * cam.height
 
 
 # -- horizontal flip -----------------------------------------------------------
@@ -214,7 +214,7 @@ def test_hflip_involution(cam):
         augment(images, hands, AlwaysFlip())
         assert hands["present"].tolist() == [[True, False]]
         # u suffers two float subtractions; v and d are untouched bitwise
-        assert np.abs(hands["uvd"][0, 0, :, 0] - pose.u).max() < 1e-9
+        assert np.abs(hands["uvd"][0, 0, :, 0] - pose.joints[:, 0]).max() < 1e-9
         assert np.array_equal(hands["uvd"][0, 0, :, 1:], pose.joints[:, 1:])
 
 

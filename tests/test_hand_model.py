@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from setpose.errors import ConfigError, DegeneratePose, EmptySide, FormatError, NonPositiveScale
-from setpose.geometry import HandSide, JointSet3D, JointSetUVD, N_JOINTS, uvd_to_xyz, xyz_to_uvd
+from setpose.errors import (ConfigError, DegeneratePose, EmptySide, FormatError,
+                            NonPositiveDepth, NonPositiveScale)
+from setpose.geometry import (HandSide, JointSet3D, JointSetUVD, N_JOINTS, mpjpe, uvd_to_xyz,
+                              xyz_to_uvd)
 from setpose.hand_model import (
     BONES,
     ScaleStats,
@@ -124,7 +126,7 @@ def test_rescale_half_depth_when_double_scale(cam):
     target = hand_scale(uvd_to_xyz(pose, cam))
     doubled = JointSetUVD(pose.joints * [1.0, 1.0, 2.0])  # 3D scale doubles too
     out = rescale_depth(doubled, cam, target)
-    assert np.array_equal(out.d, pose.d)  # *2 then *0.5 is exact
+    assert np.array_equal(out.joints[:, 2], pose.joints[:, 2])  # *2 then *0.5 is exact
     assert np.array_equal(out.joints[:, :2], doubled.joints[:, :2])
 
 
@@ -143,7 +145,8 @@ def test_rescale_idempotent(cam):
     pose = random_uvd(rng, cam, 100.0, 2000.0)
     once = rescale_depth(pose, cam, 55.0)
     twice = rescale_depth(once, cam, 55.0)
-    assert np.abs(twice.d - once.d).max() / np.abs(once.d).max() < 1e-12
+    d_once, d_twice = once.joints[:, 2], twice.joints[:, 2]
+    assert np.abs(d_twice - d_once).max() / np.abs(d_once).max() < 1e-12
     assert np.array_equal(twice.joints[:, :2], once.joints[:, :2])
 
 
@@ -171,6 +174,51 @@ def test_rescale_errors(cam):
     degenerate = JointSetUVD(np.tile([320.0, 240.0, 500.0], (N_JOINTS, 1)))
     with pytest.raises(DegeneratePose):
         rescale_depth(degenerate, cam, 40.0)
+
+
+@pytest.mark.parametrize("pick", [np.s_[:, 1], np.s_[::-2],
+                                  np.s_[[3, 0, 7, 7, 24], [1, 0, 1, 0, 1]],
+                                  np.s_[[[5], [2], [9]], ::-1]],
+                         ids=["column", "strided", "fancy", "fancy-reversed"])
+def test_stacked_calls_equal_the_single_hand_calls_bitwise(cam, pick):
+    """Each hand of a (..., 21, 3) call equals its own (21, 3) call byte for
+    byte, on stacks taken from 50 poses in (25, 2) slots by slices and
+    fancy indices that are not contiguous; rescaling copies (u, v) bitwise."""
+    rng = PortableRng(35)
+    slots = np.stack([random_uvd(rng, cam, 100.0, 2000.0).joints
+                      for _ in range(50)]).reshape(25, 2, N_JOINTS, 3)
+    gt_slots = slots * [1.0, 1.0, 1.03] + 0.5
+    targets = np.array([rng.uniform(20.0, 60.0) for _ in range(50)]).reshape(25, 2)
+    stack, target = slots[pick], targets[pick]
+    uvd = JointSetUVD(stack)
+    xyz, gt = uvd_to_xyz(uvd, cam), uvd_to_xyz(JointSetUVD(gt_slots[pick]), cam)
+    batch = {"uvd_to_xyz": xyz.joints, "xyz_to_uvd": xyz_to_uvd(xyz, cam).joints,
+             "hand_scale": hand_scale(xyz), "mpjpe": mpjpe(xyz, gt),
+             "rescale_depth": rescale_depth(uvd, cam, target).joints}
+    assert (np.ascontiguousarray(batch["rescale_depth"][..., :2]).tobytes()
+            == np.ascontiguousarray(stack[..., :2]).tobytes())
+    for idx in np.ndindex(target.shape):
+        one = JointSetUVD(stack[idx])
+        one_xyz, one_gt = uvd_to_xyz(one, cam), JointSet3D(gt.joints[idx])
+        single = {"uvd_to_xyz": one_xyz.joints, "xyz_to_uvd": xyz_to_uvd(one_xyz, cam).joints,
+                  "hand_scale": hand_scale(one_xyz), "mpjpe": mpjpe(one_xyz, one_gt),
+                  "rescale_depth": rescale_depth(one, cam, float(target[idx])).joints}
+        for name, want in single.items():
+            assert np.asarray(batch[name][idx]).tobytes() == np.asarray(want).tobytes(), (name, idx)
+
+
+def test_a_stack_with_one_bad_hand_raises_the_single_hand_errors(cam):
+    """The checks hold over the whole stack: one degenerate hand, one
+    non-positive target or one non-positive depth raises."""
+    good = xyz_to_uvd(constant_bone_pose(40.0), cam).joints
+    stack = np.stack([good, good, np.tile([320.0, 240.0, 500.0], (N_JOINTS, 1))])
+    with pytest.raises(DegeneratePose):
+        rescale_depth(JointSetUVD(stack), cam, 40.0)
+    with pytest.raises(NonPositiveScale, match=r"got \[40\.  0\.\]"):
+        rescale_depth(JointSetUVD(stack[:2]), cam, np.array([40.0, 0.0]))
+    stack[1, 4, 2] = -1.0
+    with pytest.raises(NonPositiveDepth):
+        uvd_to_xyz(JointSetUVD(stack), cam)
 
 
 # -- ScaleStats ----------------------------------------------------------------

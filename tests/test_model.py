@@ -369,9 +369,9 @@ def test_encode_decode_depth_round_trip():
         # uniform logits: both sides select query 0, which holds the pose
         _, uvd, _ = decode_predictions(np.zeros((1, cfg.n_queries, 3)), targets, cfg)
         for side in (LEFT, RIGHT):
-            assert np.allclose(uvd[0, side, :, 0], pose.u, rtol=1e-12)
-            assert np.allclose(uvd[0, side, :, 1], pose.v, rtol=1e-12)
-            assert np.allclose(uvd[0, side, :, 2], pose.d, rtol=1e-10)
+            assert np.allclose(uvd[0, side, :, 0], pose.joints[:, 0], rtol=1e-12)
+            assert np.allclose(uvd[0, side, :, 1], pose.joints[:, 1], rtol=1e-12)
+            assert np.allclose(uvd[0, side, :, 2], pose.joints[:, 2], rtol=1e-10)
 
 
 def test_encode_targets_of_a_batch_is_bitwise_the_per_pose_encoding():

@@ -812,6 +812,52 @@ def test_a_save_to_a_fresh_path_that_raises_leaves_nothing(tmp_path, monkeypatch
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
+def test_a_save_recovers_a_store_killed_between_its_renames(tmp_path, monkeypatch, kind):
+    """Such a write leaves the path missing, the old store in <sibling>/old
+    and the complete new one in <sibling>/new (built here by hand). The
+    next save renames that new store onto the path before it writes, so a
+    save that then raises leaves it readable and no sibling behind."""
+    name, save, load = _store(kind)
+    save(tmp_path / name, 3)
+    save(tmp_path / "v4", 4)
+    sibling = tmp_path / f".{name}.k1ll3d_x"
+    sibling.mkdir()
+    (tmp_path / name).rename(sibling / "old")
+    (tmp_path / "v4").rename(sibling / "new")
+    _fail_on_last_file(monkeypatch)
+    with pytest.raises(OSError, match="no space"):
+        save(tmp_path / name, 5)
+    monkeypatch.undo()
+    assert load(tmp_path / name)[0] == 4
+    assert [p.name for p in tmp_path.iterdir()] == [name]
+
+
+@pytest.mark.parametrize("kind", ["checkpoint", "dataset"])
+@pytest.mark.parametrize("first", [True, False], ids=["first-write", "overwrite"])
+def test_a_save_deletes_the_siblings_of_writes_killed_before_their_renames(
+        tmp_path, monkeypatch, kind, first):
+    """Such a write leaves the path as it was and a cut store in
+    <sibling>/new (built here by hand). A save that then raises leaves the
+    path as it was too, but no sibling of it; the sibling of another store
+    (".<name>.v2.<random>", the path <name>.v2's) stays."""
+    name, save, load = _store(kind)
+    if not first:
+        save(tmp_path / name, 3)
+    for tag in ("abcd1234", "x_9"):
+        (tmp_path / f".{name}.{tag}" / "new").mkdir(parents=True)
+        (tmp_path / f".{name}.{tag}" / "new" / "params.npy").write_bytes(b"\x93NUMPY")
+    (tmp_path / f".{name}.v2.abcd1234" / "new").mkdir(parents=True)
+    _fail_on_last_file(monkeypatch)
+    with pytest.raises(OSError, match="no space"):
+        save(tmp_path / name, 4)
+    monkeypatch.undo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        [f".{name}.v2.abcd1234"] + ([] if first else [name]))
+    if not first:
+        assert load(tmp_path / name)[0] == 3
+
+
 def _rehash(ck: Path) -> None:
     """Give manifest.json the SHA-256 of params.npy as it now is, so that a
     check other than the SHA-256 one has to catch an edit."""

@@ -12,8 +12,10 @@ import pytest
 from setpose import train_eval
 from setpose.data import (GenConfig, HandAnnotation, SceneSample, generate_dataset,
                           read_dataset, write_dataset)
-from setpose.errors import ConfigError, MissingScaleStats, NonFinite, NonFiniteLoss
+from setpose.errors import (ConfigError, EmptySide, MissingScaleStats, NonFinite,
+                            NonFiniteLoss)
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, uvd_to_xyz
+from setpose.hand_model import ScaleStats
 from setpose.matching import set_loss
 from setpose.model import BatchDetections, DepthMode, ModelConfig, build_model, forward_batch
 from setpose.nn_core import load_checkpoint
@@ -29,10 +31,6 @@ def tiny_train_cfg(**kw) -> train_eval.TrainConfig:
                                      "lr_drop_epoch": 3, "seed": 0, **kw})
 
 
-def record_tuples(report: train_eval.EvalReport) -> list[tuple]:
-    return [(r.side, r.error_mm, r.confidence) for r in report.records]
-
-
 def test_evaluate_is_repeatable():
     params = build_model(TINY, seed=1)
     samples = generate_dataset(GenConfig(seed=5, n_samples=6))
@@ -44,19 +42,64 @@ def test_evaluate_is_repeatable():
         assert a.to_json() == b.to_json()
 
 
-def test_scoring_uses_each_frames_own_camera():
-    """A two-frame set with different intrinsics scores like each frame alone."""
+def test_scoring_refuses_samples_with_different_cameras_naming_the_first():
+    """An evaluation has one camera, as a dataset does."""
     near = generate_dataset(GenConfig(seed=6, n_samples=1))[0]
     wide = CameraIntrinsics(fx=18.0, fy=18.0, cx=15.0, cy=17.0, width=32.0, height=32.0)
     far = generate_dataset(GenConfig(seed=7, n_samples=1, intrinsics=wide))[0]
-    assert near.camera != far.camera and near.hands and far.hands
-    params = build_model(TINY, seed=2)
-    stats = train_eval.scale_stats_from_samples([near, far])
-    for kw in ({}, {"rescale": True, "scale_stats": stats}):
-        both = train_eval.evaluate(params, TINY, [near, far], **kw)
-        alone = [train_eval.evaluate(params, TINY, [s], **kw) for s in (near, far)]
-        expected = record_tuples(alone[0]) + record_tuples(alone[1])
-        assert record_tuples(both) == expected
+    samples = [near, near, far, far]
+    with pytest.raises(ConfigError, match="sample 2 has camera .*one camera"):
+        train_eval.score_predictions(side_predictions(len(samples)), samples)
+    with pytest.raises(ConfigError, match="sample 2 has camera .*one camera"):
+        train_eval.evaluate(build_model(TINY, seed=2), TINY, samples)
+
+
+def test_rescaling_needs_stats_only_for_the_sides_with_a_present_hand():
+    """Stats without right hands rescale a set without right hands, and
+    raise EmptySide once a right hand is present."""
+    samples = generate_dataset(GenConfig(seed=5, n_samples=8))
+    lefts = [dataclasses.replace(s, hands=tuple(h for h in s.hands if h.side is HandSide.LEFT))
+             for s in samples]
+    assert any(s.hands for s in lefts) and any(h.side is HandSide.RIGHT
+                                               for s in samples for h in s.hands)
+    no_right = ScaleStats(mean_scale_left=40.0, mean_scale_right=0.0, n_left=3, n_right=0)
+    report = train_eval.score_predictions(side_predictions(len(lefts)), lefts,
+                                          rescale=True, scale_stats=no_right)
+    assert report.n_frames_left > 0 and report.n_frames_right == 0
+    with pytest.raises(EmptySide, match="no right-hand samples"):
+        train_eval.score_predictions(side_predictions(len(samples)), samples,
+                                     rescale=True, scale_stats=no_right)
+
+
+@pytest.mark.parametrize("n_samples", [1, 8])
+@pytest.mark.parametrize("rescale", [False, True])
+def test_scoring_unprojects_rescales_and_scores_all_hands_in_one_call_each(
+        monkeypatch, n_samples, rescale):
+    samples = generate_dataset(GenConfig(seed=5, n_samples=n_samples))
+    stats = train_eval.scale_stats_from_samples(generate_dataset(GenConfig(seed=6,
+                                                                           n_samples=8)))
+    calls = {"uvd_to_xyz": 0, "mpjpe": 0, "rescale_depth": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(train_eval, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(train_eval, name, counted)
+    report = train_eval.score_predictions(side_predictions(n_samples), samples,
+                                          rescale=rescale, scale_stats=stats)
+    assert len(report.records) == sum(len(s.hands) for s in samples)
+    assert calls == {"uvd_to_xyz": 1, "mpjpe": 1, "rescale_depth": int(rescale)}
+
+
+def test_the_eval_workloads_own_checks_pass():
+    """The benchmark's eval check and its per-hand recomputation
+    (final_check) agree with the array scoring path on a small set."""
+    from perfbench.workloads import EvalWorkload  # the repository root is on pythonpath
+
+    workload = EvalWorkload(n_frames=8, n_stats=8)
+    workload.setup(seed=3)
+    out = workload.execute(workdir=None)
+    assert workload.check(out, workdir=None).failed == 0
+    assert workload.final_check() == (8, 0)
 
 
 def test_oracle_predictions_score_zero_with_rescaling_off_and_on():
@@ -86,8 +129,9 @@ def test_oracle_predictions_score_zero_with_rescaling_off_and_on():
 
 def side_predictions(n_frames: int) -> list[train_eval.SidePrediction]:
     """Both sides of n_frames frames in index then side order, as predict
-    returns them, each at one in-view pose."""
-    uvd = JointSetUVD(np.tile([16.0, 16.0, 800.0], (21, 1)))
+    returns them, each at one in-view pose with bones of non-zero length."""
+    uvd = JointSetUVD(np.column_stack([np.linspace(8.0, 24.0, 21), np.full(21, 16.0),
+                                       np.full(21, 800.0)]))
     return [train_eval.SidePrediction(index=i, side=side, uvd=uvd, confidence=0.5,
                                       predicted_present=True)
             for i in range(n_frames) for side in HandSide]
