@@ -1,9 +1,9 @@
 """Deterministic synthetic two-hands scene generator and dataset I/O.
 
-Scenes are built from a fixed canonical right-hand template (left hands
-mirror it across x=0), uniformly scaled, rotated, and placed so that every
-joint projects inside the image and every depth stays inside the
-configured range. All randomness flows through PortableRng with one
+Scenes are built from hand_model's TEMPLATES (the canonical right hand
+and its mirror across x=0, the left), uniformly scaled, rotated, and
+placed so that every joint projects inside the image and every depth
+stays inside the configured range. All randomness flows through PortableRng with one
 stream per (seed, sample index), so generation is bit-reproducible and
 order-independent across samples.
 
@@ -61,7 +61,7 @@ from .geometry import (
     N_JOINTS,
     xyz_to_uvd,
 )
-from .hand_model import BONES, FINGER_SLICES
+from .hand_model import BONES, TEMPLATES
 from .rng import PortableRng
 
 DATASET_FORMAT_VERSION = 6
@@ -69,23 +69,6 @@ IMAGES_NAME = "images.npy"
 HANDS_NAME = "hands.npy"
 HANDS_DTYPE = np.dtype([("present", "?"), ("uvd", "<f8", (N_JOINTS, 3)),
                         ("xyz", "<f8", (N_JOINTS, 3))])
-
-# Canonical right-hand template: per-finger in-plane fan angle (degrees
-# from +y toward +x) and bone lengths (mm), proximal to distal.
-FINGER_ANGLES_DEG = {
-    "thumb": -40.0,
-    "index": -15.0,
-    "middle": 0.0,
-    "ring": 15.0,
-    "pinky": 35.0,
-}
-FINGER_BONE_LENGTHS = {
-    "thumb": (45.0, 35.0, 28.0, 25.0),
-    "index": (90.0, 40.0, 25.0, 22.0),
-    "middle": (85.0, 45.0, 28.0, 24.0),
-    "ring": (80.0, 42.0, 26.0, 23.0),
-    "pinky": (75.0, 32.0, 20.0, 20.0),
-}
 
 _PLACEMENT_ATTEMPTS = 200
 
@@ -173,26 +156,6 @@ class SceneSample:
         object.__setattr__(self, "hands", hands)
 
 
-def template_hand() -> JointSet3D:
-    """Canonical right hand, wrist at the origin, fingers fanned in the
-    x-y plane; bone j of a finger extends its chain along the finger's
-    fixed direction by the tabulated length."""
-    joints = np.zeros((N_JOINTS, 3))
-    for finger, sl in FINGER_SLICES.items():
-        a = math.radians(FINGER_ANGLES_DEG[finger])
-        direction = np.array([math.sin(a), math.cos(a), 0.0])
-        pos = np.zeros(3)
-        for j, length in zip(range(sl.start, sl.stop), FINGER_BONE_LENGTHS[finger]):
-            pos = pos + length * direction
-            joints[j] = pos
-    return JointSet3D(joints)
-
-
-# Each side's shape, built once; a left hand mirrors the right across x = 0.
-_RIGHT = template_hand()
-_SHAPES = {HandSide.RIGHT: _RIGHT, HandSide.LEFT: JointSet3D(_RIGHT.joints * [-1, 1, 1])}
-
-
 def _rotation(rng: PortableRng, jitter_deg: float) -> np.ndarray:
     ax, ay, az = (math.radians(rng.uniform(-jitter_deg, jitter_deg))
                   for _ in range(3))
@@ -220,7 +183,7 @@ def _place_hand(rng: PortableRng, cfg: GenConfig,
     h, w = cfg.image_size
     d_lo, d_hi = cfg.depth_range
     uvd_lo, uvd_hi = np.array([0.5, 0.5, d_lo]), np.array([w - 0.5, h - 0.5, d_hi])
-    shape = _SHAPES[side]
+    shape = TEMPLATES[side]
     for _ in range(_PLACEMENT_ATTEMPTS):
         jitter = rng.uniform(*cfg.scale_jitter)
         scale = cfg.subject_scale_factor * jitter

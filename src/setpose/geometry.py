@@ -106,11 +106,19 @@ class JointSet3D:
         object.__setattr__(self, "joints", _as_joint_array(self.joints))
 
 
+def first_hand(bad: np.ndarray) -> tuple[int, ...]:
+    """Index over the leading axes (() for one hand) of the first hand that
+    bad, one flag per hand, marks; a failed check names it and its value."""
+    return tuple(int(i) for i in np.unravel_index(np.argmax(bad), bad.shape))
+
+
 def uvd_to_xyz(pose: JointSetUVD, cam: CameraIntrinsics) -> JointSet3D:
     """Unproject image-plus-depth joints to metric camera space."""
     u, v, d = pose.joints[..., 0], pose.joints[..., 1], pose.joints[..., 2]
     if np.any(d <= 0):
-        raise NonPositiveDepth(f"uvd_to_xyz requires d > 0, min d = {d.min()}")
+        hand = first_hand(np.any(d <= 0, axis=-1))
+        raise NonPositiveDepth(f"uvd_to_xyz requires d > 0; the hand at index {hand} "
+                               f"has min d = {d[hand].min()}")
     x = (u - cam.cx) * d / cam.fx
     y = (v - cam.cy) * d / cam.fy
     return JointSet3D(np.stack([x, y, d], axis=-1))
@@ -120,7 +128,9 @@ def xyz_to_uvd(pose: JointSet3D, cam: CameraIntrinsics) -> JointSetUVD:
     """Project metric camera-space joints to image-plus-depth."""
     x, y, z = pose.joints[..., 0], pose.joints[..., 1], pose.joints[..., 2]
     if np.any(z <= 0):
-        raise NonPositiveDepth(f"xyz_to_uvd requires z > 0, min z = {z.min()}")
+        hand = first_hand(np.any(z <= 0, axis=-1))
+        raise NonPositiveDepth(f"xyz_to_uvd requires z > 0; the hand at index {hand} "
+                               f"has min z = {z[hand].min()}")
     u = cam.fx * x / z + cam.cx
     v = cam.fy * y / z + cam.cy
     return JointSetUVD(np.stack([u, v, z], axis=-1))

@@ -1,11 +1,12 @@
-"""The hand skeleton, the hand-scale statistic, and depth rescaling.
+"""The hand skeleton and template, the hand-scale statistic, and depth rescaling.
 
 The skeleton is one fixed constant, BONES: the 20 (parent, child) joint
-pairs of the 21-joint hand, a tree rooted at the wrist. The scale of a
-hand is defined as the mean Euclidean length of those 20 bones. This
-statistic is rotation/translation invariant and exactly linear under
-uniform scaling, which makes the depth-rescaling factor exact: multiplying every UVD depth by k multiplies the unprojected
-3D pose by k coordinate-wise, so
+pairs of the 21-joint hand, a tree rooted at the wrist. TEMPLATES holds the
+canonical right hand of the FINGERS table and its mirror, the left. The
+scale of a hand is defined as the mean Euclidean length of those 20 bones.
+This statistic is rotation/translation invariant and exactly linear under
+uniform scaling, which makes the depth-rescaling factor exact: multiplying
+every UVD depth by k multiplies the unprojected 3D pose by k coordinate-wise, so
 
     rescale to target:  k = target_scale / hand_scale(unprojected pose)
 
@@ -36,6 +37,7 @@ from .geometry import (
     HandSide,
     JointSet3D,
     JointSetUVD,
+    first_hand,
     uvd_to_xyz,
 )
 
@@ -51,13 +53,32 @@ BONES = tuple((j - 1 if (j - 1) % 4 else 0, j) for j in range(1, N_JOINTS))
 _PARENTS = np.array([p for p, _ in BONES], dtype=np.intp)
 _CHILDREN = np.array([c for _, c in BONES], dtype=np.intp)
 
-FINGER_SLICES = {
-    "thumb": slice(1, 5),
-    "index": slice(5, 9),
-    "middle": slice(9, 13),
-    "ring": slice(13, 17),
-    "pinky": slice(17, 21),
+# The canonical right hand, finger by finger in joint order: in-plane fan
+# angle (degrees from +y toward +x) and bone lengths (mm), proximal to distal.
+FINGERS = {
+    "thumb": (-40.0, (45.0, 35.0, 28.0, 25.0)),
+    "index": (-15.0, (90.0, 40.0, 25.0, 22.0)),
+    "middle": (0.0, (85.0, 45.0, 28.0, 24.0)),
+    "ring": (15.0, (80.0, 42.0, 26.0, 23.0)),
+    "pinky": (35.0, (75.0, 32.0, 20.0, 20.0)),
 }
+
+
+def template_hand() -> JointSet3D:
+    """Canonical right hand, wrist at the origin, fingers fanned in the
+    x-y plane; bone j of a finger extends its chain along the finger's
+    fixed direction by the tabulated length."""
+    joints = np.zeros((N_JOINTS, 3))
+    for finger, (angle, lengths) in enumerate(FINGERS.values()):
+        a = math.radians(angle)
+        bones = np.outer(lengths, [math.sin(a), math.cos(a), 0.0])
+        joints[1 + 4 * finger:5 + 4 * finger] = np.cumsum(bones, axis=0)
+    return JointSet3D(joints)
+
+
+# Each side's template, built once; a left hand mirrors the right across x = 0.
+_RIGHT = template_hand()
+TEMPLATES = {HandSide.RIGHT: _RIGHT, HandSide.LEFT: JointSet3D(_RIGHT.joints * [-1, 1, 1])}
 
 
 def hand_scale(pose: JointSet3D) -> np.ndarray:
@@ -66,7 +87,9 @@ def hand_scale(pose: JointSet3D) -> np.ndarray:
     deltas = np.ascontiguousarray(pose.joints[..., _CHILDREN, :] - pose.joints[..., _PARENTS, :])
     scale = np.mean(np.linalg.norm(deltas, axis=-1), axis=-1)
     if np.any(scale < DEGENERATE_SCALE):
-        raise DegeneratePose(f"hand scale {np.min(scale)} mm below {DEGENERATE_SCALE}")
+        hand = first_hand(scale < DEGENERATE_SCALE)
+        raise DegeneratePose(f"the hand at index {hand} has scale {scale[hand]} mm, "
+                             f"below {DEGENERATE_SCALE}")
     return scale
 
 
@@ -138,9 +161,12 @@ def rescale_depth(pose: JointSetUVD, cam: CameraIntrinsics,
     unprojection the resulting 3D pose is exactly k times the original one
     with k = target_scale / current scale, so reprojection is unchanged.
     """
-    target = np.asarray(target_scale, dtype=np.float64)
-    if not np.all((0 < target) & (target < math.inf)):
-        raise NonPositiveScale(f"target_scale must be finite and > 0, got {target_scale}")
+    target = np.broadcast_to(np.asarray(target_scale, dtype=np.float64), pose.joints.shape[:-2])
+    ok = (0 < target) & (target < math.inf)
+    if not np.all(ok):
+        hand = first_hand(~ok)
+        raise NonPositiveScale(f"target_scale must be finite and > 0; the hand at index "
+                               f"{hand} has {target[hand]}")
     out = pose.joints.copy()
     out[..., 2] *= np.expand_dims(target / hand_scale(uvd_to_xyz(pose, cam)), -1)
     return JointSetUVD(out)

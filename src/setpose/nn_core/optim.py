@@ -7,23 +7,26 @@ Update rule (per parameter, step count t shared across the store):
     theta <- theta - lr * (m_hat / (sqrt(v_hat) + eps) + wd * theta)
 
 The decay term multiplies the raw parameter, not the gradient, so it is
-decoupled from the adaptive scaling. `lr` may be a scalar or a callable
-from parameter name to rate, which is how the two-group schedule
-(backbone vs the rest) is expressed. m and v take each parameter's dtype
-and every scalar is a Python float, so a float32 model updates in float32.
+decoupled from the adaptive scaling. b1, b2 and eps are the constants
+BETA1, BETA2 and EPS. `lr` maps a parameter name to its rate, which is
+how the two-group schedule (backbone vs the rest) is expressed. m and v
+take each parameter's dtype and every scalar is a Python float, so a
+float32 model updates in float32.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from ..errors import ShapeError
 from .tensor import Gradients, ParamStore, check_keys_match
 
-LrSpec = Union[float, Callable[[str], float]]
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -38,18 +41,11 @@ def init_optim_state(params: ParamStore) -> OptimState:
                       v={name: np.zeros_like(t.data) for name, t in params.items()})
 
 
-def _lr_for(lr: LrSpec, name: str) -> float:
-    return float(lr(name)) if callable(lr) else float(lr)
-
-
 def adamw_step(
     params: ParamStore,
     grads: Gradients,
     state: OptimState,
-    lr: LrSpec,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
+    lr: Callable[[str], float],
     weight_decay: float = 0.0,
 ) -> None:
     """One in-place update; iterates parameters in sorted-name order. Bad
@@ -61,18 +57,17 @@ def adamw_step(
             raise ShapeError(f"gradient shape {grads[name].shape} != param shape "
                              f"{tensor.data.shape} for {name!r}")
     state.t += 1
-    bc1 = 1.0 - beta1 ** state.t
-    bc2 = 1.0 - beta2 ** state.t
+    bc1 = 1.0 - BETA1 ** state.t
+    bc2 = 1.0 - BETA2 ** state.t
     for name, tensor in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
         m_hat = m / bc1
         v_hat = v / bc2
-        step_lr = _lr_for(lr, name)
-        tensor.data = tensor.data - step_lr * (
-            m_hat / (np.sqrt(v_hat) + eps) + weight_decay * tensor.data)
+        tensor.data = tensor.data - float(lr(name)) * (
+            m_hat / (np.sqrt(v_hat) + EPS) + weight_decay * tensor.data)

@@ -18,6 +18,8 @@ call (per-side argmax query - a prediction is always produced for a present
 hand). Scoring, under the set's one camera, is one pass over the present
 (N, 2) slots of pack_hands: one optional rescale_depth call (toward the
 per-side training mean hand scale), one uvd_to_xyz and one global mpjpe call.
+EvalReport is the one type that holds a score: TrainLog.validation keeps one
+per epoch, and ablate one pair (rescaling off, on) per ABLATION_VARIANTS entry.
 """
 
 from __future__ import annotations
@@ -106,17 +108,10 @@ class StepRecord:
     lr_backbone: float
 
 
-@dataclass(frozen=True)
-class EpochRecord:
-    epoch: int
-    val_mpjpe_left: float | None
-    val_mpjpe_right: float | None
-
-
 @dataclass
 class TrainLog:
     steps: list[StepRecord] = field(default_factory=list)
-    epochs: list[EpochRecord] = field(default_factory=list)
+    validation: list[EvalReport] = field(default_factory=list)  # one per epoch, if validated
 
 
 def train(
@@ -128,19 +123,21 @@ def train(
 ) -> tuple[ParamStore, TrainLog]:
     """Returns (checkpoint parameters, log).
 
-    With a validation split the returned parameters are the best epoch's
-    (lowest mean of the per-side validation MPJPEs); otherwise the final
-    ones. Epoch checkpoints land in checkpoint_dir when given, plus a
-    "best" one recording the epoch its parameters come from.
+    With a validation split (refused before the first step where evaluate
+    would refuse it) the returned parameters are the best epoch's, of lowest
+    mean_mpjpe; otherwise the final ones. Epoch checkpoints land in
+    checkpoint_dir when given, plus a "best" one recording its epoch.
     """
     if not train_samples:
         raise ConfigError("training set is empty")
+    if val_samples is not None:
+        _eval_camera(val_samples)
     params = build_model(model_cfg, train_cfg.seed)
     state = init_optim_state(params)
     rng = PortableRng(train_cfg.seed, stream=0x7472)
     log = TrainLog()
     step = 0
-    best = (math.inf, None, train_cfg.total_epochs - 1)
+    best = (math.inf, params, train_cfg.total_epochs - 1)  # (score, params, epoch)
     packed = pack_hands(train_samples)
     n = len(train_samples)
     for epoch in range(train_cfg.total_epochs):
@@ -183,30 +180,21 @@ def train(
                                         l1_loss=parts["l1"], total=loss,
                                         lr_transformer=lr_t, lr_backbone=lr_b))
 
-        if val_samples:
-            report = evaluate(params, model_cfg, val_samples)
-            log.epochs.append(EpochRecord(
-                epoch=epoch,
-                val_mpjpe_left=_none_if_nan(report.mpjpe_left),
-                val_mpjpe_right=_none_if_nan(report.mpjpe_right)))
-            score = report.mean_mpjpe()
+        if val_samples is not None:
+            log.validation.append(evaluate(params, model_cfg, val_samples))
+            score = log.validation[-1].mean_mpjpe()
             if score < best[0]:
                 best = (score, params.copy(), epoch)
-        else:
-            log.epochs.append(EpochRecord(epoch=epoch, val_mpjpe_left=None,
-                                          val_mpjpe_right=None))
         if checkpoint_dir is not None:
             save_checkpoint(Path(checkpoint_dir) / f"epoch_{epoch:04d}", params,
                             optimizer_step=state.t,
                             extra={"model_config": model_cfg.to_dict(),
                                    "epoch": epoch})
 
-    final = best[1] if best[1] is not None else params
+    _, final, best_epoch = best
     if checkpoint_dir is not None:
-        save_checkpoint(Path(checkpoint_dir) / "best", final,
-                        optimizer_step=state.t,
-                        extra={"model_config": model_cfg.to_dict(),
-                               "epoch": best[2]})
+        save_checkpoint(Path(checkpoint_dir) / "best", final, optimizer_step=state.t,
+                        extra={"model_config": model_cfg.to_dict(), "epoch": best_epoch})
     return final, log
 
 
@@ -311,11 +299,7 @@ def score_predictions(
     Classification accuracy counts (frame, side) pairs whose
     predicted-present flag agrees with the ground truth.
     """
-    if rescale and scale_stats is None:
-        raise MissingScaleStats("rescaling requested without scale statistics")
-    if not samples:
-        raise ConfigError("evaluation set is empty")
-    cam = one_camera(samples, "an evaluation uses")
+    cam = _eval_camera(samples, rescale, scale_stats)
     if [(p.index, p.side) for p in preds] != [(i, side) for i in range(len(samples))
                                               for side in HandSide]:
         raise ConfigError("preds must hold both sides of every frame, in index "
@@ -333,15 +317,20 @@ def score_predictions(
     errors = [[r.error_mm for r in records if r.side is side] for side in HandSide]
     hits = np.count_nonzero(np.equal([p.predicted_present for p in preds], present))
     left, right = (math.fsum(e) / len(e) if e else math.nan for e in errors)
-    return EvalReport(
-        mpjpe_left=left,
-        mpjpe_right=right,
-        n_frames_left=len(errors[0]),
-        n_frames_right=len(errors[1]),
-        rescaling_applied=rescale,
-        cls_accuracy=hits / len(preds),
-        records=records,
-    )
+    return EvalReport(mpjpe_left=left, mpjpe_right=right, n_frames_left=len(errors[0]),
+                      n_frames_right=len(errors[1]), rescaling_applied=rescale,
+                      cls_accuracy=hits / len(preds), records=records)
+
+
+def _eval_camera(samples: list[SceneSample], rescale: bool = False,
+                 scale_stats: ScaleStats | None = None) -> CameraIntrinsics:
+    """samples' one camera; refuses rescaling without scale statistics, an
+    empty set and mixed cameras (ConfigError naming the first other one)."""
+    if rescale and scale_stats is None:
+        raise MissingScaleStats("rescaling requested without scale statistics")
+    if not samples:
+        raise ConfigError("evaluation set is empty")
+    return one_camera(samples, "an evaluation uses")
 
 
 def evaluate(
@@ -351,8 +340,8 @@ def evaluate(
     rescale: bool = False,
     scale_stats: ScaleStats | None = None,
 ) -> EvalReport:
-    if rescale and scale_stats is None:
-        raise MissingScaleStats("rescaling requested without scale statistics")
+    """score_predictions of predict's output; refuses a bad set first."""
+    _eval_camera(samples, rescale, scale_stats)
     preds = predict(params, model_cfg, samples)
     return score_predictions(preds, samples, rescale=rescale, scale_stats=scale_stats)
 
@@ -362,37 +351,6 @@ def scale_stats_from_samples(samples: list[SceneSample]) -> ScaleStats:
 
 
 # -- ablation ------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AblationRow:
-    label: str
-    resolution: tuple[int, int]
-    depth_mode: str
-    mpjpe_off: tuple[float, float]  # (left, right), rescaling off
-    mpjpe_on: tuple[float, float]   # (left, right), rescaling on
-
-    def to_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "resolution": list(self.resolution),
-            "depth_mode": self.depth_mode,
-            "mpjpe_mm": {
-                "rescaling_off": {"left": self.mpjpe_off[0], "right": self.mpjpe_off[1]},
-                "rescaling_on": {"left": self.mpjpe_on[0], "right": self.mpjpe_on[1]},
-            },
-        }
-
-
-@dataclass(frozen=True)
-class AblationTable:
-    rows: tuple[AblationRow, ...]
-
-    def to_dict(self) -> dict:
-        return {"rows": [r.to_dict() for r in self.rows], "units": "mm"}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def scaled_gen_config(gen_cfg: GenConfig, image_size: tuple[int, int],
                       seed: int, n_samples: int,
@@ -417,44 +375,38 @@ def scaled_gen_config(gen_cfg: GenConfig, image_size: tuple[int, int],
 
 ABLATION_SPLIT_STREAMS = {"train": 1, "test": 3, "test-shifted": 4}
 
+# label -> (image size, depth parametrization) of each ablation variant
+ABLATION_VARIANTS = {
+    "small_relative": ((32, 32), DepthMode.ROOT_PLUS_RELATIVE),
+    "small_absolute": ((32, 32), DepthMode.ABSOLUTE_PER_JOINT),
+    "large_absolute": ((48, 48), DepthMode.ABSOLUTE_PER_JOINT),
+}
+SHIFTED_FACTOR = 1.3  # subject scale of the test-shifted split
+
 
 def ablate(
     model_cfg: ModelConfig,
     train_cfg: TrainConfig,
     gen_cfg: GenConfig,
     n_test: int = 128,
-    shifted_factor: float = 1.3,
-    small_size: tuple[int, int] = (32, 32),
-    large_size: tuple[int, int] = (48, 48),
-) -> AblationTable:
-    """Train the three (resolution, depth-parametrization) variants and
-    score each one's predictions on the scale-shifted split with rescaling
-    off and on (scale stats from that variant's training split)."""
-    specs = [
-        ("small_relative", small_size, DepthMode.ROOT_PLUS_RELATIVE),
-        ("small_absolute", small_size, DepthMode.ABSOLUTE_PER_JOINT),
-        ("large_absolute", large_size, DepthMode.ABSOLUTE_PER_JOINT),
-    ]
-    rows = []
-    for label, size, mode in specs:
-        cfg_train = scaled_gen_config(
+) -> dict[str, tuple[EvalReport, EvalReport]]:
+    """Train each ABLATION_VARIANTS entry and score its predictions on the
+    scale-shifted split with rescaling off and on (scale stats from that
+    variant's training split): {label: (off, on)}, in ABLATION_VARIANTS order."""
+    reports = {}
+    for label, (size, mode) in ABLATION_VARIANTS.items():
+        train_set = generate_dataset(scaled_gen_config(
             gen_cfg, size, derive_seed(gen_cfg.seed, ABLATION_SPLIT_STREAMS["train"]),
-            gen_cfg.n_samples)
-        cfg_shifted = scaled_gen_config(
-            gen_cfg, size,
-            derive_seed(gen_cfg.seed, ABLATION_SPLIT_STREAMS["test-shifted"]),
-            n_test, subject_scale_factor=shifted_factor)
-        train_set = generate_dataset(cfg_train)
-        shifted_set = generate_dataset(cfg_shifted)
+            gen_cfg.n_samples))
+        shifted_set = generate_dataset(scaled_gen_config(
+            gen_cfg, size, derive_seed(gen_cfg.seed, ABLATION_SPLIT_STREAMS["test-shifted"]),
+            n_test, subject_scale_factor=SHIFTED_FACTOR))
         stats = scale_stats_from_samples(train_set)
         mcfg = ModelConfig(**{**model_cfg.to_dict(),
                               "image_size": size, "depth_mode": mode.value})
         params, _ = train(mcfg, train_cfg, train_set)
         preds = predict(params, mcfg, shifted_set)
-        off = score_predictions(preds, shifted_set)
-        on = score_predictions(preds, shifted_set, rescale=True, scale_stats=stats)
-        rows.append(AblationRow(
-            label=label, resolution=size, depth_mode=mode.value,
-            mpjpe_off=(off.mpjpe_left, off.mpjpe_right),
-            mpjpe_on=(on.mpjpe_left, on.mpjpe_right)))
-    return AblationTable(rows=tuple(rows))
+        reports[label] = (score_predictions(preds, shifted_set),
+                          score_predictions(preds, shifted_set, rescale=True,
+                                            scale_stats=stats))
+    return reports

@@ -13,7 +13,6 @@ from numpy.lib.recfunctions import repack_fields
 
 from setpose.data import (
     DATASET_FORMAT_VERSION,
-    FINGER_BONE_LENGTHS,
     HANDS_DTYPE,
     GenConfig,
     HandAnnotation,
@@ -25,17 +24,16 @@ from setpose.data import (
     generate_sample,
     pack_hands,
     read_dataset,
-    template_hand,
     write_dataset,
 )
 from setpose.errors import ConfigError, FormatError
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, N_JOINTS, xyz_to_uvd
-from setpose.hand_model import BONES, hand_scale
+from setpose.hand_model import BONES, FINGERS, hand_scale, template_hand
 from setpose.rng import PortableRng
 
 from conftest import AlwaysFlip
 
-TEMPLATE_MEAN_BONE = sum(sum(v) for v in FINGER_BONE_LENGTHS.values()) / 20.0  # 40.5
+TEMPLATE_MEAN_BONE = sum(sum(lengths) for _, lengths in FINGERS.values()) / 20.0  # 40.5
 
 
 def small_cfg(**kw) -> GenConfig:

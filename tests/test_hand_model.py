@@ -209,16 +209,24 @@ def test_stacked_calls_equal_the_single_hand_calls_bitwise(cam, pick):
 
 def test_a_stack_with_one_bad_hand_raises_the_single_hand_errors(cam):
     """The checks hold over the whole stack: one degenerate hand, one
-    non-positive target or one non-positive depth raises."""
+    non-positive target or one non-positive depth raises, naming that
+    hand's index over the leading axes and its value."""
     good = xyz_to_uvd(constant_bone_pose(40.0), cam).joints
     stack = np.stack([good, good, np.tile([320.0, 240.0, 500.0], (N_JOINTS, 1))])
-    with pytest.raises(DegeneratePose):
+    with pytest.raises(DegeneratePose, match=r"index \(2,\) has scale 0\.0 mm"):
         rescale_depth(JointSetUVD(stack), cam, 40.0)
-    with pytest.raises(NonPositiveScale, match=r"got \[40\.  0\.\]"):
+    with pytest.raises(NonPositiveScale, match=r"index \(1,\) has 0\.0$"):
         rescale_depth(JointSetUVD(stack[:2]), cam, np.array([40.0, 0.0]))
+    with pytest.raises(NonPositiveScale, match=r"index \(0,\) has -1\.0$"):
+        rescale_depth(JointSetUVD(stack[:2]), cam, -1.0)
     stack[1, 4, 2] = -1.0
-    with pytest.raises(NonPositiveDepth):
+    stack[2, 0, 2] = -2.0
+    with pytest.raises(NonPositiveDepth, match=r"index \(1,\) has min d = -1\.0$"):
         uvd_to_xyz(JointSetUVD(stack), cam)
+    with pytest.raises(NonPositiveDepth, match=r"index \(0, 1\) has min z = -1\.0$"):
+        xyz_to_uvd(JointSet3D(stack[None]), cam)
+    with pytest.raises(NonPositiveDepth, match=r"index \(\) has min d = -2\.0$"):
+        uvd_to_xyz(JointSetUVD(stack[2]), cam)
 
 
 # -- ScaleStats ----------------------------------------------------------------

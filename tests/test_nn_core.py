@@ -37,6 +37,7 @@ from setpose.nn_core import (
     no_grad,
     save_checkpoint,
 )
+from setpose.nn_core.optim import BETA1, BETA2, EPS
 from setpose.rng import PortableRng
 
 from gradcheck import max_relative_error, numeric_gradient
@@ -594,7 +595,7 @@ def test_adamw_zero_gradient_is_noop():
     p = make_store(w=[1.0, -2.0, 3.5])
     before = p["w"].data.copy()
     state = init_optim_state(p)
-    adamw_step(p, {"w": np.zeros(3)}, state, lr=0.1)
+    adamw_step(p, {"w": np.zeros(3)}, state, lr=lambda _: 0.1)
     assert np.array_equal(p["w"].data, before)
     assert state.t == 1
 
@@ -602,8 +603,8 @@ def test_adamw_zero_gradient_is_noop():
 def test_adamw_first_step_hand_recurrence():
     p = make_store(w=[1.0])
     state = init_optim_state(p)
-    adamw_step(p, {"w": np.array([1.0])}, state, lr=0.1,
-               beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
+    assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
+    adamw_step(p, {"w": np.array([1.0])}, state, lr=lambda _: 0.1, weight_decay=0.0)
     # m=0.1, v=0.001, m_hat=1, v_hat=1 -> step = 0.1/(1+1e-8)
     expected = 1.0 - 0.1 * (1.0 / (1.0 + 1e-8))
     assert abs(p["w"].data[0] - expected) < 1e-15
@@ -616,7 +617,7 @@ def test_adamw_pure_decay():
     lr, wd = 0.05, 0.1
     val = 2.0
     for _ in range(5):
-        adamw_step(p, {"w": np.zeros(1)}, state, lr=lr, weight_decay=wd)
+        adamw_step(p, {"w": np.zeros(1)}, state, lr=lambda _: lr, weight_decay=wd)
         val = val - lr * wd * val
         assert abs(p["w"].data[0] - val) < 1e-12
 
@@ -628,7 +629,7 @@ def test_adamw_deterministic_bitwise():
         state = init_optim_state(p)
         for step in range(10):
             grads = {"a": rand(rng, 3, 3), "b": rand(rng, 3)}
-            adamw_step(p, grads, state, lr=1e-2, weight_decay=1e-4)
+            adamw_step(p, grads, state, lr=lambda _: 1e-2, weight_decay=1e-4)
         return p["a"].data.copy(), p["b"].data.copy()
 
     a1, b1 = run()
@@ -651,14 +652,14 @@ def test_adamw_key_mismatch():
     p = make_store(w=[1.0])
     state = init_optim_state(p)
     with pytest.raises(KeyMismatch):
-        adamw_step(p, {"v": np.zeros(1)}, state, lr=0.1)
+        adamw_step(p, {"v": np.zeros(1)}, state, lr=lambda _: 0.1)
 
 
 def test_adamw_gradient_shape_mismatch_raises_shape_error():
     p = make_store(a=[1.0, 2.0], w=[1.0, 2.0])
     state = init_optim_state(p)
     with pytest.raises(ShapeError, match="'w'"):
-        adamw_step(p, {"a": np.ones(2), "w": np.zeros((2, 1))}, state, lr=0.1)
+        adamw_step(p, {"a": np.ones(2), "w": np.zeros((2, 1))}, state, lr=lambda _: 0.1)
     # nothing moved, not even the parameter sorted before the bad one
     assert np.array_equal(p["a"].data, [1.0, 2.0])
     assert state.t == 0 and not state.m["a"].any()

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import math
 import weakref
 
@@ -13,7 +12,7 @@ from setpose import train_eval
 from setpose.data import (GenConfig, HandAnnotation, SceneSample, generate_dataset,
                           read_dataset, write_dataset)
 from setpose.errors import (ConfigError, EmptySide, MissingScaleStats, NonFinite,
-                            NonFiniteLoss)
+                            NonFiniteLoss, NonPositiveDepth)
 from setpose.geometry import CameraIntrinsics, HandSide, JointSetUVD, uvd_to_xyz
 from setpose.hand_model import ScaleStats
 from setpose.matching import set_loss
@@ -42,16 +41,57 @@ def test_evaluate_is_repeatable():
         assert a.to_json() == b.to_json()
 
 
-def test_scoring_refuses_samples_with_different_cameras_naming_the_first():
-    """An evaluation has one camera, as a dataset does."""
+def mixed_cameras() -> list[SceneSample]:
     near = generate_dataset(GenConfig(seed=6, n_samples=1))[0]
     wide = CameraIntrinsics(fx=18.0, fy=18.0, cx=15.0, cy=17.0, width=32.0, height=32.0)
     far = generate_dataset(GenConfig(seed=7, n_samples=1, intrinsics=wide))[0]
-    samples = [near, near, far, far]
+    return [near, near, far, far]
+
+
+def test_scoring_refuses_samples_with_different_cameras_naming_the_first():
+    """An evaluation has one camera, as a dataset does."""
+    samples = mixed_cameras()
     with pytest.raises(ConfigError, match="sample 2 has camera .*one camera"):
         train_eval.score_predictions(side_predictions(len(samples)), samples)
     with pytest.raises(ConfigError, match="sample 2 has camera .*one camera"):
         train_eval.evaluate(build_model(TINY, seed=2), TINY, samples)
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda: [], "evaluation set is empty"),
+    (mixed_cameras, "sample 2 has camera .*one camera"),
+], ids=["empty", "mixed-cameras"])
+def test_a_bad_evaluation_set_is_refused_before_any_forward_pass(monkeypatch, bad, match):
+    """evaluate refuses before predict; train refuses a bad validation set
+    before its first step."""
+    calls = {"predict": 0, "forward_batch": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(train_eval, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(train_eval, name, counted)
+    with pytest.raises(ConfigError, match=match):
+        train_eval.evaluate(build_model(TINY, seed=2), TINY, bad())
+    with pytest.raises(ConfigError, match=match):
+        train_eval.train(TINY, tiny_train_cfg(), generate_dataset(GenConfig(seed=1, n_samples=4)),
+                         val_samples=bad())
+    assert calls == {"predict": 0, "forward_batch": 0}
+
+
+def test_a_bad_pose_is_named_by_its_record_position():
+    """score_predictions unprojects the present hands as one stack, so a
+    geometry error's index is the position of the hand's record."""
+    samples = generate_dataset(GenConfig(seed=5, n_samples=4))
+    preds = side_predictions(len(samples))
+    present = [(i, h.side) for i, s in enumerate(samples) for h in s.hands]
+    assert len(present) > 3
+    index, side = present[3]
+    at = next(k for k, p in enumerate(preds) if (p.index, p.side) == (index, side))
+    bad = preds[at].uvd.joints.copy()
+    bad[7, 2] = -5.0
+    preds[at] = dataclasses.replace(preds[at], uvd=JointSetUVD(bad))
+    with pytest.raises(NonPositiveDepth, match=r"index \(3,\) has min d = -5\.0$"):
+        train_eval.score_predictions(preds, samples)
 
 
 def test_rescaling_needs_stats_only_for_the_sides_with_a_present_hand():
@@ -212,9 +252,7 @@ def test_best_checkpoint_records_the_winning_epoch(tmp_path, monkeypatch):
     val_set = generate_dataset(GenConfig(seed=2, n_samples=4))
     cfg = tiny_train_cfg()
     params, log = train_eval.train(TINY, cfg, train_set, val_set, checkpoint_dir=tmp_path)
-    scores = [np.mean([v for v in (e.val_mpjpe_left, e.val_mpjpe_right) if v is not None])
-              for e in log.epochs]
-    winner = int(np.argmin(scores))
+    winner = int(np.argmin([report.mean_mpjpe() for report in log.validation]))
     assert winner != cfg.total_epochs - 1  # otherwise the test could not tell
     best, _, extra = load_checkpoint(tmp_path / "best")
     assert extra == {"model_config": TINY.to_dict(), "epoch": winner}
@@ -222,6 +260,20 @@ def test_best_checkpoint_records_the_winning_epoch(tmp_path, monkeypatch):
     for name, t in best.items():
         assert t.data.tobytes() == epoch_params[name].data.tobytes()
         assert t.data.tobytes() == params[name].data.tobytes()
+
+
+def test_validation_keeps_each_epochs_report_and_returns_the_winners_params():
+    train_set = generate_dataset(GenConfig(seed=1, n_samples=8))
+    val_set = generate_dataset(GenConfig(seed=2, n_samples=4))
+    cfg = tiny_train_cfg()
+    params, log = train_eval.train(TINY, cfg, train_set, val_set)
+    assert len(log.validation) == cfg.total_epochs
+    winner = int(np.argmin([report.mean_mpjpe() for report in log.validation]))
+    again = train_eval.evaluate(params, TINY, val_set)
+    assert again.records and records_digest(again) == records_digest(log.validation[winner])
+    assert again == log.validation[winner]
+    _, unvalidated = train_eval.train(TINY, cfg, train_set)
+    assert unvalidated.validation == []
 
 
 def test_train_raises_on_non_finite_gradient_before_the_update(monkeypatch):
@@ -452,20 +504,28 @@ def test_scaled_gen_config_rejects_a_changed_aspect_ratio():
         train_eval.scaled_gen_config(GenConfig(), (32, 48), seed=0, n_samples=1)
 
 
-def test_smoke_ablation_returns_three_finite_rows_in_spec_order(monkeypatch):
-    """One forward pass per variant: its predictions are scored with
-    rescaling off and on."""
-    calls, predict = [], train_eval.predict
-    monkeypatch.setattr(train_eval, "predict",
-                        lambda *args, **kw: calls.append(args) or predict(*args, **kw))
-    table = train_eval.ablate(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
-                              GenConfig(seed=5, n_samples=8), n_test=6)
-    assert len(calls) == 3
-    assert [(r.label, r.resolution, r.depth_mode) for r in table.rows] == [
-        ("small_relative", (32, 32), DepthMode.ROOT_PLUS_RELATIVE.value),
-        ("small_absolute", (32, 32), DepthMode.ABSOLUTE_PER_JOINT.value),
-        ("large_absolute", (48, 48), DepthMode.ABSOLUTE_PER_JOINT.value),
-    ]
-    values = [v for r in table.rows for v in r.mpjpe_off + r.mpjpe_on]
-    assert len(values) == 12 and all(math.isfinite(v) for v in values)
-    assert json.loads(table.to_json())["rows"] == [r.to_dict() for r in table.rows]
+def test_smoke_ablation_scores_one_prediction_per_variant_off_and_on(monkeypatch):
+    """One forward pass per variant, at that variant's ModelConfig: its
+    predictions are scored with rescaling off and on, keyed in
+    ABLATION_VARIANTS order."""
+    calls, stats = [], []
+    predict, scale_stats = train_eval.predict, train_eval.scale_stats_from_samples
+    monkeypatch.setattr(train_eval, "predict", lambda params, cfg, samples: calls.append(
+        (cfg, samples, predict(params, cfg, samples))) or calls[-1][2])
+    monkeypatch.setattr(train_eval, "scale_stats_from_samples",
+                        lambda samples: stats.append(scale_stats(samples)) or stats[-1])
+    reports = train_eval.ablate(TINY, tiny_train_cfg(total_epochs=2, lr_drop_epoch=1),
+                                GenConfig(seed=5, n_samples=8), n_test=6)
+    assert list(reports) == list(train_eval.ABLATION_VARIANTS) == [
+        "small_relative", "small_absolute", "large_absolute"]
+    assert len(calls) == len(stats) == 3
+    for (label, (size, mode)), (cfg, samples, preds), variant_stats in zip(
+            train_eval.ABLATION_VARIANTS.items(), calls, stats):
+        assert cfg == dataclasses.replace(TINY, image_size=size, depth_mode=mode)
+        assert {s.camera.width for s in samples} == {size[1]} and len(samples) == 6
+        off, on = reports[label]
+        assert off == train_eval.score_predictions(preds, samples)
+        assert on == train_eval.score_predictions(preds, samples, rescale=True,
+                                                  scale_stats=variant_stats)
+        values = [off.mpjpe_left, off.mpjpe_right, on.mpjpe_left, on.mpjpe_right]
+        assert all(math.isfinite(v) for v in values)
